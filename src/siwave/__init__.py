@@ -35,7 +35,6 @@ from .fd import (
     detect_lifespan_system,
     solve_linear_fd,
     solve_semilinear_field,
-    step_semilinear,
 )
 from .grids import GridSpec, SpacetimeField
 from .hypergeom import ConvergenceError, HypergeomQuery, hyp2f1, hyp2f1_lower_bound_check

@@ -1,5 +1,12 @@
 """Finite-difference solver for the 1D semilinear problem and its coupled variant.
 
+One stepper advances one or two components on a shared grid.  Each
+component has its own coefficients, Cauchy data and right-hand side, built
+from the lagged u_t of all components: |u_t|^p for the single equation,
+the cross-coupled |v_t|^p, |u_t|^q for the system (or each component's
+own u_t in the decoupled diagnostic), and a sampled source term in linear
+mode.
+
 Scheme (uniform grid, dt = cfl*dx):
 
   * u_tt and u_xx by centered 3-point stencils at level k;
@@ -15,9 +22,9 @@ Scheme (uniform grid, dt = cfl*dx):
     single run.
 
 The first level is a Taylor start matching the PDE at t=0 to second order.
-Numerical blow-up is declared when max |u_t| crosses a threshold (or a
-non-finite value appears); reaching t_max without crossing is reported as
-censored data (T >= t_max), never as a no-blow-up fact.
+Numerical blow-up is declared when max |u_t| of any component crosses a
+threshold (or a non-finite value appears); reaching t_max without crossing
+is reported as censored data (T >= t_max), never as a no-blow-up fact.
 
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +44,6 @@ from .profiles import CauchyProfile, SourceTerm
 
 __all__ = [
     "LifespanRecord",
-    "step_semilinear",
     "solve_semilinear_field",
     "solve_linear_fd",
     "detect_lifespan",
@@ -112,25 +119,6 @@ def _advance(
     ) / (1.0 + lam)
 
 
-def step_semilinear(
-    state: tuple[np.ndarray, np.ndarray, np.ndarray],
-    t: float,
-    params: ScaleInvariantParams,
-    p: float,
-    grid: GridSpec,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Advance (u^{k-1}, u^k, lagged u_t) at time t to the next level.
-
-    Returns (u^k, u^{k+1}, centered u_t at level k); feeding the returned
-    triple back in implements the lagged-nonlinearity recursion.
-    """
-    u_prev, u_curr, ut_lag = state
-    rhs = _abs_power(ut_lag, p)
-    u_next = _advance(u_prev, u_curr, rhs, t, grid.dt, grid.dx, params)
-    ut_curr = (u_next - u_prev) / (2.0 * grid.dt)
-    return u_curr, u_next, ut_curr
-
-
 def _taylor_start(
     U0: np.ndarray, U1: np.ndarray, rhs0: np.ndarray, dt: float, dx: float,
     params: ScaleInvariantParams,
@@ -141,74 +129,104 @@ def _taylor_start(
     )
 
 
-class _Run:
-    """Shared stepping loop: one component, nonlinear or source mode."""
+class _Component(NamedTuple):
+    """One field of a run: coefficients, Cauchy data and its right-hand side.
 
-    def __init__(
-        self,
-        params: ScaleInvariantParams,
-        data: CauchyProfile,
-        grid: GridSpec,
-        p: float | None,
-        src: SourceTerm | None,
-        threshold: float | None,
-        store_every: int | None,
-    ):
-        grid.validate_cone(data.R)
-        self.params = params
-        self.grid = grid
-        self.p = p
-        self.src = src
-        self.threshold = threshold
-        self.store_every = store_every
-        self.xs = grid.xs()
-        self.dt = grid.dt
-        self.U0 = np.array([data.eps * data.u0(float(x)) for x in self.xs])
-        self.U1 = np.array([data.eps * data.u1(float(x)) for x in self.xs])
-        self.stored: list[tuple[float, np.ndarray, np.ndarray]] = []
+    ``rhs(ut_lag, t)`` maps the lagged u_t of every component (in run
+    order) and the time of the level to this component's forcing.
+    """
 
-    def _rhs(self, ut_lag: np.ndarray, t: float) -> np.ndarray:
-        if self.src is not None:
-            return np.array([self.src.f(t, float(x)) for x in self.xs])
-        return _abs_power(ut_lag, self.p)
+    params: ScaleInvariantParams
+    data: CauchyProfile
+    rhs: Callable[[list[np.ndarray], float], np.ndarray]
 
-    def run(self) -> tuple[bool, float]:
-        """Step to t_max (+ one level); returns (blow_up, T_est)."""
-        dt, dx = self.dt, self.grid.dx
-        n_store_max = self.grid.n_steps()
-        n_total = n_store_max + 1
 
-        u_prev = self.U0
-        ut_lag = self.U1
-        u_curr = _taylor_start(self.U0, self.U1, self._rhs(self.U1, 0.0), dt, dx, self.params)
-        self._maybe_store(0, 0.0, self.U0, self.U1, n_store_max)
-        if not np.isfinite(u_curr).all():
-            return True, dt
+_Rows = list[tuple[float, np.ndarray, np.ndarray]]
 
-        for k in range(1, n_total):
-            t_k = k * dt
-            rhs = self._rhs(ut_lag, t_k)
-            u_next = _advance(u_prev, u_curr, rhs, t_k, dt, dx, self.params)
-            if not np.isfinite(u_next).all():
-                return True, t_k + dt
-            ut_k = (u_next - u_prev) / (2.0 * dt)
-            self._maybe_store(k, t_k, u_curr, ut_k, n_store_max)
-            if self.threshold is not None and float(np.max(np.abs(ut_k))) > self.threshold:
-                return True, t_k
-            u_prev, u_curr, ut_lag = u_curr, u_next, ut_k
-        return False, math.inf
 
-    def _maybe_store(self, k: int, t: float, u: np.ndarray, ut: np.ndarray, k_max: int) -> None:
-        if self.store_every is None or k > k_max:
-            return
-        if k % self.store_every == 0 or k == k_max:
-            self.stored.append((t, u.copy(), ut.copy()))
+def _run(
+    components: list[_Component],
+    grid: GridSpec,
+    threshold: float | None = None,
+    store_every: int | None = None,
+) -> tuple[bool, float, _Rows]:
+    """Step all components to t_max (+ one level); returns (blow_up, T_est, rows).
 
-    def field(self) -> SpacetimeField:
-        times = np.array([row[0] for row in self.stored])
-        values = np.array([row[1] for row in self.stored])
-        dvalues = np.array([row[2] for row in self.stored])
-        return SpacetimeField(grid=self.grid, times=times, values=values, dvalues=dvalues)
+    The run stops at the first level where any component turns non-finite
+    or its max |u_t| exceeds ``threshold``.  With ``store_every``, rows
+    (t, u, u_t) of component 0 are kept at every store_every-th level and
+    at the last one.
+    """
+    if store_every is not None and store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    grid.validate_cone(max(c.data.R for c in components))
+    xs = grid.xs()
+    dt, dx = grid.dt, grid.dx
+    k_max = grid.n_steps()
+    rows: _Rows = []
+
+    def store(k: int, t: float, u: np.ndarray, ut: np.ndarray) -> None:
+        if store_every is not None and (k % store_every == 0 or k == k_max):
+            rows.append((t, u.copy(), ut.copy()))
+
+    u_prev = [np.array([c.data.eps * c.data.u0(float(x)) for x in xs]) for c in components]
+    ut_lag = [np.array([c.data.eps * c.data.u1(float(x)) for x in xs]) for c in components]
+    u_curr = [
+        _taylor_start(u0, u1, c.rhs(ut_lag, 0.0), dt, dx, c.params)
+        for c, u0, u1 in zip(components, u_prev, ut_lag)
+    ]
+    store(0, 0.0, u_prev[0], ut_lag[0])
+    if not all(np.isfinite(u).all() for u in u_curr):
+        return True, dt, rows
+
+    for k in range(1, k_max + 1):
+        t_k = k * dt
+        # rhs stays bound until the next level's rhs replaces it; freeing it
+        # after the step makes malloc trim and re-fault heap pages each level
+        rhs = [c.rhs(ut_lag, t_k) for c in components]
+        u_next = [
+            _advance(up, uc, r, t_k, dt, dx, c.params)
+            for c, up, uc, r in zip(components, u_prev, u_curr, rhs)
+        ]
+        if not all(np.isfinite(u).all() for u in u_next):
+            return True, t_k + dt, rows
+        ut_k = [(un - up) / (2.0 * dt) for un, up in zip(u_next, u_prev)]
+        store(k, t_k, u_curr[0], ut_k[0])
+        if threshold is not None and any(float(np.max(np.abs(ut))) > threshold for ut in ut_k):
+            return True, t_k, rows
+        u_prev, u_curr, ut_lag = u_curr, u_next, ut_k
+    return False, math.inf, rows
+
+
+def _field(grid: GridSpec, rows: _Rows) -> SpacetimeField:
+    times, values, dvalues = (np.array(column) for column in zip(*rows))
+    return SpacetimeField(grid=grid, times=times, values=values, dvalues=dvalues)
+
+
+def _lifespan(
+    components: list[_Component], grid: GridSpec, threshold: float, refine: bool
+) -> LifespanRecord:
+    """Lifespan record of one run, with the Richardson pair when ``refine``."""
+    blow_up, t_est, _ = _run(components, grid, threshold)
+    pair = converged = None
+    if refine:
+        blow_coarse, t_coarse = blow_up, t_est
+        blow_up, t_est, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
+        pair = (t_coarse, t_est)
+        converged = blow_coarse and blow_up and abs(t_coarse - t_est) <= RICHARDSON_RTOL * t_est
+    return LifespanRecord(
+        eps=components[0].data.eps,
+        T_est=t_est,
+        blow_up=blow_up,
+        threshold_used=threshold,
+        grid=grid,
+        richardson_pair=pair,
+        converged=converged,
+    )
+
+
+def _semilinear(params: ScaleInvariantParams, data: CauchyProfile, p: float) -> list[_Component]:
+    return [_Component(params, data, lambda ut, t: _abs_power(ut[0], p))]
 
 
 def solve_linear_fd(
@@ -219,9 +237,10 @@ def solve_linear_fd(
     store_every: int = 1,
 ) -> SpacetimeField:
     """Linear mode (nonlinearity replaced by the source term f); full field."""
-    run = _Run(params, data, grid, p=None, src=src, threshold=None, store_every=store_every)
-    run.run()
-    return run.field()
+    xs = grid.xs()
+    source = _Component(params, data, lambda ut, t: np.array([src.f(t, float(x)) for x in xs]))
+    _, _, rows = _run([source], grid, store_every=store_every)
+    return _field(grid, rows)
 
 
 def solve_semilinear_field(
@@ -233,8 +252,7 @@ def solve_semilinear_field(
     store_every: int = 1,
 ) -> tuple[SpacetimeField, LifespanRecord]:
     """Semilinear run with field storage (rows stop before any blow-up)."""
-    run = _Run(params, data, grid, p=p, src=None, threshold=threshold, store_every=store_every)
-    blow_up, t_est = run.run()
+    blow_up, t_est, rows = _run(_semilinear(params, data, p), grid, threshold, store_every)
     record = LifespanRecord(
         eps=data.eps,
         T_est=t_est,
@@ -242,7 +260,7 @@ def solve_semilinear_field(
         threshold_used=threshold,
         grid=grid,
     )
-    return run.field(), record
+    return _field(grid, rows), record
 
 
 def detect_lifespan(
@@ -259,80 +277,7 @@ def detect_lifespan(
     reports the fine value, and is flagged converged when the pair agrees
     within RICHARDSON_RTOL.
     """
-    run = _Run(params, data, grid, p=p, src=None, threshold=threshold, store_every=None)
-    blow_up, t_est = run.run()
-    if not refine:
-        return LifespanRecord(
-            eps=data.eps, T_est=t_est, blow_up=blow_up,
-            threshold_used=threshold, grid=grid,
-        )
-    fine_grid = replace(grid, dx=0.5 * grid.dx)
-    fine = _Run(params, data, fine_grid, p=p, src=None, threshold=threshold, store_every=None)
-    blow_fine, t_fine = fine.run()
-    converged = (
-        blow_up and blow_fine and abs(t_est - t_fine) <= RICHARDSON_RTOL * t_fine
-    )
-    return LifespanRecord(
-        eps=data.eps,
-        T_est=t_fine,
-        blow_up=blow_fine,
-        threshold_used=threshold,
-        grid=grid,
-        richardson_pair=(t_est, t_fine),
-        converged=converged,
-    )
-
-
-def _system_run(
-    sys: SystemParams,
-    data1: CauchyProfile,
-    data2: CauchyProfile,
-    grid: GridSpec,
-    threshold: float,
-    cross_coupling: bool,
-) -> tuple[bool, float]:
-    """Step both components; blow-up when either trips the threshold."""
-    grid.validate_cone(max(data1.R, data2.R))
-    xs = grid.xs()
-    dt, dx = grid.dt, grid.dx
-    p, q = sys.p, sys.q
-    pu, pv = sys.comp1, sys.comp2
-
-    u0 = np.array([data1.eps * data1.u0(float(x)) for x in xs])
-    u1 = np.array([data1.eps * data1.u1(float(x)) for x in xs])
-    v0 = np.array([data2.eps * data2.u0(float(x)) for x in xs])
-    v1 = np.array([data2.eps * data2.u1(float(x)) for x in xs])
-
-    # cross-coupled nonlinearities; self-coupled mode is a diagnostic that
-    # must reproduce two independent single-equation runs
-    def rhs_u(ut_lag, vt_lag):
-        return _abs_power(vt_lag if cross_coupling else ut_lag, p)
-
-    def rhs_v(ut_lag, vt_lag):
-        return _abs_power(ut_lag if cross_coupling else vt_lag, q)
-
-    u_prev, v_prev = u0, v0
-    ut_lag, vt_lag = u1, v1
-    u_curr = _taylor_start(u0, u1, rhs_u(u1, v1), dt, dx, pu)
-    v_curr = _taylor_start(v0, v1, rhs_v(u1, v1), dt, dx, pv)
-    if not (np.isfinite(u_curr).all() and np.isfinite(v_curr).all()):
-        return True, dt
-
-    n_total = grid.n_steps() + 1
-    for k in range(1, n_total):
-        t_k = k * dt
-        u_next = _advance(u_prev, u_curr, rhs_u(ut_lag, vt_lag), t_k, dt, dx, pu)
-        v_next = _advance(v_prev, v_curr, rhs_v(ut_lag, vt_lag), t_k, dt, dx, pv)
-        if not (np.isfinite(u_next).all() and np.isfinite(v_next).all()):
-            return True, t_k + dt
-        ut_k = (u_next - u_prev) / (2.0 * dt)
-        vt_k = (v_next - v_prev) / (2.0 * dt)
-        sup = max(float(np.max(np.abs(ut_k))), float(np.max(np.abs(vt_k))))
-        if sup > threshold:
-            return True, t_k
-        u_prev, u_curr, ut_lag = u_curr, u_next, ut_k
-        v_prev, v_curr, vt_lag = v_curr, v_next, vt_k
-    return False, math.inf
+    return _lifespan(_semilinear(params, data, p), grid, threshold, refine)
 
 
 def detect_lifespan_system(
@@ -344,25 +289,18 @@ def detect_lifespan_system(
     refine: bool = False,
     cross_coupling: bool = True,
 ) -> LifespanRecord:
-    """Numerical lifespan of the weakly coupled system."""
-    blow_up, t_est = _system_run(sys, data1, data2, grid, threshold, cross_coupling)
-    if not refine:
-        return LifespanRecord(
-            eps=data1.eps, T_est=t_est, blow_up=blow_up,
-            threshold_used=threshold, grid=grid,
-        )
-    fine_grid = replace(grid, dx=0.5 * grid.dx)
-    blow_fine, t_fine = _system_run(sys, data1, data2, fine_grid, threshold, cross_coupling)
-    converged = blow_up and blow_fine and abs(t_est - t_fine) <= RICHARDSON_RTOL * t_fine
-    return LifespanRecord(
-        eps=data1.eps,
-        T_est=t_fine,
-        blow_up=blow_fine,
-        threshold_used=threshold,
-        grid=grid,
-        richardson_pair=(t_est, t_fine),
-        converged=converged,
-    )
+    """Numerical lifespan of the weakly coupled system (eps taken from data1).
+
+    ``refine`` works as in detect_lifespan.  With ``cross_coupling`` u is
+    forced by |v_t|^p and v by |u_t|^q; the self-coupled mode is a
+    diagnostic that must reproduce two independent single-equation runs.
+    """
+    src1, src2 = (1, 0) if cross_coupling else (0, 1)
+    components = [
+        _Component(sys.comp1, data1, lambda ut, t: _abs_power(ut[src1], sys.p)),
+        _Component(sys.comp2, data2, lambda ut, t: _abs_power(ut[src2], sys.q)),
+    ]
+    return _lifespan(components, grid, threshold, refine)
 
 
 def lifespan_records_to_csv(records: list[LifespanRecord], path: str) -> None:

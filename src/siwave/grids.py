@@ -28,6 +28,9 @@ class GridSpec:
     t_max: float
 
     def __post_init__(self) -> None:
+        for name in ("dx", "x_max", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dx <= 0:
             raise ValueError(f"dx must be > 0, got {self.dx}")
         if not 0.0 < self.cfl <= 1.0:
@@ -89,14 +92,7 @@ class SpacetimeField:
 
     def interpolate(self, t: float, x: float) -> float:
         """Bilinear interpolation of u at an off-node point."""
-        return self._interp(self.values, t, x)
-
-    def interpolate_dt(self, t: float, x: float) -> float:
-        """Bilinear interpolation of u_t at an off-node point."""
-        return self._interp(self.dvalues, t, x)
-
-    def _interp(self, array: np.ndarray, t: float, x: float) -> float:
-        times, xs = self.times, self.xs
+        times, xs, u = self.times, self.xs, self.values
         if not (times[0] <= t <= times[-1]) or not (xs[0] <= x <= xs[-1]):
             raise ValueError(f"point (t={t}, x={x}) outside stored field")
         i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
@@ -106,10 +102,10 @@ class SpacetimeField:
         ft = (t - times[i]) / (times[i + 1] - times[i])
         fx = (x - xs[j]) / (xs[j + 1] - xs[j])
         return float(
-            (1 - ft) * (1 - fx) * array[i, j]
-            + (1 - ft) * fx * array[i, j + 1]
-            + ft * (1 - fx) * array[i + 1, j]
-            + ft * fx * array[i + 1, j + 1]
+            (1 - ft) * (1 - fx) * u[i, j]
+            + (1 - ft) * fx * u[i, j + 1]
+            + ft * (1 - fx) * u[i + 1, j]
+            + ft * fx * u[i + 1, j + 1]
         )
 
     def to_csv(self, path: str) -> None:

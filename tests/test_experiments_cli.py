@@ -205,6 +205,15 @@ def test_cli_solve_semilinear(tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("eps,")
 
 
+def test_cli_store_every_must_be_positive(capsys):
+    code = main([
+        "solve-semilinear", "--mu", "2", "--nu2", "0", "--p", "1.5",
+        "--dx", "0.1", "--t-max", "2.0", "--store-every", "0",
+    ])
+    assert code == 2
+    assert "store_every must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_delta_below_one_requires_zero_u0(capsys):
     code = main([
         "solve-semilinear", "--mu", "1", "--nu2", "0", "--p", "1.5",

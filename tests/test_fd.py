@@ -12,7 +12,6 @@ from siwave.fd import (
     lifespan_records_to_csv,
     solve_linear_fd,
     solve_semilinear_field,
-    step_semilinear,
 )
 from siwave.grids import GridSpec
 from siwave.linear import solve_linear_point
@@ -28,11 +27,10 @@ ZERO_DATA = CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=1.0, eps=1.0)
 
 def test_zero_state_is_a_fixed_point():
     grid = GridSpec(dx=0.1, cfl=0.9, x_max=3.0, t_max=2.0)
-    xs = grid.xs()
-    state = (np.zeros_like(xs), np.zeros_like(xs), np.zeros_like(xs))
-    for k in range(5):
-        state = step_semilinear(state, (k + 1) * grid.dt, P2, 1.5, grid)
-    assert np.all(state[1] == 0.0)
+    field, record = solve_semilinear_field(P2, ZERO_DATA, 1.5, grid)
+    assert len(field.times) == grid.n_steps() + 1
+    assert np.all(field.values == 0.0) and np.all(field.dvalues == 0.0)
+    assert not record.blow_up
 
 
 def test_zero_data_never_blows_up():
@@ -170,6 +168,26 @@ def test_decoupled_mode_matches_independent_runs():
     t2 = detect_lifespan(ScaleInvariantParams(3.0, 0.0), prof2, 1.8, grid).T_est
     assert rec.blow_up
     assert abs(rec.T_est - min(t1, t2)) <= grid.dt
+
+
+def test_system_coupling_map_is_relabelling_invariant():
+    # cross coupling with p != q: u is forced by |v_t|^p and v by |u_t|^q,
+    # so swapping the components together with (p, q) and the data must
+    # reproduce the same run bit for bit
+    c1, c2 = P2, ScaleInvariantParams(3.0, 0.0)
+    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
+    d1 = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    d2 = bump_profile(R=1.0, eps=0.5, amplitude=6.0)
+    rec = detect_lifespan_system(SystemParams(c1, c2, p=1.5, q=2.0), d1, d2, grid, refine=True)
+    swapped = detect_lifespan_system(
+        SystemParams(c2, c1, p=2.0, q=1.5), d2, d1, grid, refine=True
+    )
+    assert rec.blow_up and swapped.blow_up
+    assert rec.T_est == swapped.T_est
+    assert rec.richardson_pair == swapped.richardson_pair
+    # pins which exponent forces which component: with u forced by |v_t|^q
+    # instead, the pair moves to (5.22, 4.97)
+    assert rec.richardson_pair == pytest.approx((4.78, 4.52), abs=1e-9)
 
 
 def test_censored_record_uses_infinity_marker():

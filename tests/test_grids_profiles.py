@@ -24,6 +24,16 @@ def test_gridspec_validation():
         grid.validate_cone(R=1.5)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("dx", np.nan), ("x_max", np.inf), ("t_max", np.nan), ("t_max", np.inf)]
+)
+def test_gridspec_rejects_non_finite(field, value):
+    kwargs = dict(dx=0.1, cfl=0.5, x_max=3.0, t_max=2.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GridSpec(**kwargs)
+
+
 def test_field_shape_and_finiteness_checks():
     grid = GridSpec(dx=0.5, cfl=1.0, x_max=1.0, t_max=1.0)
     times = np.array([0.0, 0.5, 1.0])
