@@ -101,6 +101,8 @@ class SweepConfig:
             raise ValueError("eps_grid must be strictly decreasing")
         if any(e <= 0 for e in self.eps_grid):
             raise ValueError("eps values must be positive")
+        if not self.threshold > 0:
+            raise ValueError(f"threshold must be > 0, got {self.threshold}")
         params = self.single_params()  # validates mu, nu2, delta >= 0
         if self.model == "single":
             if params.delta < 1.0 and not self.u0_zero:

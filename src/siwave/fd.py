@@ -26,6 +26,18 @@ Numerical blow-up is declared when max |u_t| of any component crosses a
 threshold (or a non-finite value appears); reaching t_max without crossing
 is reported as censored data (T >= t_max), never as a no-blow-up fact.
 
+Only the numerical light cone is stepped.  The data are sampled on
+|x| <= R; the window starts as the span of nodes where the data or the
+Taylor level are not +0.0, and grows by one node per level (the 3-point
+stencil spreads one node per step at any cfl), clipped at the grid ends,
+whose nodes keep a zero Laplacian.  Outside the window every update of a
+zero state is exactly +0.0, so the windowed run is bit-identical to
+stepping the whole grid.  A sampled source term can be nonzero anywhere,
+so a run with one steps the whole grid.  u^{k-1}, u^k, u^{k+1} and the
+two u_t levels are preallocated full-width buffers that rotate between
+levels; the step writes into them with in-place ufuncs, one per operation
+and in the order of the scheme's expression.  Stored rows are full width.
+
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.
 """
@@ -79,25 +91,40 @@ class LifespanRecord:
             raise ValueError("censored record must carry the +inf marker")
 
 
-def _laplacian(u: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(u)
-    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
-    return out
+def _laplacian(u: np.ndarray, dx: float, w: slice, out: np.ndarray) -> np.ndarray:
+    """Centered u_xx on the nodes of window ``w``, written to and returned as
+    out[w]; the two boundary nodes of the grid get 0."""
+    n = len(u)
+    lo, hi = max(w.start, 1), min(w.stop, n - 1)
+    if lo < hi:
+        seg = out[lo:hi]
+        np.multiply(u[lo:hi], 2.0, out=seg)
+        np.subtract(u[lo + 1 : hi + 1], seg, out=seg)
+        np.add(seg, u[lo - 1 : hi - 1], out=seg)
+        np.divide(seg, dx * dx, out=seg)
+    if w.start == 0:
+        out[0] = 0.0
+    if w.stop == n:
+        out[n - 1] = 0.0
+    return out[w]
 
 
-def _abs_power(u: np.ndarray, p: float) -> np.ndarray:
-    """|u|^p; general fractional powers dominate the step cost, so the
-    common half-integer exponents go through sqrt instead."""
-    a = np.abs(u)
+def _abs_power(u: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """|u|^p into ``out`` (``tmp`` is scratch of the same shape); general
+    fractional powers dominate the step cost, so the common half-integer
+    exponents go through sqrt instead."""
+    a = np.abs(u, out=out)
     if p == 1.5:
-        return a * np.sqrt(a)
+        return np.multiply(a, np.sqrt(a, out=tmp), out=out)
     if p == 2.0:
-        return a * a
+        return np.multiply(a, a, out=out)
     if p == 2.5:
-        return a * a * np.sqrt(a)
+        np.sqrt(a, out=tmp)
+        return np.multiply(np.multiply(a, a, out=out), tmp, out=out)
     if p == 3.0:
-        return a * a * a
-    return a**p
+        return np.multiply(np.multiply(a, a, out=tmp), a, out=out)
+    out[...] = a**p
+    return out
 
 
 def _advance(
@@ -108,15 +135,27 @@ def _advance(
     dt: float,
     dx: float,
     params: ScaleInvariantParams,
+    w: slice,
+    out: np.ndarray,
+    lap: np.ndarray,
+    tmp: np.ndarray,
 ) -> np.ndarray:
-    """One leapfrog step with semi-implicit damping; rhs is evaluated at level k."""
+    """One leapfrog step with semi-implicit damping on the nodes of window
+    ``w``, written to out[w]; rhs is evaluated at level k on ``w``.
+
+    Computes (2 u^k - (1-lam) u^{k-1} + dt^2 (u^k_xx - mass u^k + rhs)) / (1+lam)
+    one operation per ufunc, in the order of that expression.
+    """
     lam = 0.5 * params.mu * dt / (1.0 + t)
     mass = params.nu2 / (1.0 + t) ** 2
-    return (
-        2.0 * u_curr
-        - (1.0 - lam) * u_prev
-        + dt * dt * (_laplacian(u_curr, dx) - mass * u_curr + rhs)
-    ) / (1.0 + lam)
+    force = _laplacian(u_curr, dx, w, lap)
+    np.subtract(force, np.multiply(u_curr[w], mass, out=tmp[w]), out=force)
+    np.add(force, rhs, out=force)
+    np.multiply(force, dt * dt, out=force)
+    new = np.multiply(u_curr[w], 2.0, out=out[w])
+    np.subtract(new, np.multiply(u_prev[w], 1.0 - lam, out=tmp[w]), out=new)
+    np.add(new, force, out=new)
+    return np.divide(new, 1.0 + lam, out=new)
 
 
 def _taylor_start(
@@ -124,24 +163,56 @@ def _taylor_start(
     params: ScaleInvariantParams,
 ) -> np.ndarray:
     """First level u^1 = u0 + dt u1 + dt^2/2 (u0'' - mu u1 - nu2 u0 + rhs(0))."""
-    return U0 + dt * U1 + 0.5 * dt * dt * (
-        _laplacian(U0, dx) - params.mu * U1 - params.nu2 * U0 + rhs0
-    )
+    lap = _laplacian(U0, dx, slice(0, len(U0)), np.empty_like(U0))
+    return U0 + dt * U1 + 0.5 * dt * dt * (lap - params.mu * U1 - params.nu2 * U0 + rhs0)
 
 
 class _Component(NamedTuple):
     """One field of a run: coefficients, Cauchy data and its right-hand side.
 
-    ``rhs(ut_lag, t)`` maps the lagged u_t of every component (in run
-    order) and the time of the level to this component's forcing.
+    ``rhs(ut_lag, t, w, out, tmp)`` maps the lagged u_t of every component
+    (in run order) and the time of the level to this component's forcing on
+    the nodes of window ``w``, written to and returned as out[w] (``tmp`` is
+    scratch).  ``local`` says the forcing vanishes wherever every lagged u_t
+    does, so it never reaches past the numerical light cone.
     """
 
     params: ScaleInvariantParams
     data: CauchyProfile
-    rhs: Callable[[list[np.ndarray], float], np.ndarray]
+    rhs: Callable[[list[np.ndarray], float, slice, np.ndarray, np.ndarray], np.ndarray]
+    local: bool
+
+
+def _power_component(
+    params: ScaleInvariantParams, data: CauchyProfile, src: int, p: float
+) -> _Component:
+    """Component forced by |u_t|^p of component ``src``; |0|^p = 0 for p > 0."""
+
+    def rhs(ut, t, w, out, tmp):
+        return _abs_power(ut[src][w], p, out[w], tmp[w])
+
+    return _Component(params, data, rhs, local=p > 0)
 
 
 _Rows = list[tuple[float, np.ndarray, np.ndarray]]
+
+
+def _sample(f: Callable[[float], float], data: CauchyProfile, xs: np.ndarray) -> np.ndarray:
+    """eps*f on the nodes |x| <= R; +0.0 elsewhere (the data's support)."""
+    out = np.zeros(len(xs))
+    inside = np.abs(xs) <= data.R
+    out[inside] = [data.eps * f(float(x)) for x in xs[inside]]
+    return out
+
+
+def _support(arrays: list[np.ndarray]) -> tuple[int, int]:
+    """Node range [lo, hi) outside which every array is +0.0 (lo == hi if none)."""
+    lo, hi = len(arrays[0]), 0
+    for a in arrays:
+        nonzero = np.flatnonzero(a.view(np.uint64))  # -0.0 and NaN count as nonzero
+        if nonzero.size:
+            lo, hi = min(lo, int(nonzero[0])), max(hi, int(nonzero[-1]) + 1)
+    return (lo, hi) if lo < hi else (0, 0)
 
 
 def _run(
@@ -159,8 +230,11 @@ def _run(
     """
     if store_every is not None and store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
+    if threshold is not None and not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
     grid.validate_cone(max(c.data.R for c in components))
     xs = grid.xs()
+    n = len(xs)
     dt, dx = grid.dt, grid.dx
     k_max = grid.n_steps()
     rows: _Rows = []
@@ -169,32 +243,45 @@ def _run(
         if store_every is not None and (k % store_every == 0 or k == k_max):
             rows.append((t, u.copy(), ut.copy()))
 
-    u_prev = [np.array([c.data.eps * c.data.u0(float(x)) for x in xs]) for c in components]
-    ut_lag = [np.array([c.data.eps * c.data.u1(float(x)) for x in xs]) for c in components]
+    # scratch for the forcing and the step, shared by all components
+    rhs, lap, tmp = np.empty(n), np.empty(n), np.empty(n)
+    full = slice(0, n)
+    u_prev = [_sample(c.data.u0, c.data, xs) for c in components]
+    ut_lag = [_sample(c.data.u1, c.data, xs) for c in components]
     u_curr = [
-        _taylor_start(u0, u1, c.rhs(ut_lag, 0.0), dt, dx, c.params)
+        _taylor_start(u0, u1, c.rhs(ut_lag, 0.0, full, rhs, tmp), dt, dx, c.params)
         for c, u0, u1 in zip(components, u_prev, ut_lag)
     ]
+    u_next = [np.zeros(n) for _ in components]
+    ut_new = [np.zeros(n) for _ in components]
     store(0, 0.0, u_prev[0], ut_lag[0])
     if not all(np.isfinite(u).all() for u in u_curr):
         return True, dt, rows
 
+    # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
+    if all(c.local for c in components):
+        lo, hi = _support(u_prev + ut_lag + u_curr)
+    else:
+        lo, hi = 0, n
     for k in range(1, k_max + 1):
         t_k = k * dt
-        # rhs stays bound until the next level's rhs replaces it; freeing it
-        # after the step makes malloc trim and re-fault heap pages each level
-        rhs = [c.rhs(ut_lag, t_k) for c in components]
-        u_next = [
-            _advance(up, uc, r, t_k, dt, dx, c.params)
-            for c, up, uc, r in zip(components, u_prev, u_curr, rhs)
-        ]
-        if not all(np.isfinite(u).all() for u in u_next):
+        if lo < hi:
+            lo, hi = max(lo - 1, 0), min(hi + 1, n)
+        w = slice(lo, hi)
+        for c, up, uc, un in zip(components, u_prev, u_curr, u_next):
+            force = c.rhs(ut_lag, t_k, w, rhs, tmp)
+            _advance(up, uc, force, t_k, dt, dx, c.params, w, un, lap, tmp)
+        if not all(np.isfinite(un[w]).all() for un in u_next):
             return True, t_k + dt, rows
-        ut_k = [(un - up) / (2.0 * dt) for un, up in zip(u_next, u_prev)]
-        store(k, t_k, u_curr[0], ut_k[0])
-        if threshold is not None and any(float(np.max(np.abs(ut))) > threshold for ut in ut_k):
+        for un, up, ut in zip(u_next, u_prev, ut_new):
+            np.divide(np.subtract(un[w], up[w], out=ut[w]), 2.0 * dt, out=ut[w])
+        store(k, t_k, u_curr[0], ut_new[0])
+        if threshold is not None and any(
+            float(np.max(np.abs(ut[w], out=tmp[w]), initial=0.0)) > threshold for ut in ut_new
+        ):
             return True, t_k, rows
-        u_prev, u_curr, ut_lag = u_curr, u_next, ut_k
+        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+        ut_lag, ut_new = ut_new, ut_lag
     return False, math.inf, rows
 
 
@@ -226,7 +313,7 @@ def _lifespan(
 
 
 def _semilinear(params: ScaleInvariantParams, data: CauchyProfile, p: float) -> list[_Component]:
-    return [_Component(params, data, lambda ut, t: _abs_power(ut[0], p))]
+    return [_power_component(params, data, 0, p)]
 
 
 def solve_linear_fd(
@@ -238,7 +325,13 @@ def solve_linear_fd(
 ) -> SpacetimeField:
     """Linear mode (nonlinearity replaced by the source term f); full field."""
     xs = grid.xs()
-    source = _Component(params, data, lambda ut, t: np.array([src.f(t, float(x)) for x in xs]))
+
+    def rhs(ut, t, w, out, tmp):
+        out[w] = [src.f(t, float(x)) for x in xs[w]]
+        return out[w]
+
+    # SourceTerm.support is only a quadrature hint: f is sampled everywhere
+    source = _Component(params, data, rhs, local=False)
     _, _, rows = _run([source], grid, store_every=store_every)
     return _field(grid, rows)
 
@@ -297,8 +390,8 @@ def detect_lifespan_system(
     """
     src1, src2 = (1, 0) if cross_coupling else (0, 1)
     components = [
-        _Component(sys.comp1, data1, lambda ut, t: _abs_power(ut[src1], sys.p)),
-        _Component(sys.comp2, data2, lambda ut, t: _abs_power(ut[src2], sys.q)),
+        _power_component(sys.comp1, data1, src1, sys.p),
+        _power_component(sys.comp2, data2, src2, sys.q),
     ]
     return _lifespan(components, grid, threshold, refine)
 

@@ -51,6 +51,8 @@ class GridSpec:
 
     def validate_cone(self, R: float) -> None:
         """Check the domain contains the light cone of data with radius R."""
+        if not math.isfinite(R):
+            raise ValueError(f"support radius must be finite, got {R}")
         if self.x_max < R + self.t_max:
             raise ValueError(
                 f"x_max={self.x_max} < R+t_max={R + self.t_max}: "

@@ -36,7 +36,8 @@ class CauchyProfile:
 
     ``d_u0`` (derivative of u0) is optional; it is only needed to build
     derived data such as traveling-wave pairs.  The actual initial state of
-    a solve is eps*u0, eps*u1.
+    a solve is eps*u0, eps*u1.  The data vanish outside [-R, R] (probed at
+    construction), so the FD solver samples u0 and u1 only on |x| <= R.
     """
 
     u0: Sampler
@@ -46,10 +47,10 @@ class CauchyProfile:
     d_u0: Sampler | None = None
 
     def __post_init__(self) -> None:
-        if self.R <= 0:
-            raise ValueError(f"support radius must be > 0, got {self.R}")
-        if self.eps <= 0:
-            raise ValueError(f"amplitude eps must be > 0, got {self.eps}")
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"support radius must be finite and > 0, got {self.R}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"amplitude eps must be finite and > 0, got {self.eps}")
         scale = 1.0 + max(abs(self.u0(0.0)), abs(self.u1(0.0)))
         for factor in _SUPPORT_PROBE_FACTORS:
             for y in (factor * self.R, -factor * self.R):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -79,6 +80,40 @@ def test_sweep_deterministic_csv(tmp_path):
     run_sweep(_tiny_config(out1))
     run_sweep(_tiny_config(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+#: CSV of the three largest criterion-9 amplitudes on the criterion-9 domain
+#: at dx = 1/100, as written by the FD stepper that updated the whole grid.
+CRITERION9_DX100_CSV = (
+    b"eps,T_est,blow_up,threshold,dx,cfl,converged\n"
+    b"0.5,4.7800000000000002,true,100000000,0.01,1,true\n"
+    b"0.28117066259517454,7.4199999999999999,true,100000000,0.01,1,true\n"
+    b"0.15811388300841897,11.620000000000001,true,100000000,0.01,1,true\n"
+)
+
+
+def test_windowed_sweep_csv_matches_full_grid_bytes(tmp_path):
+    # the light-cone window must not move a single bit of the sweep output
+    out = tmp_path / "c9.csv"
+    config = SweepConfig(
+        model="single", mu=2.0, nu2=0.0, p=1.5,
+        eps_grid=tuple(0.5 * 10.0 ** (-k / 4.0) for k in range(3)),
+        grid=GridSpec(dx=1.0 / 100, cfl=1.0, x_max=93.5, t_max=92.0),
+        R=1.0, amplitude=8.0, threshold=1e8, refine=True, output_path=str(out),
+    )
+    run_sweep(config)
+    assert out.read_bytes() == CRITERION9_DX100_CSV
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_config_rejects_bad_threshold(tmp_path, threshold):
+    config = _tiny_config(tmp_path / "out.csv")
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        replace(config, threshold=threshold)
+    payload = json.loads(config.to_json())
+    payload["threshold"] = threshold
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        SweepConfig.from_json(json.dumps(payload))
 
 
 def test_all_censored_sweep_has_no_fit(tmp_path):
@@ -212,6 +247,35 @@ def test_cli_store_every_must_be_positive(capsys):
     ])
     assert code == 2
     assert "store_every must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--R", "nan", "support radius must be finite"),
+        ("--R", "inf", "support radius must be finite"),
+        ("--eps", "nan", "eps must be finite"),
+        ("--threshold", "nan", "threshold must be > 0"),
+        ("--threshold", "-1", "threshold must be > 0"),
+    ],
+    ids=["R-nan", "R-inf", "eps-nan", "threshold-nan", "threshold-negative"],
+)
+def test_cli_rejects_non_finite_data_and_bad_threshold(capsys, flag, value, message):
+    code = main([
+        "solve-semilinear", "--mu", "2", "--nu2", "0", "--p", "1.5",
+        "--dx", "0.1", "--t-max", "2.0", flag, value,
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_sweep_rejects_nan_threshold(tmp_path, capsys):
+    payload = json.loads(_tiny_config(tmp_path / "out.csv").to_json())
+    payload["threshold"] = math.nan
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "threshold must be > 0" in capsys.readouterr().err
 
 
 def test_cli_delta_below_one_requires_zero_u0(capsys):

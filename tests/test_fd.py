@@ -131,6 +131,120 @@ def test_spatial_mean_nondecreasing_with_nonnegative_data():
     assert np.min(diffs, initial=0.0) >= -1e-12
 
 
+def _full_grid_run(params, data, p, grid, threshold=1e8):
+    """Reference stepper: the same scheme, every node of every level, no
+    buffers; returns (T_est, u rows, u_t rows)."""
+    xs, dt, dx = grid.xs(), grid.dt, grid.dx
+
+    def lap(u):
+        out = np.zeros_like(u)
+        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        return out
+
+    def power(u):
+        a = np.abs(u)
+        return a * np.sqrt(a) if p == 1.5 else a**p
+
+    u_prev = np.array([data.eps * data.u0(float(x)) for x in xs])
+    ut = np.array([data.eps * data.u1(float(x)) for x in xs])
+    u = u_prev + dt * ut + 0.5 * dt * dt * (
+        lap(u_prev) - params.mu * ut - params.nu2 * u_prev + power(ut)
+    )
+    us, uts = [u_prev], [ut]
+    for k in range(1, grid.n_steps() + 1):
+        t = k * dt
+        lam = 0.5 * params.mu * dt / (1.0 + t)
+        mass = params.nu2 / (1.0 + t) ** 2
+        u_next = (
+            2.0 * u - (1.0 - lam) * u_prev + dt * dt * (lap(u) - mass * u + power(ut))
+        ) / (1.0 + lam)
+        ut = (u_next - u_prev) / (2.0 * dt)
+        us.append(u)
+        uts.append(ut)
+        if float(np.max(np.abs(ut))) > threshold:
+            return t, np.array(us), np.array(uts)
+        u_prev, u = u, u_next
+    return math.inf, np.array(us), np.array(uts)
+
+
+@pytest.mark.parametrize(
+    "params, p, cfl, prof",
+    [
+        (P2, 1.5, 1.0, bump_profile(R=1.0, eps=0.5, amplitude=8.0)),
+        (ScaleInvariantParams(3.0, 0.5), 1.7, 0.9, bump_profile(R=1.5, eps=0.3, amplitude=4.0)),
+        (P1, 2.0, 0.5, bump_profile(R=1.0, eps=0.5, amplitude=8.0, u0_zero=True)),
+    ],
+)
+def test_windowed_stepper_matches_full_grid_reference(params, p, cfl, prof):
+    # the window reaches the grid ends before t_max at cfl < 1; every stored
+    # bit must equal the whole-grid update
+    grid = GridSpec(dx=1.0 / 25, cfl=cfl, x_max=prof.R + 4.0, t_max=4.0)
+    field, record = solve_semilinear_field(params, prof, p, grid)
+    t_ref, u_ref, ut_ref = _full_grid_run(params, prof, p, grid)
+    assert record.T_est == t_ref
+    assert field.values.tobytes() == u_ref.tobytes()
+    assert field.dvalues.tobytes() == ut_ref.tobytes()
+
+
+def test_window_covers_a_source_away_from_the_data():
+    # bump data at x = 0 and a source near x = 5 that switches on at t = 0.2,
+    # far outside the data's light cone and after the Taylor start: u there
+    # is nonzero right after the switch-on, and exactly 0 outside the union
+    # of the two numerical cones
+    src = SourceTerm(
+        f=lambda t, x: max(0.0, t - 0.2) * max(0.0, 1.0 - (x - 5.0) ** 2) ** 4,
+        support=(0.2, math.inf, 4.0, 6.0),
+    )
+    grid = GridSpec(dx=1.0 / 25, cfl=0.9, x_max=8.0, t_max=1.0)
+    data = bump_profile(R=1.0, eps=0.5)
+    field = solve_linear_fd(P2, data, src, grid)
+    near_source = np.abs(field.xs - 5.0) <= 0.5
+    first = math.floor(0.2 / grid.dt) + 2  # first level fed by a nonzero source
+    assert np.all(field.values[first - 1][np.abs(field.xs - 5.0) <= 2.0] == 0.0)
+    for k in (first, first + 1, first + 2):
+        assert np.all(field.values[k][near_source] > 0.0)
+    for k in range(len(field.times)):
+        reach = (k + 1) * grid.dx
+        outside = (np.abs(field.xs) > data.R + reach) & (np.abs(field.xs - 5.0) > 1.0 + reach)
+        assert outside.sum() > 0
+        assert np.all(field.values[k][outside] == 0.0)
+        assert np.all(field.dvalues[k][outside] == 0.0)
+
+
+def test_window_clipped_at_the_grid_ends():
+    # at cfl = 0.9 the numerical cone (one node per step) outruns the light
+    # cone and reaches the boundary nodes near t = 6.3, before the blow-up;
+    # values recorded with the stepper that updated the whole grid
+    grid = GridSpec(dx=1.0 / 50, cfl=0.9, x_max=8.0, t_max=6.9)
+    prof = bump_profile(R=1.0, eps=0.34, amplitude=8.0)
+    field, record = solve_semilinear_field(P2, prof, 1.5, grid, store_every=3)
+    assert record.blow_up and record.T_est == float.fromhex("0x1.aed916872b022p+2")
+    assert len(field.times) == 125
+    last_u, last_ut = field.values[-1], field.dvalues[-1]
+    assert last_u[0] == last_u[-1] == last_ut[0] == last_ut[-1] == 0.0
+    assert last_u[1] == float.fromhex("0x1.af4ebab26b054p-44")
+    assert last_u[-2] == float.fromhex("0x1.af4ebab26b05ap-44")
+    assert last_ut[2] == float.fromhex("0x1.590a630dd8630p-34")
+    assert last_ut[-3] == float.fromhex("0x1.590a630dd862dp-34")
+    assert last_u[400] == float.fromhex("0x1.23cded3ddf356p+0")
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_threshold_must_be_positive(threshold):
+    grid = GridSpec(dx=0.1, cfl=0.9, x_max=3.0, t_max=2.0)
+    prof = bump_profile(R=1.0, eps=0.5)
+    sys = SystemParams(P2, P2, p=2.0, q=2.0)
+    runs = [
+        lambda: detect_lifespan(P2, prof, 1.5, grid, threshold=threshold),
+        lambda: detect_lifespan(P2, prof, 1.5, grid, threshold=threshold, refine=True),
+        lambda: detect_lifespan_system(sys, prof, prof, grid, threshold=threshold),
+        lambda: solve_semilinear_field(P2, prof, 1.5, grid, threshold=threshold),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="threshold must be > 0"):
+            run()
+
+
 def test_cone_validation_rejects_small_domain():
     grid = GridSpec(dx=0.1, cfl=0.9, x_max=2.0, t_max=3.0)
     with pytest.raises(ValueError, match="light cone"):

@@ -70,6 +70,26 @@ def test_profile_support_validation():
     assert prof.u0(0.0) == pytest.approx(3.0 * np.exp(-1.0))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=np.nan, eps=0.1),
+         "support radius"),
+        (lambda: CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=1.0, eps=np.inf),
+         "eps must be finite"),
+        (lambda: bump_profile(R=np.inf, eps=0.1), "support radius"),
+        (lambda: bump_profile(R=1.0, eps=np.nan), "eps must be finite"),
+        (lambda: GridSpec(dx=0.1, cfl=0.5, x_max=3.0, t_max=2.0).validate_cone(np.nan),
+         "support radius"),
+    ],
+    ids=["profile-R-nan", "profile-eps-inf", "bump-R-inf", "bump-eps-nan", "cone-R-nan"],
+)
+def test_non_finite_support_and_amplitude_rejected(build, message):
+    # a NaN radius would otherwise size the FD window and data sampling to nothing
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_bump_profile_u0_zero_mode():
     prof = bump_profile(R=1.0, eps=0.1, u0_zero=True)
     assert prof.u0_is_zero()
