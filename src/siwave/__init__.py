@@ -37,7 +37,7 @@ from .fd import (
     solve_semilinear_field,
 )
 from .grids import GridSpec, SpacetimeField
-from .hypergeom import ConvergenceError, HypergeomQuery, hyp2f1, hyp2f1_lower_bound_check
+from .hypergeom import ConvergenceError, hyp2f1, hyp2f1_lower_bound_check
 from .iteration import (
     CriticalSequences,
     CuspSequences,

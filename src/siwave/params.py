@@ -62,6 +62,9 @@ class ScaleInvariantParams:
     sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("mu", "nu2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0:
             raise ValueError(f"damping strength mu must be >= 0, got {self.mu}")
         if self.nu2 < 0:
@@ -115,6 +118,9 @@ class SystemParams:
     q: float
 
     def __post_init__(self) -> None:
+        for name in ("p", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"exponent {name} must be finite, got {getattr(self, name)}")
         if self.p <= 1 or self.q <= 1:
             raise ValueError(f"exponents must satisfy p, q > 1, got p={self.p}, q={self.q}")
 

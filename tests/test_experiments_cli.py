@@ -269,6 +269,11 @@ def test_cli_rejects_non_finite_data_and_bad_threshold(capsys, flag, value, mess
     assert message in capsys.readouterr().err
 
 
+def test_cli_kernels_rejects_nan_coefficient(capsys):
+    assert main(["kernels", "--mu", "nan", "--nu2", "0"]) == 2
+    assert "mu must be finite" in capsys.readouterr().err
+
+
 def test_cli_sweep_rejects_nan_threshold(tmp_path, capsys):
     payload = json.loads(_tiny_config(tmp_path / "out.csv").to_json())
     payload["threshold"] = math.nan

@@ -5,10 +5,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import ellipk
 
 from siwave.hypergeom import (
     ConvergenceError,
-    HypergeomQuery,
     hyp2f1,
     hyp2f1_grid,
     hyp2f1_lower_bound_check,
@@ -83,6 +83,16 @@ def test_lower_bound_check():
     assert hyp2f1_lower_bound_check(-0.5, 1.0, [0.0, 0.5, 0.9])  # negative parameter
 
 
+def test_exact_lower_bound_above_half():
+    # F(a,a;c;z) - 1 is about a^2 z / c, below one ulp of 1 for these a, and
+    # the connection formula must not round it below 1
+    zs = np.linspace(0.51, 0.999999, 25)
+    for a in (1e-8, -1e-8, 1e-9):
+        for c in (0.5, 1.25, 3.5):
+            assert all(hyp2f1(a, a, c, float(z)) >= 1.0 for z in zs), (a, c)
+            assert np.all(hyp2f1_grid(a, a, c, zs) >= 1.0), (a, c)
+
+
 def test_lower_bound_requires_positive_c():
     with pytest.raises(ValueError):
         hyp2f1_lower_bound_check(0.5, -1.5, [0.1])
@@ -101,18 +111,82 @@ def test_argument_outside_domain_rejected():
 
 
 def test_nonconvergence_reported_with_estimate():
+    # c-a-b = 1 + 1e-9 is no integer, but too close to one for the connection
+    # formula, so the direct series runs and exhausts its budget near z = 1
     with pytest.raises(ConvergenceError) as info:
-        hyp2f1(0.5, 0.5, 1.0, 0.999999, tol=1e-13, max_terms=2000)
+        hyp2f1(0.5, 0.5, 2.0 + 1e-9, 0.999999, tol=1e-13, max_terms=2000)
     assert info.value.achieved > 0
 
 
-def test_query_wrapper_validates_and_evaluates():
-    q = HypergeomQuery(a=1.0, b=1.0, c=1.0, z=0.5)
-    assert abs(q.evaluate() - 2.0) <= 1e-12
+@pytest.mark.parametrize("name", ["a", "b", "c", "tol"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(name, bad):
+    args = dict(a=0.5, b=0.5, c=1.0, tol=1e-13)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hyp2f1(args["a"], args["b"], args["c"], 0.3, tol=args["tol"])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        hyp2f1_grid(args["a"], args["b"], args["c"], np.array([0.3, 0.7]), tol=args["tol"])
+
+
+def test_term_ratio_slope_near_zero_converges():
+    # a+b-c-1 = 4.4e-16: the tail bound must not wait for the sign change of
+    # the ratio's linear numerator, which lies near k = 3e16
+    a, b, c = -2.9008341868288254, 4.900834186828826, 1.0
+    for z in (0.3, 0.7):
+        want = float(mp.hyp2f1(a, b, c, z))
+        assert abs(hyp2f1(a, b, c, z) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_non_finite_argument_rejected():
     with pytest.raises(ValueError):
-        HypergeomQuery(a=1.0, b=1.0, c=0.0, z=0.5)
+        hyp2f1(0.5, 0.5, 1.0, math.nan)
     with pytest.raises(ValueError):
-        HypergeomQuery(a=1.0, b=1.0, c=1.0, z=1.0)
+        hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3, math.nan]))
+
+
+# c-a-b = 0, 0, 1, 2, 2, -3 (logarithmic cases A&S 15.3.10-12), then 0.5 and
+# 1.3 (A&S 15.3.6); the last case has c-a-b = 1 with a+1 within 1e-6 of the
+# digamma pole at -3
+ABOVE_HALF_PARAMS = [
+    (0.5, 0.5, 1.0),
+    (0.3, 1.7, 2.0),
+    (0.5, 0.5, 2.0),
+    (-0.5, -0.5, 1.0),
+    (0.25, 0.75, 3.0),
+    (1.5, 2.5, 1.0),
+    (0.3, 0.45, 1.25),
+    (-0.7, 1.2, 1.8),
+    (-3.999999, 0.14277070845258955, -2.8572282915474103),
+]
+ABOVE_HALF_Z = [0.5 + 1e-9, 0.7, 0.9, 0.99, 0.999999]
+
+
+@pytest.mark.parametrize("a, b, c", ABOVE_HALF_PARAMS)
+def test_connection_formula_matches_mpmath(a, b, c):
+    grid = hyp2f1_grid(a, b, c, np.array(ABOVE_HALF_Z))
+    for z, from_grid in zip(ABOVE_HALF_Z, grid):
+        want = float(mp.hyp2f1(a, b, c, z))
+        got = hyp2f1(a, b, c, z)
+        assert abs(got - want) <= 1e-12 * abs(want), (a, b, c, z, got, want)
+        assert abs(from_grid - want) <= 1e-12 * abs(want), (a, b, c, z, from_grid, want)
+
+
+def test_complete_elliptic_integral_identity():
+    # F(1/2,1/2;1;z) = (2/pi) K(z), with K taking the parameter m = z
+    zs = np.array([0.05, 0.3, 0.5, 0.5 + 1e-9, 0.6, 0.75, 0.9, 0.99, 0.999, 0.999999])
+    want = 2.0 / math.pi * ellipk(zs)
+    got = np.array([hyp2f1(0.5, 0.5, 1.0, float(z)) for z in zs])
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert np.all(np.abs(hyp2f1_grid(0.5, 0.5, 1.0, zs) - want) <= 1e-13 * want)
+
+
+def test_cost_bounded_near_one():
+    # the direct series would need about 10^6 terms at this z
+    value = hyp2f1(0.5, 0.5, 1.0, 0.999999, max_terms=100)
+    assert abs(value - 2.0 / math.pi * ellipk(0.999999)) <= 1e-13 * value
+    grid = hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3, 0.999999]), max_terms=100)
+    assert abs(grid[1] - value) <= 1e-14 * value
 
 
 def test_grid_evaluation_matches_scalar():

@@ -56,6 +56,25 @@ def test_negative_coefficients_rejected():
         ScaleInvariantParams(mu=1.0, nu2=-0.1)
 
 
+@pytest.mark.parametrize("name", ["mu", "nu2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficients_rejected(name, bad):
+    args = dict(mu=2.0, nu2=0.0)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScaleInvariantParams(**args)
+
+
+@pytest.mark.parametrize("name", ["p", "q"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_system_exponents_rejected(name, bad):
+    comp = ScaleInvariantParams(2.0, 0.0)
+    args = dict(p=1.5, q=2.0)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"exponent {name} must be finite"):
+        SystemParams(comp, comp, **args)
+
+
 def test_sigma_continuous_at_delta_one():
     # delta = 1 - h realized by mu=2, nu2=h/4; sigma -> mu as h -> 0
     at = ScaleInvariantParams(mu=2.0, nu2=0.0)
