@@ -8,7 +8,7 @@ Submodules:
   kernels     kernels of the closed-form linear solver and their lower bounds
   profiles    compactly supported Cauchy data and source terms
   grids       uniform spacetime grids and sampled fields
-  linear      representation-formula solver (adaptive quadrature)
+  linear      representation-formula solver (Gauss-Legendre quadrature)
   fd          finite-difference semilinear solver and lifespan detection
   comparison  characteristic trace, integral inequality, comparison blow-up point
   iteration   coupled-system iteration sequences and divergence thresholds
@@ -51,8 +51,8 @@ from .iteration import (
 )
 from .kernels import (
     BoundReport,
-    KernelEval,
     KernelPoint,
+    LightConeSample,
     kernel_E,
     kernel_K0_K1,
     kernel_dbE_at_b0,

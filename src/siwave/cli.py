@@ -161,12 +161,12 @@ def _cmd_kernels(args) -> int:
         with open(path, "w", encoding="ascii") as handle:
             handle.write("t,x,b,y,zeta,E,K0,K1\n")
             for pt in sample:
-                kv = kernel_K0_K1(params, pt.t, pt.x, pt.y)
+                k0, k1 = kernel_K0_K1(params, pt.t, pt.x, pt.y)
                 handle.write(
                     ",".join(
                         FLOAT_FMT % v
                         for v in (pt.t, pt.x, pt.b, pt.y, pt.zeta,
-                                  kernel_E(params, pt), kv.K0, kv.K1)
+                                  kernel_E(params, pt), k0, k1)
                     )
                     + "\n"
                 )

@@ -83,6 +83,9 @@ class ComparisonFrame:
     provenance: str = "user"
 
     def __post_init__(self) -> None:
+        for name in ("M", "C", "p", "a", "R"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"frame {name} must be finite, got {getattr(self, name)}")
         if self.M < 0 or self.C < 0:
             raise ValueError("frame constants must be >= 0")
         if self.p <= 1:
@@ -223,8 +226,8 @@ def verify_fundamental_inequality(
     """
     if len(trace.zs) < 3:
         raise ValueError("trace too short: need at least 3 points")
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"need finite eps > 0, got {eps}")
     zs, us = trace.zs, trace.Us
     integrand = (frame.R + zs) ** (-frame.a) * np.abs(us) ** frame.p
     cumulative = np.concatenate(
@@ -258,8 +261,8 @@ def comparison_blowup_log(frame: ComparisonFrame, eps: float) -> float:
     Returns math.inf for a > 1 (no blow-up forced by comparison) or for
     degenerate constants.
     """
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"need finite eps > 0, got {eps}")
     if frame.M == 0.0 or frame.C == 0.0 or frame.a > 1.0 + CRITICAL_A_TOL:
         return math.inf
     x = (frame.M * eps) ** (1.0 - frame.p) / (frame.C * (frame.p - 1.0))
@@ -280,8 +283,8 @@ def comparison_blowup_z(frame: ComparisonFrame, eps: float) -> float:
     Values z* < 2R mean the data are so large that blow-up happens before
     the asymptotic regime ("immediate blow-up").
     """
-    if eps <= 0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"need finite eps > 0, got {eps}")
     if frame.M == 0.0 or frame.C == 0.0 or frame.a > 1.0 + CRITICAL_A_TOL:
         return math.inf
     if frame.a == 0.0:

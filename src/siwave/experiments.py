@@ -99,8 +99,12 @@ class SweepConfig:
             raise ValueError("eps_grid must not be empty")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
             raise ValueError("eps_grid must be strictly decreasing")
-        if any(e <= 0 for e in self.eps_grid):
-            raise ValueError("eps values must be positive")
+        if not all(math.isfinite(e) and e > 0 for e in self.eps_grid):
+            raise ValueError(f"eps_grid values must be finite and > 0, got {list(self.eps_grid)}")
+        if not (math.isfinite(self.p) and self.p > 1):
+            raise ValueError(f"p must be finite and > 1, got {self.p}")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0):
+            raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
         if not self.threshold > 0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
         params = self.single_params()  # validates mu, nu2, delta >= 0

@@ -24,16 +24,18 @@ K0 + mu*K1 is identically mu/2, which vanishes for the free wave.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hypergeom import hyp2f1, hyp2f1_grid
+from .hypergeom import hyp2f1_grid
 from .params import ScaleInvariantParams
 
 __all__ = [
     "KernelPoint",
-    "KernelEval",
+    "LightConeSample",
     "BoundReport",
     "kernel_E",
     "kernel_dbE_at_b0",
@@ -77,22 +79,57 @@ class KernelPoint:
         object.__setattr__(self, "zeta", _zeta(self.t, self.b, self.y - self.x))
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """Kernel values at one point; K0/K1 refer to the b=0 restriction."""
+def _E(params: ScaleInvariantParams, t, b, w, weight: float = 0.0):
+    """E(t, x; b, x + w) times (1+t)^(weight/2) (1+b)^(-weight/2), on arrays.
 
-    E: float
-    K0: float
-    K1: float
+    The weight is folded into the power exponents before exponentiation,
+    so weighted values that are identically 1 (e.g. mu=2, nu2=0, weight =
+    sigma) come out exactly 1 instead of a product of nearly reciprocal
+    powers.
+    """
+    mu, gamma = params.mu, params.gamma
+    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
+    value = (
+        (1.0 + t) ** (-0.5 * mu + gamma + 0.5 * weight)
+        * (1.0 + b) ** (0.5 * mu + gamma - 0.5 * weight)
+        * den**-gamma
+    )
+    if gamma != 0.0:
+        zeta = np.maximum(0.0, ((t - b) + w) * ((t - b) - w) / den)
+        value = value * hyp2f1_grid(gamma, gamma, 1.0, zeta)
+    return value
+
+
+def _data_kernels(params: ScaleInvariantParams, t, w, weight: float = 0.0, mixed: bool = True):
+    """(K0 + mu*K1, K1) at (t, x; x + w), both times (1+t)^(weight/2), on arrays.
+
+    K1 = E(b=0) and K0 = -dE/db at b=0, from the analytic expansion: the
+    bracket of K0 + mu*K1 combines the derivative of the hypergeometric
+    argument (an F(gamma+1,gamma+1;2;zeta) term), of the (1+b) power and of
+    the distance power; no numerical differentiation is involved.  With
+    ``mixed=False`` the first entry is None and F(gamma+1,gamma+1;2;zeta)
+    is not evaluated.
+    """
+    mu, gamma = params.mu, params.gamma
+    den0 = ((t + 2.0) + w) * ((t + 2.0) - w)
+    if gamma != 0.0:
+        zeta0 = np.maximum(0.0, (t + w) * (t - w) / den0)
+        f1 = hyp2f1_grid(gamma, gamma, 1.0, zeta0)
+    else:
+        f1 = np.ones_like(t)
+    prefactor = (1.0 + t) ** (-0.5 * mu + gamma + 0.5 * weight) * den0**-gamma
+    if not mixed:
+        return None, prefactor * f1
+    combo = (mu - (0.5 * mu + gamma)) * f1
+    if gamma != 0.0:
+        f2 = hyp2f1_grid(gamma + 1.0, gamma + 1.0, 2.0, zeta0)
+        combo = combo + 2.0 * gamma * (t + 2.0) / den0 * f1
+        combo = combo - 4.0 * gamma**2 * (1.0 + t) * (w * w - t * (t + 2.0)) / (den0 * den0) * f2
+    return prefactor * combo, prefactor * f1
 
 
 def _E_scalar(params: ScaleInvariantParams, t: float, b: float, w: float) -> float:
-    mu, gamma = params.mu, params.gamma
-    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
-    value = (1.0 + t) ** (-0.5 * mu + gamma) * (1.0 + b) ** (0.5 * mu + gamma) * den**-gamma
-    if gamma != 0.0:
-        value *= hyp2f1(gamma, gamma, 1.0, _zeta(t, b, w))
-    return value
+    return float(_E(params, np.float64(t), np.float64(b), np.float64(w)))
 
 
 def kernel_E(params: ScaleInvariantParams, pt: KernelPoint) -> float:
@@ -101,36 +138,17 @@ def kernel_E(params: ScaleInvariantParams, pt: KernelPoint) -> float:
 
 
 def kernel_dbE_at_b0(params: ScaleInvariantParams, t: float, x: float, y: float) -> float:
-    """d/db E(t,x;b,y) at b=0, from the analytic expansion.
+    """d/db E(t,x;b,y) at b=0 (= -K0), from the analytic expansion."""
+    k0, _ = kernel_K0_K1(params, t, x, y)
+    return -k0
 
-    The bracket combines three contributions: the derivative of the
-    hypergeometric argument (an F(gamma+1,gamma+1;2;zeta) term), the
-    derivative of the (1+b) power, and the derivative of the distance
-    power.  No numerical differentiation is involved.
-    """
+
+def kernel_K0_K1(params: ScaleInvariantParams, t: float, x: float, y: float) -> tuple[float, float]:
+    """Data kernels (K0, K1) at (t,x;y): K1 = E(b=0), K0 = -dE/db|0."""
     w = y - x
     _check_domain(t, 0.0, w)
-    mu, gamma = params.mu, params.gamma
-    if gamma == 0.0:
-        return 0.5 * mu * (1.0 + t) ** (-0.5 * mu)
-    den = ((t + 2.0) + w) * ((t + 2.0) - w)
-    zeta = _zeta(t, 0.0, w)
-    f1 = hyp2f1(gamma, gamma, 1.0, zeta)
-    f2 = hyp2f1(gamma + 1.0, gamma + 1.0, 2.0, zeta)
-    bracket = (
-        4.0 * gamma**2 * (1.0 + t) * (w * w - t * (t + 2.0)) / (den * den) * f2
-        + (0.5 * mu + gamma) * f1
-        - 2.0 * gamma * (t + 2.0) / den * f1
-    )
-    return (1.0 + t) ** (-0.5 * mu + gamma) * den**-gamma * bracket
-
-
-def kernel_K0_K1(params: ScaleInvariantParams, t: float, x: float, y: float) -> KernelEval:
-    """Data kernels at (t,x;y): K1 = E(b=0) (shared code path), K0 = -dE/db|0."""
-    w = y - x
-    _check_domain(t, 0.0, w)
-    e0 = _E_scalar(params, t, 0.0, w)
-    return KernelEval(E=e0, K0=-kernel_dbE_at_b0(params, t, x, y), K1=e0)
+    mix, k1 = _data_kernels(params, np.float64(t), np.float64(w))
+    return float(mix - params.mu * k1), float(k1)
 
 
 @dataclass(frozen=True)
@@ -163,52 +181,25 @@ class BoundReport:
 
 
 def verify_kernel_lower_bounds(
-    params: ScaleInvariantParams, sample: list[KernelPoint]
+    params: ScaleInvariantParams, sample: LightConeSample
 ) -> BoundReport:
-    """Weighted kernel minima over a sample of light-cone points.
+    """Weighted kernel minima over a light-cone sample.
 
     K1 and the mixed combination are evaluated on each point's b=0
     projection (always inside the domain); E is evaluated at the full
-    point.  The weights are folded into the power exponents before
-    exponentiation, so minima that are identically 1 (e.g. mu=2, nu2=0)
-    come out exactly 1 instead of multiplying nearly reciprocal powers.
+    point.  The weights are folded into the power exponents (see
+    :func:`_E`), so minima that are identically 1 (e.g. mu=2, nu2=0) come
+    out exactly 1.
     """
     if not sample:
         raise ValueError("empty kernel sample")
-    t = np.array([pt.t for pt in sample])
-    b = np.array([pt.b for pt in sample])
-    w = np.array([pt.y - pt.x for pt in sample])
-    mu, gamma, sig = params.mu, params.gamma, params.sigma
-    e_t = -0.5 * mu + gamma + 0.5 * sig  # exponent of (1+t) after weighting
-
-    den0 = ((t + 2.0) + w) * ((t + 2.0) - w)
-    if gamma != 0.0:
-        zeta0 = np.maximum(0.0, (t + w) * (t - w) / den0)
-        f1 = hyp2f1_grid(gamma, gamma, 1.0, zeta0)
-    else:
-        f1 = np.ones_like(t)
-    c_k1 = float(np.min((1.0 + t) ** e_t * den0**-gamma * f1))
-
-    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
-    e_weighted = (1.0 + t) ** e_t * (1.0 + b) ** (0.5 * mu + gamma - 0.5 * sig) * den**-gamma
-    if gamma != 0.0:
-        zeta = np.maximum(0.0, ((t - b) + w) * ((t - b) - w) / den)
-        e_weighted = e_weighted * hyp2f1_grid(gamma, gamma, 1.0, zeta)
-    c_e = float(np.min(e_weighted))
-
-    c_mix = None
-    if params.delta >= 1.0:
-        # mu*K1 - dE/db|0, sharing the prefactor (1+t)^e_t * den0^-gamma
-        combo = (mu - (0.5 * mu + gamma)) * f1
-        if gamma != 0.0:
-            f2 = hyp2f1_grid(gamma + 1.0, gamma + 1.0, 2.0, zeta0)
-            combo = combo + 2.0 * gamma * (t + 2.0) / den0 * f1
-            combo = combo - 4.0 * gamma**2 * (1.0 + t) * (w * w - t * (t + 2.0)) / (den0 * den0) * f2
-        c_mix = float(np.min((1.0 + t) ** e_t * den0**-gamma * combo))
+    t, b, w = sample.t, sample.b, sample.y - sample.x
+    sig = params.sigma
+    mix, k1 = _data_kernels(params, t, w, weight=sig, mixed=params.delta >= 1.0)
     return BoundReport(
-        c_K1=c_k1,
-        c_E=c_e,
-        c_mix=c_mix,
+        c_K1=float(np.min(k1)),
+        c_E=float(np.min(_E(params, t, b, w, weight=sig))),
+        c_mix=None if mix is None else float(np.min(mix)),
         n_points=len(sample),
         mu=params.mu,
         nu2=params.nu2,
@@ -216,23 +207,57 @@ def verify_kernel_lower_bounds(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class LightConeSample:
+    """Struct-of-arrays sample of the light-cone domain of the apex (t, x).
+
+    Columns ``t``, ``b`` and ``y`` hold one entry per point; ``x`` is shared.
+    ``len()`` is the point count, and iteration yields the points as
+    :class:`KernelPoint` records (with ``zeta``), built on demand.  The
+    columns are read-only; equality and hashing are by identity (compare
+    columns with ``np.array_equal``).
+    """
+
+    t: np.ndarray
+    b: np.ndarray
+    y: np.ndarray
+    x: float
+
+    def __post_init__(self) -> None:
+        for column in (self.t, self.b, self.y):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __iter__(self) -> Iterator[KernelPoint]:
+        for t, b, y in zip(self.t.tolist(), self.b.tolist(), self.y.tolist()):
+            yield KernelPoint(t=t, x=self.x, b=b, y=y)
+
+
 def light_cone_sample(
     t_max: float, n_t: int, n_b: int, n_y: int, t_min: float = 0.0, x: float = 0.0
-) -> list[KernelPoint]:
+) -> LightConeSample:
     """Regular sample of the light-cone domain: n_t x n_b x n_y points.
 
     For each time t in (t_min, t_max], b runs over fractions of t and y
     over fractions of the remaining cone width t-b (interior fractions, so
-    every point is strictly inside the domain).
+    every point is strictly inside the domain).  The columns are ordered
+    t-major, then b, then y.
     """
-    points: list[KernelPoint] = []
+    if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(x)):
+        raise ValueError(f"sample bounds must be finite, got t_min={t_min}, t_max={t_max}, x={x}")
     ts = np.linspace(t_min, t_max, n_t + 1)[1:]
+    if ts.size and ts.min() < 0.0:
+        raise ValueError(f"point outside light-cone domain: t={ts.min()}")
     b_frac = np.linspace(0.0, 1.0, n_b + 2)[1:-1]
     y_frac = np.linspace(-1.0, 1.0, n_y + 2)[1:-1]
-    for t in ts:
-        for fb in b_frac:
-            b = fb * t
-            half_width = t - b
-            for fy in y_frac:
-                points.append(KernelPoint(t=t, x=x, b=b, y=x + fy * half_width))
-    return points
+    b = b_frac[None, :] * ts[:, None]
+    y = x + y_frac[None, None, :] * (ts[:, None] - b)[:, :, None]
+    shape = y.shape
+    return LightConeSample(
+        t=np.broadcast_to(ts[:, None, None], shape).ravel(),
+        b=np.broadcast_to(b[:, :, None], shape).ravel(),
+        y=y.ravel(),
+        x=x,
+    )

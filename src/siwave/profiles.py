@@ -38,6 +38,9 @@ class CauchyProfile:
     derived data such as traveling-wave pairs.  The actual initial state of
     a solve is eps*u0, eps*u1.  The data vanish outside [-R, R] (probed at
     construction), so the FD solver samples u0 and u1 only on |x| <= R.
+    The closed-form linear solver integrates them with fixed Gauss-Legendre
+    rules, so it needs u0 and u1 smooth on [-R, R]; kinked data make it
+    raise QuadratureError.
     """
 
     u0: Sampler
@@ -70,11 +73,23 @@ class SourceTerm:
     """Forcing term f(t, x), optionally with a spacetime support box.
 
     ``support`` is (t_lo, t_hi, x_lo, x_hi) or None; it is a quadrature
-    hint only, never a constraint on f.
+    hint only, never a constraint on f.  The closed-form linear solver
+    integrates f with fixed Gauss-Legendre rules over the box (over the
+    whole cone without one), so f must be smooth there: a box wider than
+    a kinked f's support makes the solver raise QuadratureError.
     """
 
     f: Callable[[float, float], float]
     support: tuple[float, float, float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.support is not None:
+            t_lo, t_hi, x_lo, x_hi = self.support
+            if not (t_lo <= t_hi and x_lo <= x_hi):
+                raise ValueError(
+                    f"source support must be (t_lo, t_hi, x_lo, x_hi) with lo <= hi "
+                    f"and no NaN, got {self.support}"
+                )
 
     @property
     def is_zero(self) -> bool:

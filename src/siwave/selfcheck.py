@@ -98,8 +98,8 @@ def suite_kernels() -> list[Check]:
     p2 = params.ScaleInvariantParams(2.0, 0.0)
     ok = True
     for t, y in ((0.5, 0.2), (3.0, -1.0), (10.0, 5.0)):
-        kv = kernels.kernel_K0_K1(p2, t, 0.0, y)
-        ok &= abs(kv.K0 + 1 / (1 + t)) <= 1e-15 and abs(kv.K1 - 1 / (1 + t)) <= 1e-15
+        k0, k1 = kernels.kernel_K0_K1(p2, t, 0.0, y)
+        ok &= abs(k0 + 1 / (1 + t)) <= 1e-15 and abs(k1 - 1 / (1 + t)) <= 1e-15
     checks.append(_check("mu=2 kernels reduce to +-1/(1+t)", ok))
 
     sample = kernels.light_cone_sample(t_max=20.0, n_t=8, n_b=6, n_y=6)

@@ -164,6 +164,26 @@ def test_inequality_report_serialization(tmp_path):
     assert z0 == zs[0] and lhs0 == report.lhs[0] and rhs0 == report.rhs[0]
 
 
+@pytest.mark.parametrize("name", ["M", "C", "p", "a", "R"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_frame_rejects_non_finite_constants(name, value):
+    fields = dict(M=1.0, C=1.0, p=2.0, a=0.5, R=1.0)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"frame {name} must be finite"):
+        ComparisonFrame(**fields)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0])
+def test_blowup_point_and_inequality_reject_bad_eps(eps):
+    frame = ComparisonFrame(M=1.0, C=1.0, p=2.0, a=0.5, R=1.0)
+    trace = ReducedTrace(R=1.0, zs=np.array([1.0, 2.0, 3.0]), Us=np.ones(3), sigma=0.0)
+    for check in (comparison_blowup_z, comparison_blowup_log):
+        with pytest.raises(ValueError, match="need finite eps > 0"):
+            check(frame, eps)
+    with pytest.raises(ValueError, match="need finite eps > 0"):
+        verify_fundamental_inequality(trace, frame, eps)
+
+
 def test_blowup_z_exact_a_zero():
     frame = ComparisonFrame(M=1.0, C=1.0, p=2.0, a=0.0, R=1.0)
     assert comparison_blowup_z(frame, eps=0.1) == 11.0

@@ -13,7 +13,9 @@ from siwave.experiments import (
     run_sweep,
     write_sweep_svg,
 )
-from siwave.grids import GridSpec
+from siwave.grids import FLOAT_FMT, GridSpec
+from siwave.kernels import kernel_E, kernel_K0_K1, light_cone_sample
+from siwave.params import ScaleInvariantParams
 
 
 def _tiny_config(out_path, eps_grid=(0.5, 0.25), refine=False, dx=1.0 / 25):
@@ -114,6 +116,29 @@ def test_config_rejects_bad_threshold(tmp_path, threshold):
     payload["threshold"] = threshold
     with pytest.raises(ValueError, match="threshold must be > 0"):
         SweepConfig.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("p", 0.5, "p must be finite and > 1"),
+        ("p", math.nan, "p must be finite and > 1"),
+        ("eps_grid", [math.nan], "eps_grid values must be finite"),
+        ("amplitude", math.nan, "amplitude must be finite and > 0"),
+        ("amplitude", -1.0, "amplitude must be finite and > 0"),
+    ],
+    ids=["p-half", "p-nan", "eps-nan", "amplitude-nan", "amplitude-negative"],
+)
+def test_config_rejects_bad_exponent_eps_and_amplitude(tmp_path, capsys, name, value, message):
+    payload = json.loads(_tiny_config(tmp_path / "out.csv").to_json())
+    payload[name] = value
+    text = json.dumps(payload)
+    with pytest.raises(ValueError, match=message):
+        SweepConfig.from_json(text)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_all_censored_sweep_has_no_fit(tmp_path):
@@ -240,6 +265,24 @@ def test_cli_solve_semilinear(tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("eps,")
 
 
+def test_cli_kernels_writes_sample_table(tmp_path, capsys):
+    out = tmp_path / "kernels.csv"
+    code = main([
+        "kernels", "--mu", "3", "--nu2", "0", "--t-max", "6",
+        "--nt", "3", "--nb", "2", "--ny", "4", "--out", str(out),
+    ])
+    assert code == 0
+    assert "sampled 24 light-cone points" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,x,b,y,zeta,E,K0,K1"
+    assert len(lines) == 1 + 3 * 2 * 4
+    params = ScaleInvariantParams(3.0, 0.0)
+    pt = list(light_cone_sample(t_max=6.0, n_t=3, n_b=2, n_y=4))[13]
+    k0, k1 = kernel_K0_K1(params, pt.t, pt.x, pt.y)
+    want = (pt.t, pt.x, pt.b, pt.y, pt.zeta, kernel_E(params, pt), k0, k1)
+    assert lines[1 + 13] == ",".join(FLOAT_FMT % v for v in want)
+
+
 def test_cli_store_every_must_be_positive(capsys):
     code = main([
         "solve-semilinear", "--mu", "2", "--nu2", "0", "--p", "1.5",
@@ -281,6 +324,24 @@ def test_cli_sweep_rejects_nan_threshold(tmp_path, capsys):
     cfg_path.write_text(json.dumps(payload))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
     assert "threshold must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--M", "--C", "--p", "--a", "--R"])
+def test_cli_comparison_rejects_nan_frame_constant(capsys, flag):
+    args = {"--p": "2", "--a": "0", "--eps": "0.1", flag: "nan"}
+    assert main(["comparison", *(v for kv in args.items() for v in kv)]) == 2
+    assert f"frame {flag[2:]} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--qtol", "nan"), ("--qtol", "inf")])
+def test_cli_solve_linear_rejects_non_finite_qtol(tmp_path, capsys, flag, value):
+    code = main([
+        "solve-linear", "--mu", "2", "--nu2", "0", "--dx", "0.25", "--t-max", "1.0",
+        flag, value, "--out", str(tmp_path / "field.csv"),
+    ])
+    assert code == 2
+    assert "qtol must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "field.csv").exists()
 
 
 def test_cli_delta_below_one_requires_zero_u0(capsys):

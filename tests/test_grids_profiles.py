@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from siwave.grids import GridSpec, SpacetimeField
-from siwave.profiles import CauchyProfile, bump_profile, smooth_bump, smooth_bump_derivative
+from siwave.profiles import (
+    CauchyProfile,
+    SourceTerm,
+    bump_profile,
+    smooth_bump,
+    smooth_bump_derivative,
+)
 
 
 def test_gridspec_validation():
@@ -88,6 +94,17 @@ def test_non_finite_support_and_amplitude_rejected(build, message):
     # a NaN radius would otherwise size the FD window and data sampling to nothing
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "support",
+    [(np.nan, 1.0, -1.0, 1.0), (0.0, 1.0, -1.0, np.nan), (0.0, 1.0, 1.0, -1.0), (2.0, 1.0, -1.0, 1.0)],
+)
+def test_source_support_box_validated(support):
+    # the Duhamel quadrature clips its b and y ranges to this box
+    with pytest.raises(ValueError, match="source support"):
+        SourceTerm(f=lambda t, x: 1.0, support=support)
+    SourceTerm(f=lambda t, x: 1.0, support=(0.0, np.inf, -np.inf, 1.0))
 
 
 def test_bump_profile_u0_zero_mode():

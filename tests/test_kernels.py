@@ -8,6 +8,7 @@ import pytest
 from siwave.hypergeom import hyp2f1
 from siwave.kernels import (
     KernelPoint,
+    LightConeSample,
     _E_scalar,
     kernel_E,
     kernel_K0_K1,
@@ -86,23 +87,22 @@ def test_dbE_matches_one_sided_difference(params):
 
 def test_K0_K1_closed_forms():
     for t in (0.5, 2.0, 7.0):
-        kv = kernel_K0_K1(P2, t, 0.0, 0.2)
-        assert abs(kv.K0 + 1.0 / (1.0 + t)) <= 1e-15
-        assert abs(kv.K1 - 1.0 / (1.0 + t)) <= 1e-15
-        kv0 = kernel_K0_K1(P0, t, 0.0, 0.2)
-        assert kv0.K0 == 0.0 and kv0.K1 == 1.0
+        k0, k1 = kernel_K0_K1(P2, t, 0.0, 0.2)
+        assert abs(k0 + 1.0 / (1.0 + t)) <= 1e-15
+        assert abs(k1 - 1.0 / (1.0 + t)) <= 1e-15
+        assert kernel_K0_K1(P0, t, 0.0, 0.2) == (0.0, 1.0)
 
 
 def test_K1_equals_E_at_b_zero_bitwise():
     for params in (P1, P2, P3):
         for t, y in ((0.7, 0.3), (4.0, -2.2), (12.0, 6.0)):
-            kv = kernel_K0_K1(params, t, 0.0, y)
-            assert kv.K1 == kernel_E(params, KernelPoint(t=t, x=0.0, b=0.0, y=y))
+            _, k1 = kernel_K0_K1(params, t, 0.0, y)
+            assert k1 == kernel_E(params, KernelPoint(t=t, x=0.0, b=0.0, y=y))
 
 
 def test_K1_hypergeometric_point_value():
-    kv = kernel_K0_K1(P1, 2.0, 0.0, 0.0)
-    assert abs(kv.K1 - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
+    _, k1 = kernel_K0_K1(P1, 2.0, 0.0, 0.0)
+    assert abs(k1 - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -178,3 +178,54 @@ def test_E_monotone_z_dependence_enters_through_F():
     ) ** -0.5
     assert kernel_E(P1, pt_inside) > base
     assert abs(kernel_E(P1, pt_inside) / base - hyp2f1(0.5, 0.5, 1.0, pt_inside.zeta)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        dict(t_max=8.0, n_t=5, n_b=4, n_y=3),
+        dict(t_max=80.0, n_t=7, n_b=6, n_y=5, t_min=0.31, x=-2.7),
+    ],
+    ids=["origin", "shifted"],
+)
+def test_sample_columns_match_a_point_loop_bitwise(args):
+    t_min, x = args.get("t_min", 0.0), args.get("x", 0.0)
+    rows = []
+    for t in np.linspace(t_min, args["t_max"], args["n_t"] + 1)[1:]:
+        for fb in np.linspace(0.0, 1.0, args["n_b"] + 2)[1:-1]:
+            b = fb * t
+            for fy in np.linspace(-1.0, 1.0, args["n_y"] + 2)[1:-1]:
+                rows.append((t, b, x + fy * (t - b)))
+    sample = light_cone_sample(**args)
+    assert isinstance(sample, LightConeSample)
+    assert sample.x == x
+    want = np.array(rows)
+    for k, name in enumerate(("t", "b", "y")):
+        assert getattr(sample, name).tobytes() == want[:, k].tobytes(), name
+
+
+def test_sample_len_truthiness_and_iteration():
+    sample = light_cone_sample(6.0, 4, 3, 2, t_min=0.5, x=1.25)
+    assert len(sample) == 24 and sample
+    assert not light_cone_sample(6.0, 0, 3, 2)
+    points = list(sample)
+    assert len(points) == 24 and all(isinstance(pt, KernelPoint) for pt in points)
+    for k in (0, 7, 23):
+        pt = points[k]
+        assert (pt.t, pt.x, pt.b, pt.y) == (sample.t[k], 1.25, sample.b[k], sample.y[k])
+        assert pt.zeta == KernelPoint(t=pt.t, x=pt.x, b=pt.b, y=pt.y).zeta
+        assert 0.0 <= pt.zeta < 1.0
+
+
+def test_sample_is_hashable_and_read_only():
+    sample = light_cone_sample(6.0, 4, 3, 2)
+    assert sample == sample and {sample: 1}[sample] == 1
+    assert sample != light_cone_sample(6.0, 4, 3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        sample.y[0] = 0.0
+
+
+@pytest.mark.parametrize("t_max, x", [(math.nan, 0.0), (math.inf, 0.0), (5.0, math.nan)])
+def test_sample_rejects_non_finite_bounds(t_max, x):
+    with pytest.raises(ValueError, match="finite"):
+        light_cone_sample(t_max, 2, 2, 2, x=x)

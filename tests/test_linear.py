@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from helpers import dalembert, poly_profile, transformed_mu2
 
 from siwave.grids import GridSpec
-from siwave.linear import solve_linear_field, solve_linear_point
+from siwave.linear import QuadratureError, solve_linear_field, solve_linear_point
 from siwave.params import ScaleInvariantParams
 from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, zero_source
 
@@ -143,3 +144,129 @@ def test_duhamel_term_against_fd_is_covered_elsewhere():
     )
     u = solve_linear_point(params, data, src, 1.0, 0.25, qtol=QTOL)
     assert math.isfinite(u) and u > 0.0
+
+
+def _data_term_oracle(params, data, t, x):
+    """u(t,x) for a zero source, with the kernels and the integral in mpmath.
+
+    K1 = E(b=0) from mpmath's hyp2f1 and K0 = -dE/db at b=0 by mpmath's
+    numerical differentiation, independent of the analytic expansion.
+    """
+    with mpmath.workdps(30):
+        mu, gamma = mpmath.mpf(params.mu), mpmath.mpf(params.gamma)
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+
+        def kernel_e(b, y):
+            w = y - x
+            den = (t + b + 2) ** 2 - w**2
+            zeta = ((t - b) ** 2 - w**2) / den
+            return (
+                (1 + t) ** (-mu / 2 + gamma) * (1 + b) ** (mu / 2 + gamma) * den**-gamma
+                * mpmath.hyp2f1(gamma, gamma, 1, zeta)
+            )
+
+        def integrand(y):
+            k1 = kernel_e(0, y)
+            k0 = -mpmath.diff(lambda b: kernel_e(b, y), 0)
+            u0, u1 = data.u0(float(y)), data.u1(float(y))
+            return data.eps * (u0 * k0 + (u1 + mu * u0) * k1)
+
+        lo, hi = max(x - t, -data.R), min(x + t, data.R)
+        boundary = (1 + t) ** (-mu / 2) * data.eps * (data.u0(float(x + t)) + data.u0(float(x - t))) / 2
+        return float(boundary + 2 ** -mpmath.sqrt(params.delta) * mpmath.quad(integrand, [lo, hi]))
+
+
+@pytest.mark.parametrize(
+    "params, data, t, x",
+    [
+        (ScaleInvariantParams(1.0, 0.0), poly_profile(eps=0.3, u0_zero=True), 2.5, 0.4),
+        (ScaleInvariantParams(3.0, 0.0), poly_profile(eps=0.3), 6.0, -1.3),
+    ],
+    ids=["gamma=1/2", "gamma=-1/2"],
+)
+def test_data_term_matches_mpmath_oracle(params, data, t, x):
+    u = solve_linear_point(params, data, zero_source(), t, x, qtol=1e-13)
+    assert abs(u - _data_term_oracle(params, data, t, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("t, x", [(3.0, 0.5), (2.0, -1.6), (0.8, 0.1)])
+def test_duhamel_term_across_box_edges_matches_oracle(t, x):
+    # mu = 2: E = (1+b)/(1+t), so for f = exp(-b) (1-y^2)^2 on |y| < 1 each
+    # slice integral is elementary; the b integral runs in mpmath with every
+    # b where a cone edge crosses y = -1 or y = 1 as a breakpoint
+    zero = CauchyProfile(u0=lambda y: 0.0, u1=lambda y: 0.0, R=1.0, eps=1.0)
+    src = SourceTerm(
+        f=lambda b, y: math.exp(-b) * max(0.0, 1.0 - y * y) ** 2,
+        support=(0.0, math.inf, -1.0, 1.0),
+    )
+    with mpmath.workdps(30):
+        tm, xm = mpmath.mpf(t), mpmath.mpf(x)
+
+        def antiderivative(y):
+            return y - 2 * y**3 / 3 + y**5 / 5
+
+        def slice_integral(b):
+            lo, hi = max(xm - (tm - b), -1), min(xm + (tm - b), 1)
+            if hi <= lo:
+                return mpmath.mpf(0)
+            return mpmath.exp(-b) * (1 + b) / (1 + tm) * (antiderivative(hi) - antiderivative(lo))
+
+        crossings = (tm - xm - 1, tm + xm - 1, tm - xm + 1, tm + xm + 1)
+        edges = sorted({mpmath.mpf(0), tm, *(k for k in crossings if 0 < k < tm)})
+        want = float(mpmath.quad(slice_integral, edges) / 2)  # 2^-sqrt(delta), delta = 1
+    u = solve_linear_point(P2, zero, src, t, x, qtol=1e-12)
+    assert abs(u - want) <= 1e-12
+
+
+def test_unreachable_budget_raises_with_achieved_gap():
+    # the kernel_routes t = 19, mu = 3 probe: at qtol = 1e-17 even the
+    # 64- and 128-node rules of the bump data integral differ by far more
+    data = bump_profile(R=1.0, eps=0.5)
+    with pytest.raises(QuadratureError) as info:
+        solve_linear_point(ScaleInvariantParams(3.0, 0.0), data, zero_source(), 19.0, 3.8, qtol=1e-17)
+    assert info.value.achieved > 1e-17
+
+
+def _hat(y):
+    return max(0.0, 1.0 - abs(y))
+
+
+@pytest.mark.parametrize(
+    "data, src",
+    [
+        (CauchyProfile(u0=lambda y: 0.0, u1=_hat, R=1.0, eps=1.0), zero_source()),
+        (
+            CauchyProfile(u0=lambda y: 0.0, u1=lambda y: 0.0, R=1.0, eps=1.0),
+            SourceTerm(f=lambda b, y: _hat(y), support=(0.0, 2.0, -2.0, 2.0)),
+        ),
+    ],
+    ids=["kinked-data", "kinked-source"],
+)
+def test_kinked_input_raises_with_achieved_gap(data, src):
+    # the fixed rules need smooth u0, u1 and f: the hat's kinks leave the
+    # 64- and 128-node rules about 1e-4 apart, far above the default budget
+    with pytest.raises(QuadratureError) as info:
+        solve_linear_point(P0, data, src, 2.0, 0.0)
+    assert info.value.achieved > 1e-6
+
+
+@pytest.mark.parametrize(
+    "t, x, qtol, name",
+    [
+        (math.nan, 0.0, QTOL, "t"),
+        (math.inf, 0.0, QTOL, "t"),
+        (1.0, math.nan, QTOL, "x"),
+        (1.0, -math.inf, QTOL, "x"),
+        (1.0, 0.0, math.nan, "qtol"),
+        (1.0, 0.0, math.inf, "qtol"),
+        (1.0, 0.0, 0.0, "qtol"),
+    ],
+)
+def test_non_finite_input_rejected(t, x, qtol, name):
+    data = poly_profile(eps=0.3)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        solve_linear_point(P2, data, zero_source(), t, x, qtol=qtol)
+    if name == "qtol":
+        grid = GridSpec(dx=0.5, cfl=1.0, x_max=2.0, t_max=1.0)
+        with pytest.raises(ValueError, match="^qtol must be finite"):
+            solve_linear_field(P2, data, zero_source(), grid, qtol=qtol)
