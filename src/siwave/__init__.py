@@ -74,7 +74,6 @@ from .params import (
     lambda_curve,
     params_with_sigma,
     predicted_lifespan_exponent,
-    sigma_of,
     strauss,
 )
 from .profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump, zero_source

@@ -33,10 +33,26 @@ stencil spreads one node per step at any cfl), clipped at the grid ends,
 whose nodes keep a zero Laplacian.  Outside the window every update of a
 zero state is exactly +0.0, so the windowed run is bit-identical to
 stepping the whole grid.  A sampled source term can be nonzero anywhere,
-so a run with one steps the whole grid.  u^{k-1}, u^k, u^{k+1} and the
-two u_t levels are preallocated full-width buffers that rotate between
-levels; the step writes into them with in-place ufuncs, one per operation
-and in the order of the scheme's expression.  Stored rows are full width.
+so a run with one steps the whole grid.  u^{k-1}, u^k and u^{k+1} are
+preallocated full-width buffers that rotate between levels; u_t and |u_t|
+have one full-width buffer each.  The step writes into them with in-place
+ufuncs in the order of the scheme's expression, and computes no term
+twice:
+
+  * |u_t| is taken once per level, for the blow-up test, into its own
+    buffer; the next level's |u_t|^p forcing reads it from there;
+  * the finite test is folded into that peak: u^{k-1} is finite, so a
+    non-finite u^{k+1} makes max |u_t| non-finite, and u^{k+1} itself is
+    scanned only when a peak is not finite;
+  * 2 u^k goes straight into the u^{k+1} buffer, and the Laplacian reads
+    it from there;
+  * a massless step (nu2 == 0) with a |.|^p forcing skips the product
+    mass u^k.  It is +-0 there, so it could only flip the sign of a zero
+    u_xx, and adding a forcing that is >= +0.0, never -0.0, gives +0.0
+    from either sign.  A source term may return -0.0, so linear mode
+    keeps the product.
+
+Stored rows are full width.
 
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.
@@ -91,15 +107,17 @@ class LifespanRecord:
             raise ValueError("censored record must carry the +inf marker")
 
 
-def _laplacian(u: np.ndarray, dx: float, w: slice, out: np.ndarray) -> np.ndarray:
+def _laplacian(
+    u: np.ndarray, two_u: np.ndarray, dx: float, w: slice, out: np.ndarray
+) -> np.ndarray:
     """Centered u_xx on the nodes of window ``w``, written to and returned as
-    out[w]; the two boundary nodes of the grid get 0."""
+    out[w]; ``two_u`` holds 2u on ``w``.  The two boundary nodes of the grid
+    get 0."""
     n = len(u)
     lo, hi = max(w.start, 1), min(w.stop, n - 1)
     if lo < hi:
         seg = out[lo:hi]
-        np.multiply(u[lo:hi], 2.0, out=seg)
-        np.subtract(u[lo + 1 : hi + 1], seg, out=seg)
+        np.subtract(u[lo + 1 : hi + 1], two_u[lo:hi], out=seg)
         np.add(seg, u[lo - 1 : hi - 1], out=seg)
         np.divide(seg, dx * dx, out=seg)
     if w.start == 0:
@@ -109,11 +127,10 @@ def _laplacian(u: np.ndarray, dx: float, w: slice, out: np.ndarray) -> np.ndarra
     return out[w]
 
 
-def _abs_power(u: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """|u|^p into ``out`` (``tmp`` is scratch of the same shape); general
-    fractional powers dominate the step cost, so the common half-integer
-    exponents go through sqrt instead."""
-    a = np.abs(u, out=out)
+def _power(a: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a^p of a nonnegative array into ``out`` (``tmp`` is scratch of the same
+    shape); general fractional powers dominate the step cost, so the common
+    half-integer exponents go through sqrt instead."""
     if p == 1.5:
         return np.multiply(a, np.sqrt(a, out=tmp), out=out)
     if p == 2.0:
@@ -135,6 +152,7 @@ def _advance(
     dt: float,
     dx: float,
     params: ScaleInvariantParams,
+    massless: bool,
     w: slice,
     out: np.ndarray,
     lap: np.ndarray,
@@ -144,15 +162,20 @@ def _advance(
     ``w``, written to out[w]; rhs is evaluated at level k on ``w``.
 
     Computes (2 u^k - (1-lam) u^{k-1} + dt^2 (u^k_xx - mass u^k + rhs)) / (1+lam)
-    one operation per ufunc, in the order of that expression.
+    one operation per ufunc, in the order of that expression.  2 u^k is
+    written to out[w] first and the Laplacian reads it from there.
+    ``massless`` (nu2 == 0 and a forcing that never holds -0.0) skips the
+    product mass u^k, which leaves every bit as it is (see the module
+    docstring).
     """
     lam = 0.5 * params.mu * dt / (1.0 + t)
-    mass = params.nu2 / (1.0 + t) ** 2
-    force = _laplacian(u_curr, dx, w, lap)
-    np.subtract(force, np.multiply(u_curr[w], mass, out=tmp[w]), out=force)
+    new = np.multiply(u_curr[w], 2.0, out=out[w])
+    force = _laplacian(u_curr, out, dx, w, lap)
+    if not massless:
+        mass = params.nu2 / (1.0 + t) ** 2
+        np.subtract(force, np.multiply(u_curr[w], mass, out=tmp[w]), out=force)
     np.add(force, rhs, out=force)
     np.multiply(force, dt * dt, out=force)
-    new = np.multiply(u_curr[w], 2.0, out=out[w])
     np.subtract(new, np.multiply(u_prev[w], 1.0 - lam, out=tmp[w]), out=new)
     np.add(new, force, out=new)
     return np.divide(new, 1.0 + lam, out=new)
@@ -163,35 +186,38 @@ def _taylor_start(
     params: ScaleInvariantParams,
 ) -> np.ndarray:
     """First level u^1 = u0 + dt u1 + dt^2/2 (u0'' - mu u1 - nu2 u0 + rhs(0))."""
-    lap = _laplacian(U0, dx, slice(0, len(U0)), np.empty_like(U0))
+    lap = _laplacian(U0, U0 * 2.0, dx, slice(0, len(U0)), np.empty_like(U0))
     return U0 + dt * U1 + 0.5 * dt * dt * (lap - params.mu * U1 - params.nu2 * U0 + rhs0)
 
 
 class _Component(NamedTuple):
     """One field of a run: coefficients, Cauchy data and its right-hand side.
 
-    ``rhs(ut_lag, t, w, out, tmp)`` maps the lagged u_t of every component
-    (in run order) and the time of the level to this component's forcing on
-    the nodes of window ``w``, written to and returned as out[w] (``tmp`` is
-    scratch).  ``local`` says the forcing vanishes wherever every lagged u_t
-    does, so it never reaches past the numerical light cone.
+    ``rhs(abs_ut_lag, t, w, out, tmp)`` maps the lagged |u_t| of every
+    component (in run order) and the time of the level to this component's
+    forcing on the nodes of window ``w``, written to and returned as out[w]
+    (``tmp`` is scratch).  ``local`` says the forcing vanishes wherever every
+    lagged u_t does, so it never reaches past the numerical light cone.
+    ``nonneg`` says the forcing never holds a negative value or -0.0, which
+    lets a massless step skip its mass product bit-exactly.
     """
 
     params: ScaleInvariantParams
     data: CauchyProfile
     rhs: Callable[[list[np.ndarray], float, slice, np.ndarray, np.ndarray], np.ndarray]
     local: bool
+    nonneg: bool
 
 
 def _power_component(
     params: ScaleInvariantParams, data: CauchyProfile, src: int, p: float
 ) -> _Component:
-    """Component forced by |u_t|^p of component ``src``; |0|^p = 0 for p > 0."""
+    """Component forced by |u_t|^p of component ``src``; |0|^p = +0.0 for p > 0."""
 
-    def rhs(ut, t, w, out, tmp):
-        return _abs_power(ut[src][w], p, out[w], tmp[w])
+    def rhs(abs_ut, t, w, out, tmp):
+        return _power(abs_ut[src][w], p, out[w], tmp[w])
 
-    return _Component(params, data, rhs, local=p > 0)
+    return _Component(params, data, rhs, local=p > 0, nonneg=True)
 
 
 _Rows = list[tuple[float, np.ndarray, np.ndarray]]
@@ -247,41 +273,48 @@ def _run(
     rhs, lap, tmp = np.empty(n), np.empty(n), np.empty(n)
     full = slice(0, n)
     u_prev = [_sample(c.data.u0, c.data, xs) for c in components]
-    ut_lag = [_sample(c.data.u1, c.data, xs) for c in components]
+    ut = [_sample(c.data.u1, c.data, xs) for c in components]
+    abs_ut = [np.abs(v) for v in ut]
     u_curr = [
-        _taylor_start(u0, u1, c.rhs(ut_lag, 0.0, full, rhs, tmp), dt, dx, c.params)
-        for c, u0, u1 in zip(components, u_prev, ut_lag)
+        _taylor_start(u0, u1, c.rhs(abs_ut, 0.0, full, rhs, tmp), dt, dx, c.params)
+        for c, u0, u1 in zip(components, u_prev, ut)
     ]
     u_next = [np.zeros(n) for _ in components]
-    ut_new = [np.zeros(n) for _ in components]
-    store(0, 0.0, u_prev[0], ut_lag[0])
+    massless = [c.params.nu2 == 0.0 and c.nonneg for c in components]
+    store(0, 0.0, u_prev[0], ut[0])
     if not all(np.isfinite(u).all() for u in u_curr):
         return True, dt, rows
 
     # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
     if all(c.local for c in components):
-        lo, hi = _support(u_prev + ut_lag + u_curr)
+        lo, hi = _support(u_prev + ut + u_curr)
     else:
         lo, hi = 0, n
+    # u_t and |u_t| need one buffer each: every forcing of a level reads the
+    # lagged |u_t| before the level overwrites it
     for k in range(1, k_max + 1):
         t_k = k * dt
         if lo < hi:
             lo, hi = max(lo - 1, 0), min(hi + 1, n)
         w = slice(lo, hi)
-        for c, up, uc, un in zip(components, u_prev, u_curr, u_next):
-            force = c.rhs(ut_lag, t_k, w, rhs, tmp)
-            _advance(up, uc, force, t_k, dt, dx, c.params, w, un, lap, tmp)
-        if not all(np.isfinite(un[w]).all() for un in u_next):
-            return True, t_k + dt, rows
-        for un, up, ut in zip(u_next, u_prev, ut_new):
-            np.divide(np.subtract(un[w], up[w], out=ut[w]), 2.0 * dt, out=ut[w])
-        store(k, t_k, u_curr[0], ut_new[0])
-        if threshold is not None and any(
-            float(np.max(np.abs(ut[w], out=tmp[w]), initial=0.0)) > threshold for ut in ut_new
+        for c, ml, up, uc, un in zip(components, massless, u_prev, u_curr, u_next):
+            force = c.rhs(abs_ut, t_k, w, rhs, tmp)
+            _advance(up, uc, force, t_k, dt, dx, c.params, ml, w, un, lap, tmp)
+        # u^{k-1} is finite, so a non-finite u^{k+1} makes its peak max |u_t|
+        # non-finite; only then is u^{k+1} itself scanned
+        peaks = []
+        for un, up, v, a in zip(u_next, u_prev, ut, abs_ut):
+            du = np.subtract(un[w], up[w], out=v[w])
+            np.divide(du, 2.0 * dt, out=du)
+            peaks.append(float(np.abs(du, out=a[w]).max(initial=0.0)))
+        if not all(map(math.isfinite, peaks)) and not all(
+            np.isfinite(un[w]).all() for un in u_next
         ):
+            return True, t_k + dt, rows
+        store(k, t_k, u_curr[0], ut[0])
+        if threshold is not None and any(peak > threshold for peak in peaks):
             return True, t_k, rows
         u_prev, u_curr, u_next = u_curr, u_next, u_prev
-        ut_lag, ut_new = ut_new, ut_lag
     return False, math.inf, rows
 
 
@@ -313,6 +346,8 @@ def _lifespan(
 
 
 def _semilinear(params: ScaleInvariantParams, data: CauchyProfile, p: float) -> list[_Component]:
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"p must be finite and > 1, got {p}")
     return [_power_component(params, data, 0, p)]
 
 
@@ -326,12 +361,13 @@ def solve_linear_fd(
     """Linear mode (nonlinearity replaced by the source term f); full field."""
     xs = grid.xs()
 
-    def rhs(ut, t, w, out, tmp):
+    def rhs(abs_ut, t, w, out, tmp):
         out[w] = [src.f(t, float(x)) for x in xs[w]]
         return out[w]
 
-    # SourceTerm.support is only a quadrature hint: f is sampled everywhere
-    source = _Component(params, data, rhs, local=False)
+    # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
+    # f may return -0.0, so the mass product stays even when nu2 == 0
+    source = _Component(params, data, rhs, local=False, nonneg=False)
     _, _, rows = _run([source], grid, store_every=store_every)
     return _field(grid, rows)
 

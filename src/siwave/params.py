@@ -23,7 +23,6 @@ __all__ = [
     "CuspExponents",
     "LifespanPrediction",
     "delta_of",
-    "sigma_of",
     "glassey",
     "fujita",
     "strauss",
@@ -82,11 +81,6 @@ class ScaleInvariantParams:
             object.__setattr__(self, "sigma", self.mu)
         else:
             object.__setattr__(self, "sigma", self.mu + 1.0 - sqrt_delta)
-
-
-def sigma_of(params: ScaleInvariantParams) -> float:
-    """Dimensional shift sigma attached to a coefficient bundle."""
-    return params.sigma
 
 
 def params_with_sigma(sigma: float) -> ScaleInvariantParams:

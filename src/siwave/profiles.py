@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 __all__ = [
     "CauchyProfile",
     "SourceTerm",
@@ -61,11 +59,6 @@ class CauchyProfile:
                     raise ValueError(
                         f"data not supported in [-R, R]: nonzero sample at y={y}"
                     )
-
-    def u0_is_zero(self, n_probe: int = 101) -> bool:
-        """True iff u0 vanishes on a probe grid over the support."""
-        ys = np.linspace(-self.R, self.R, n_probe)
-        return all(self.u0(float(y)) == 0.0 for y in ys)
 
 
 @dataclass(frozen=True)

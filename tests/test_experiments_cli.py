@@ -107,6 +107,29 @@ def test_windowed_sweep_csv_matches_full_grid_bytes(tmp_path):
     assert out.read_bytes() == CRITERION9_DX100_CSV
 
 
+#: CSV of the seed-0 coupled-system benchmark sweep (p = 1.5, q = 2 on a
+#: domain tight to t_max), sha256 prefix 1197d159a2b5e3fb.
+SYSTEM_SWEEP_CSV = (
+    b"eps,T_est,blow_up,threshold,dx,cfl,converged\n"
+    b"0.25,7.3550000000000004,true,100000000,0.01,1,true\n"
+    b"0.17677669529663687,11.835000000000001,true,100000000,0.01,1,true\n"
+    b"0.125,19.684999999999999,true,100000000,0.01,1,true\n"
+)
+
+
+def test_system_sweep_csv_bytes_pinned(tmp_path):
+    # both components and both Richardson grids must keep every output bit
+    out = tmp_path / "system.csv"
+    config = SweepConfig(
+        model="system", mu=2.0, nu2=0.0, mu2=2.0, nu22=0.0, p=1.5, q=2.0,
+        eps_grid=(0.25, 0.25 / math.sqrt(2.0), 0.125),
+        grid=GridSpec(dx=1.0 / 100, cfl=1.0, x_max=25.0, t_max=24.0),
+        R=1.0, amplitude=8.0, threshold=1e8, refine=True, output_path=str(out),
+    )
+    run_sweep(config)
+    assert out.read_bytes() == SYSTEM_SWEEP_CSV
+
+
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
 def test_config_rejects_bad_threshold(tmp_path, threshold):
     config = _tiny_config(tmp_path / "out.csv")
@@ -310,6 +333,16 @@ def test_cli_rejects_non_finite_data_and_bad_threshold(capsys, flag, value, mess
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-1", "1"])
+def test_cli_solve_semilinear_rejects_bad_exponent(capsys, p):
+    code = main([
+        "solve-semilinear", "--mu", "2", "--nu2", "0", "--p", p, "--eps", "0.5",
+        "--dx", "0.1", "--t-max", "2.0",
+    ])
+    assert code == 2
+    assert "p must be finite and > 1" in capsys.readouterr().err
 
 
 def test_cli_kernels_rejects_nan_coefficient(capsys):

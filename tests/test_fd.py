@@ -7,6 +7,8 @@ import pytest
 from helpers import poly_bump, poly_bump_derivative, poly_profile
 
 from siwave.fd import (
+    _power_component,
+    _run,
     detect_lifespan,
     detect_lifespan_system,
     lifespan_records_to_csv,
@@ -131,9 +133,11 @@ def test_spatial_mean_nondecreasing_with_nonnegative_data():
     assert np.min(diffs, initial=0.0) >= -1e-12
 
 
-def _full_grid_run(params, data, p, grid, threshold=1e8):
+def _full_grid_run(specs, grid, threshold=1e8):
     """Reference stepper: the same scheme, every node of every level, no
-    buffers; returns (T_est, u rows, u_t rows)."""
+    buffers and always the mass product.  ``specs`` holds one (params, data,
+    src, p) per component, forced by |u_t|^p of component ``src``; returns
+    (T_est, u rows, u_t rows), the rows as one array per component."""
     xs, dt, dx = grid.xs(), grid.dt, grid.dx
 
     def lap(u):
@@ -141,30 +145,45 @@ def _full_grid_run(params, data, p, grid, threshold=1e8):
         out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
         return out
 
-    def power(u):
-        a = np.abs(u)
+    def power(ut, p):
+        a = np.abs(ut)
         return a * np.sqrt(a) if p == 1.5 else a**p
 
-    u_prev = np.array([data.eps * data.u0(float(x)) for x in xs])
-    ut = np.array([data.eps * data.u1(float(x)) for x in xs])
-    u = u_prev + dt * ut + 0.5 * dt * dt * (
-        lap(u_prev) - params.mu * ut - params.nu2 * u_prev + power(ut)
-    )
-    us, uts = [u_prev], [ut]
+    u_prev = [np.array([d.eps * d.u0(float(x)) for x in xs]) for _, d, _, _ in specs]
+    ut = [np.array([d.eps * d.u1(float(x)) for x in xs]) for _, d, _, _ in specs]
+    u = [
+        u0 + dt * u1 + 0.5 * dt * dt * (
+            lap(u0) - par.mu * u1 - par.nu2 * u0 + power(ut[src], p)
+        )
+        for (par, _, src, p), u0, u1 in zip(specs, u_prev, ut)
+    ]
+    us, uts = [[u0] for u0 in u_prev], [[u1] for u1 in ut]
+    t_est = math.inf
     for k in range(1, grid.n_steps() + 1):
         t = k * dt
-        lam = 0.5 * params.mu * dt / (1.0 + t)
-        mass = params.nu2 / (1.0 + t) ** 2
-        u_next = (
-            2.0 * u - (1.0 - lam) * u_prev + dt * dt * (lap(u) - mass * u + power(ut))
-        ) / (1.0 + lam)
-        ut = (u_next - u_prev) / (2.0 * dt)
-        us.append(u)
-        uts.append(ut)
-        if float(np.max(np.abs(ut))) > threshold:
-            return t, np.array(us), np.array(uts)
+        u_next = []
+        for (par, _, src, p), uc, up in zip(specs, u, u_prev):
+            lam = 0.5 * par.mu * dt / (1.0 + t)
+            mass = par.nu2 / (1.0 + t) ** 2
+            u_next.append(
+                (2.0 * uc - (1.0 - lam) * up + dt * dt * (lap(uc) - mass * uc + power(ut[src], p)))
+                / (1.0 + lam)
+            )
+        ut = [(un - up) / (2.0 * dt) for un, up in zip(u_next, u_prev)]
+        for rows, row in zip(us, u):
+            rows.append(row)
+        for rows, row in zip(uts, ut):
+            rows.append(row)
+        if any(float(np.max(np.abs(v))) > threshold for v in ut):
+            t_est = t
+            break
         u_prev, u = u, u_next
-    return math.inf, np.array(us), np.array(uts)
+    return t_est, [np.array(rows) for rows in us], [np.array(rows) for rows in uts]
+
+
+#: cross-coupled system on the cfl = 0.9 grid: blows up at t = 3.708, after the
+#: window reaches the grid ends near t = 3.6
+CROSS_SYSTEM = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
 
 
 @pytest.mark.parametrize(
@@ -173,17 +192,45 @@ def _full_grid_run(params, data, p, grid, threshold=1e8):
         (P2, 1.5, 1.0, bump_profile(R=1.0, eps=0.5, amplitude=8.0)),
         (ScaleInvariantParams(3.0, 0.5), 1.7, 0.9, bump_profile(R=1.5, eps=0.3, amplitude=4.0)),
         (P1, 2.0, 0.5, bump_profile(R=1.0, eps=0.5, amplitude=8.0, u0_zero=True)),
+        (CROSS_SYSTEM, None, 0.9, bump_profile(R=1.0, eps=0.6, amplitude=8.0)),
     ],
 )
 def test_windowed_stepper_matches_full_grid_reference(params, p, cfl, prof):
     # the window reaches the grid ends before t_max at cfl < 1; every stored
-    # bit must equal the whole-grid update
+    # bit of every component must equal the whole-grid update, on the
+    # massless step (nu2 = 0) and on the one with a mass product
     grid = GridSpec(dx=1.0 / 25, cfl=cfl, x_max=prof.R + 4.0, t_max=4.0)
-    field, record = solve_semilinear_field(params, prof, p, grid)
-    t_ref, u_ref, ut_ref = _full_grid_run(params, prof, p, grid)
-    assert record.T_est == t_ref
-    assert field.values.tobytes() == u_ref.tobytes()
-    assert field.dvalues.tobytes() == ut_ref.tobytes()
+    if isinstance(params, SystemParams):
+        # u is massless and forced by |v_t|^p, v has a mass and is forced by
+        # |u_t|^q; the stepper stores the rows of its first component, so
+        # each component is run once in front
+        t_ref, u_ref, ut_ref = _full_grid_run(
+            [(params.comp1, prof, 1, params.p), (params.comp2, prof, 0, params.q)], grid
+        )
+        assert detect_lifespan_system(params, prof, prof, grid).T_est == t_ref
+        u_first = [
+            _power_component(params.comp1, prof, 1, params.p),
+            _power_component(params.comp2, prof, 0, params.q),
+        ]
+        v_first = [
+            _power_component(params.comp2, prof, 1, params.q),
+            _power_component(params.comp1, prof, 0, params.p),
+        ]
+        runs = [_run(comps, grid, 1e8, store_every=1) for comps in (u_first, v_first)]
+        assert [t_est for _, t_est, _ in runs] == [t_ref, t_ref]
+        fields = [
+            (np.array([row[1] for row in rows]), np.array([row[2] for row in rows]))
+            for _, _, rows in runs
+        ]
+    else:
+        t_ref, u_ref, ut_ref = _full_grid_run([(params, prof, 0, p)], grid)
+        field, record = solve_semilinear_field(params, prof, p, grid)
+        assert record.T_est == t_ref
+        fields = [(field.values, field.dvalues)]
+    assert len(fields) == len(u_ref)
+    for (values, dvalues), u_rows, ut_rows in zip(fields, u_ref, ut_ref):
+        assert values.tobytes() == u_rows.tobytes()
+        assert dvalues.tobytes() == ut_rows.tobytes()
 
 
 def test_window_covers_a_source_away_from_the_data():
@@ -243,6 +290,44 @@ def test_threshold_must_be_positive(threshold):
     for run in runs:
         with pytest.raises(ValueError, match="threshold must be > 0"):
             run()
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -1.0, 0.5, 1.0])
+def test_exponent_must_be_finite_and_above_one(p):
+    grid = GridSpec(dx=0.1, cfl=0.9, x_max=3.0, t_max=2.0)
+    prof = bump_profile(R=1.0, eps=0.5)
+    runs = [
+        lambda: detect_lifespan(P2, prof, p, grid),
+        lambda: detect_lifespan(P2, prof, p, grid, refine=True),
+        lambda: solve_semilinear_field(P2, prof, p, grid),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match="p must be finite and > 1"):
+            run()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "p, pair", [(1.5, (5.359999999999999, 5.02)), (2.0, (2.38, 2.13)), (3.0, (0.76, 0.6))]
+)
+def test_infinite_threshold_stops_at_the_first_non_finite_level(p, pair):
+    # with no finite threshold a run ends only when u^{k+1} turns non-finite,
+    # reported as t_k + dt; an overflowed u_t with finite u does not end it
+    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    record = detect_lifespan(P2, prof, p, grid, threshold=math.inf, refine=True)
+    assert record.blow_up
+    assert record.richardson_pair == pair
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_infinite_threshold_system_stops_at_the_first_non_finite_level():
+    sys = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
+    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=20.0, t_max=19.0)
+    prof = bump_profile(R=1.0, eps=0.3, amplitude=8.0)
+    record = detect_lifespan_system(sys, prof, prof, grid, threshold=math.inf, refine=True)
+    assert record.blow_up
+    assert record.richardson_pair == (8.959999999999999, 8.5)
 
 
 def test_cone_validation_rejects_small_domain():

@@ -108,9 +108,10 @@ def test_source_support_box_validated(support):
 
 
 def test_bump_profile_u0_zero_mode():
+    ys = np.linspace(-1.0, 1.0, 101)
     prof = bump_profile(R=1.0, eps=0.1, u0_zero=True)
-    assert prof.u0_is_zero()
-    assert not bump_profile(R=1.0, eps=0.1).u0_is_zero()
+    assert all(prof.u0(float(y)) == 0.0 for y in ys)
+    assert not all(bump_profile(R=1.0, eps=0.1).u0(float(y)) == 0.0 for y in ys)
 
 
 def test_smooth_bump_derivative_matches_differences():

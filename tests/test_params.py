@@ -16,7 +16,6 @@ from siwave.params import (
     lambda_curve,
     params_with_sigma,
     predicted_lifespan_exponent,
-    sigma_of,
     strauss,
 )
 
@@ -41,7 +40,7 @@ def test_delta_of(mu, nu2, expected):
 )
 def test_sigma_branches(mu, nu2, sigma):
     params = ScaleInvariantParams(mu=mu, nu2=nu2)
-    assert sigma_of(params) == sigma
+    assert params.sigma == sigma
 
 
 def test_negative_delta_rejected():
