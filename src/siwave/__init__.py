@@ -42,7 +42,6 @@ from .iteration import (
     CriticalSequences,
     CuspSequences,
     SubcriticalSequences,
-    build_iteration_frame,
     critical_sequences,
     cusp_sequences,
     divergence_threshold,

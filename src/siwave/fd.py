@@ -291,30 +291,32 @@ def _run(
     else:
         lo, hi = 0, n
     # u_t and |u_t| need one buffer each: every forcing of a level reads the
-    # lagged |u_t| before the level overwrites it
-    for k in range(1, k_max + 1):
-        t_k = k * dt
-        if lo < hi:
-            lo, hi = max(lo - 1, 0), min(hi + 1, n)
-        w = slice(lo, hi)
-        for c, ml, up, uc, un in zip(components, massless, u_prev, u_curr, u_next):
-            force = c.rhs(abs_ut, t_k, w, rhs, tmp)
-            _advance(up, uc, force, t_k, dt, dx, c.params, ml, w, un, lap, tmp)
-        # u^{k-1} is finite, so a non-finite u^{k+1} makes its peak max |u_t|
-        # non-finite; only then is u^{k+1} itself scanned
-        peaks = []
-        for un, up, v, a in zip(u_next, u_prev, ut, abs_ut):
-            du = np.subtract(un[w], up[w], out=v[w])
-            np.divide(du, 2.0 * dt, out=du)
-            peaks.append(float(np.abs(du, out=a[w]).max(initial=0.0)))
-        if not all(map(math.isfinite, peaks)) and not all(
-            np.isfinite(un[w]).all() for un in u_next
-        ):
-            return True, t_k + dt, rows
-        store(k, t_k, u_curr[0], ut[0])
-        if threshold is not None and any(peak > threshold for peak in peaks):
-            return True, t_k, rows
-        u_prev, u_curr, u_next = u_curr, u_next, u_prev
+    # lagged |u_t| before the level overwrites it.  Overflow past the last
+    # finite peak is the blow-up the loop detects, so it raises no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, k_max + 1):
+            t_k = k * dt
+            if lo < hi:
+                lo, hi = max(lo - 1, 0), min(hi + 1, n)
+            w = slice(lo, hi)
+            for c, ml, up, uc, un in zip(components, massless, u_prev, u_curr, u_next):
+                force = c.rhs(abs_ut, t_k, w, rhs, tmp)
+                _advance(up, uc, force, t_k, dt, dx, c.params, ml, w, un, lap, tmp)
+            # u^{k-1} is finite, so a non-finite u^{k+1} makes its peak max |u_t|
+            # non-finite; only then is u^{k+1} itself scanned
+            peaks = []
+            for un, up, v, a in zip(u_next, u_prev, ut, abs_ut):
+                du = np.subtract(un[w], up[w], out=v[w])
+                np.divide(du, 2.0 * dt, out=du)
+                peaks.append(float(np.abs(du, out=a[w]).max(initial=0.0)))
+            if not all(map(math.isfinite, peaks)) and not all(
+                np.isfinite(un[w]).all() for un in u_next
+            ):
+                return True, t_k + dt, rows
+            store(k, t_k, u_curr[0], ut[0])
+            if threshold is not None and any(peak > threshold for peak in peaks):
+                return True, t_k, rows
+            u_prev, u_curr, u_next = u_curr, u_next, u_prev
     return False, math.inf, rows
 
 

@@ -4,32 +4,51 @@ The coupled blow-up argument runs an induction on lower bounds of the
 weighted traces (U, V):
 
   * subcritical (first branch of the critical curve positive):
-        U(z) >= C_j (R+z)^(-alpha_j) (z-R)^(beta_j),
-    with geometric recursions for alpha, beta and a doubly exponential one
-    for C_j;
+        U(z) >= C_j (R+z)^(-alpha_j) (z-R)^(beta_j);
   * critical (first branch exactly zero): logarithmic lower bounds on the
     sliced domains z >= l_j R with l_j = 2 - 2^-(j+1) increasing to 2;
   * cusp (both branches zero): logarithmic bounds on the unsliced domain,
     with weight (R+y)^(-1) on both equations.
 
+All three run one affine log-recursion.  The exponent x_j (beta_j, theta_j,
+rho_j) follows x_{j+1} = a + pq x_j from x_0 = 0, with closed form
+a((pq)^j - 1)/(pq - 1), and the constant X_j (C_j, D_j, E_j) follows
+
+    log X_{j+1} = pq log X_j + log(C K^p) - (k1 j + k0) log 2
+                  - w p log(s + q x_j) - log x_{j+1},   log X_0 = log(M eps).
+
+With e = w p + 1, Xtilde = 2^(-k0) C K^p (a/(pq-1))^(-e) and
+g = 2^(k1) pq^e, the bound log X_j >= (pq)^j log(Xhat eps) holds from
+j = max(0, ceil(log Xtilde / log g - pq/(pq-1))) on, where
+Xhat = M g^(-pq/(pq-1)^2) Xtilde^(1/(pq-1)).  The families differ only in
+their coefficient row:
+
+    family        a      s           w   k0                k1
+    subcritical   B      sigma2/2+1  1   0                 0
+    critical      1      -           0   (4+sigma2/2)p+1   p
+    cusp          p+1    1           1   p+1               0
+
+where B = sigma2 p/2 + sigma1/2 + p + 1.  The subcritical alpha_j run the
+same affine recursion with offset A = (n+sigma1-1)(pq-1)/2 + sigma2 p/2 +
+sigma1/2.
+
 Every multiplicative sequence is computed in logarithmic form with mpmath
 extended precision (the plain values overflow any fixed-width float by
 j ~ 10), storing both the exact recursion and the closed form for
-cross-checking, together with the lower-bound constants (Chat/Dhat/Ehat)
-and the index from which the bound log X_j >= (pq)^j log(Xhat*eps) is
-valid.  Divergence of that bound as j -> infinity is what forces blow-up;
-:func:`divergence_threshold` evaluates the bracketed quantity whose excess
-over 1 triggers it, reproducing the lifespan rates of
+cross-checking.  Divergence of the bound as j -> infinity is what forces
+blow-up; :func:`divergence_threshold` evaluates the bracketed quantity whose
+excess over 1 triggers it, reproducing the lifespan rates of
 :func:`lifespan_rate_system`.
 
-The frame constants C, K (and the data constants M, N) are not explicit in
-the underlying estimates; they default to 1 and are injectable, so every
+The frame constants C, K (and the data constant M) are not explicit in the
+underlying estimates; they default to 1 and are injectable, so every
 eps-threshold is reported as a function of them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -42,13 +61,11 @@ from .params import (
 )
 
 __all__ = [
-    "IterationFrame",
     "SubcriticalSequences",
     "CriticalSequences",
     "CuspSequences",
     "SystemLifespanPrediction",
     "DivergenceVerdict",
-    "build_iteration_frame",
     "subcritical_sequences",
     "critical_sequences",
     "cusp_sequences",
@@ -58,46 +75,6 @@ __all__ = [
 
 #: Working precision (decimal digits) for the sequence recursions.
 SEQUENCE_DPS = 60
-
-
-@dataclass(frozen=True)
-class IterationFrame:
-    """Weight exponents of the coupled integral inequalities.
-
-    weight_u is the (R+y)-exponent in the inequality bounding U through V
-    (and weight_v the symmetric one); at the cusp exponent pair both equal
-    exactly -1.
-    """
-
-    n: int
-    sigma1: float
-    sigma2: float
-    p: float
-    q: float
-    M: float
-    C: float
-    N: float
-    K: float
-    weight_u: float
-    weight_v: float
-
-
-def build_iteration_frame(
-    n: int,
-    sys: SystemParams,
-    constants: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0),
-) -> IterationFrame:
-    """Frame descriptor with constants (M, C, N, K) and both weight exponents."""
-    M, C, N, K = constants
-    if min(M, C, N, K) <= 0:
-        raise ValueError("frame constants (M, C, N, K) must be positive")
-    s1, s2, p, q = sys.sigma1, sys.sigma2, sys.p, sys.q
-    weight_u = -0.5 * (n - 1) * (p - 1.0) + 0.5 * s1 - 0.5 * s2 * p
-    weight_v = -0.5 * (n - 1) * (q - 1.0) + 0.5 * s2 - 0.5 * s1 * q
-    return IterationFrame(
-        n=n, sigma1=s1, sigma2=s2, p=p, q=q, M=M, C=C, N=N, K=K,
-        weight_u=weight_u, weight_v=weight_v,
-    )
 
 
 def _regime_check(n: int, sys: SystemParams, wanted: str, raw: bool) -> bool:
@@ -121,9 +98,52 @@ def _float_list(values: list[mp.mpf]) -> list[float]:
     return [float(v) for v in values]
 
 
-def _ceil_threshold(value: mp.mpf) -> int:
-    """Start index max(0, value), ceiled (the bound treats j as a real cutoff)."""
-    return max(0, int(mp.ceil(value)))
+def _affine(a: mp.mpf, pq: mp.mpf, jmax: int) -> tuple[list[mp.mpf], list[mp.mpf]]:
+    """x_{j+1} = a + pq x_j from x_0 = 0, and its closed form, for j = 0..jmax."""
+    xs = [mp.mpf(0)]
+    for _ in range(jmax):
+        xs.append(a + pq * xs[-1])
+    return xs, [a * (pq**j - 1) / (pq - 1) for j in range(jmax + 1)]
+
+
+def _induction(
+    M: float,
+    eps: float,
+    jmax: int,
+    C: float,
+    K: float,
+    p: mp.mpf,
+    q: mp.mpf,
+    row: tuple,
+) -> tuple[list[float], list[float], list[float], int, float]:
+    """Run the shared induction for the coefficient row (a, s, w, k0, k1).
+
+    Returns x_j, their closed form and log X_j for j = 0..jmax, the start
+    index of the bound and Xhat.  Call inside ``mp.workdps(SEQUENCE_DPS)``;
+    see the module docstring for the recursion, the bound and the rows.
+    """
+    for name, value in (("M", M), ("eps", eps), ("C", C), ("K", K)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    if not isinstance(jmax, numbers.Integral) or jmax < 0:
+        raise ValueError(f"jmax must be an integer >= 0, got {jmax}")
+    a, s, w, k0, k1 = row
+    pq = p * q
+    xs, xs_closed = _affine(a, pq, jmax)
+    log_ckp = mp.log(C) + p * mp.log(K)
+    logs = [mp.log(mp.mpf(M) * mp.mpf(eps))]
+    for j in range(jmax):
+        log_next = pq * logs[-1] + log_ckp - (k1 * j + k0) * mp.log(2)
+        if w:  # the critical row has no s
+            log_next -= w * p * mp.log(s + q * xs[j])
+        logs.append(log_next - mp.log(xs[j + 1]))
+
+    e = w * p + 1
+    tilde = mp.mpf(2) ** (-k0) * C * mp.mpf(K) ** p * (a / (pq - 1)) ** (-e)
+    g = mp.mpf(2) ** k1 * pq**e
+    hat = M * g ** (-pq / (pq - 1) ** 2) * tilde ** (1 / (pq - 1))
+    start = max(0, int(mp.ceil(mp.log(tilde) / mp.log(g) - pq / (pq - 1))))
+    return _float_list(xs), _float_list(xs_closed), _float_list(logs), start, float(hat)
 
 
 @dataclass(frozen=True)
@@ -146,7 +166,6 @@ class SubcriticalSequences:
     logCs: list[float]
     j0: int
     Chat: float
-    Ctilde: float
     p: float
     q: float
     eps: float
@@ -163,58 +182,36 @@ def subcritical_sequences(
     C: float = 1.0,
     K: float = 1.0,
     raw: bool = False,
-    dps: int = SEQUENCE_DPS,
 ) -> SubcriticalSequences:
     """Build alpha_j, beta_j, log C_j for j = 0..jmax plus the bound constants."""
-    if M <= 0 or C <= 0 or K <= 0 or eps <= 0:
-        raise ValueError("M, C, K, eps must be positive")
     mismatch = _regime_check(n, sys, "subcritical", raw)
-    lam1 = lambda_curve(n + sys.sigma1, sys.p, sys.q)
-    with mp.workdps(dps):
+    with mp.workdps(SEQUENCE_DPS):
         p, q = mp.mpf(sys.p), mp.mpf(sys.q)
         s1, s2 = mp.mpf(sys.sigma1), mp.mpf(sys.sigma2)
         pq = p * q
         A = (n + s1 - 1) * (pq - 1) / 2 + s2 * p / 2 + s1 / 2
         B = s2 * p / 2 + s1 / 2 + p + 1
-        log_ckp = mp.log(C) + p * mp.log(K)
-
-        alphas = [mp.mpf(0)]
-        betas = [mp.mpf(0)]
-        logcs = [mp.log(mp.mpf(M) * mp.mpf(eps))]
-        for _ in range(jmax):
-            beta_next = B + pq * betas[-1]
-            logcs.append(
-                log_ckp
-                - p * mp.log(s2 / 2 + 1 + q * betas[-1])
-                - mp.log(beta_next)
-                + pq * logcs[-1]
-            )
-            alphas.append(A + pq * alphas[-1])
-            betas.append(beta_next)
-        alphas_closed = [A * (pq**j - 1) / (pq - 1) for j in range(jmax + 1)]
-        betas_closed = [B * (pq**j - 1) / (pq - 1) for j in range(jmax + 1)]
-
-        ctilde = C * mp.mpf(K) ** p * (B / (pq - 1)) ** (-(p + 1))
-        chat = M * pq ** (-pq * (p + 1) / (pq - 1) ** 2) * ctilde ** (1 / (pq - 1))
-        j0 = _ceil_threshold(mp.log(ctilde) / mp.log(pq ** (p + 1)) - pq / (pq - 1))
-        return SubcriticalSequences(
-            pq=float(pq),
-            A=float(A),
-            B=float(B),
-            alphas=_float_list(alphas),
-            betas=_float_list(betas),
-            alphas_closed=_float_list(alphas_closed),
-            betas_closed=_float_list(betas_closed),
-            logCs=_float_list(logcs),
-            j0=j0,
-            Chat=float(chat),
-            Ctilde=float(ctilde),
-            p=sys.p,
-            q=sys.q,
-            eps=eps,
-            lambda1=lam1,
-            regime_mismatch=mismatch,
+        betas, betas_closed, logcs, j0, chat = _induction(
+            M, eps, jmax, C, K, p, q, (B, s2 / 2 + 1, 1, 0, 0)
         )
+        alphas, alphas_closed = _affine(A, pq, jmax)
+    return SubcriticalSequences(
+        pq=float(pq),
+        A=float(A),
+        B=float(B),
+        alphas=_float_list(alphas),
+        betas=betas,
+        alphas_closed=_float_list(alphas_closed),
+        betas_closed=betas_closed,
+        logCs=logcs,
+        j0=j0,
+        Chat=chat,
+        p=sys.p,
+        q=sys.q,
+        eps=eps,
+        lambda1=lambda_curve(n + sys.sigma1, sys.p, sys.q),
+        regime_mismatch=mismatch,
+    )
 
 
 @dataclass(frozen=True)
@@ -227,7 +224,6 @@ class CriticalSequences:
     logDs: list[float]
     j1: int
     Dhat: float
-    Dtilde: float
     p: float
     q: float
     eps: float
@@ -243,48 +239,27 @@ def critical_sequences(
     C: float = 1.0,
     K: float = 1.0,
     raw: bool = False,
-    dps: int = SEQUENCE_DPS,
 ) -> CriticalSequences:
     """Build l_j, theta_j, log D_j for the single-branch critical induction."""
-    if M <= 0 or C <= 0 or K <= 0 or eps <= 0:
-        raise ValueError("M, C, K, eps must be positive")
     mismatch = _regime_check(n, sys, "critical", raw)
-    with mp.workdps(dps):
+    with mp.workdps(SEQUENCE_DPS):
         p, q = mp.mpf(sys.p), mp.mpf(sys.q)
-        s2 = mp.mpf(sys.sigma2)
-        pq = p * q
-        log_ckp = mp.log(C) + p * mp.log(K)
-        const_exp = (4 + s2 / 2) * p + 1  # exponent of the fixed 2^-() factor
-
-        thetas = [mp.mpf(0)]
-        logds = [mp.log(mp.mpf(M) * mp.mpf(eps))]
-        for j in range(jmax):
-            logds.append(
-                log_ckp
-                - (j * p + const_exp) * mp.log(2)
-                - mp.log(pq * thetas[-1] + 1)
-                + pq * logds[-1]
-            )
-            thetas.append(1 + pq * thetas[-1])
-        thetas_closed = [(pq**j - 1) / (pq - 1) for j in range(jmax + 1)]
-        ells = [2.0 - 2.0 ** -(j + 1) for j in range(jmax + 1)]
-
-        dtilde = mp.mpf(2) ** (-const_exp) * C * mp.mpf(K) ** p * (pq - 1)
-        dhat = M * (2**p * pq) ** (-pq / (pq - 1) ** 2) * dtilde ** (1 / (pq - 1))
-        j1 = _ceil_threshold(mp.log(dtilde) / mp.log(2**p * pq) - pq / (pq - 1))
-        return CriticalSequences(
-            ells=ells,
-            thetas=_float_list(thetas),
-            thetas_closed=_float_list(thetas_closed),
-            logDs=_float_list(logds),
-            j1=j1,
-            Dhat=float(dhat),
-            Dtilde=float(dtilde),
-            p=sys.p,
-            q=sys.q,
-            eps=eps,
-            regime_mismatch=mismatch,
+        k0 = (4 + mp.mpf(sys.sigma2) / 2) * p + 1
+        thetas, thetas_closed, logds, j1, dhat = _induction(
+            M, eps, jmax, C, K, p, q, (mp.mpf(1), None, 0, k0, p)
         )
+    return CriticalSequences(
+        ells=[2.0 - 2.0 ** -(j + 1) for j in range(jmax + 1)],
+        thetas=thetas,
+        thetas_closed=thetas_closed,
+        logDs=logds,
+        j1=j1,
+        Dhat=dhat,
+        p=sys.p,
+        q=sys.q,
+        eps=eps,
+        regime_mismatch=mismatch,
+    )
 
 
 @dataclass(frozen=True)
@@ -296,7 +271,6 @@ class CuspSequences:
     logEs: list[float]
     j2: int
     Ehat: float
-    Etilde: float
     p: float
     q: float
     eps: float
@@ -312,47 +286,25 @@ def cusp_sequences(
     C: float = 1.0,
     K: float = 1.0,
     raw: bool = False,
-    dps: int = SEQUENCE_DPS,
 ) -> CuspSequences:
     """Build rho_j and log E_j for the double-critical (cusp) induction."""
-    if M <= 0 or C <= 0 or K <= 0 or eps <= 0:
-        raise ValueError("M, C, K, eps must be positive")
     mismatch = _regime_check(n, sys, "cusp", raw)
-    with mp.workdps(dps):
+    with mp.workdps(SEQUENCE_DPS):
         p, q = mp.mpf(sys.p), mp.mpf(sys.q)
-        pq = p * q
-        log_ckp = mp.log(C) + p * mp.log(K)
-
-        rhos = [mp.mpf(0)]
-        loges = [mp.log(mp.mpf(M) * mp.mpf(eps))]
-        for _ in range(jmax):
-            loges.append(
-                -(p + 1) * mp.log(2)
-                + log_ckp
-                - p * mp.log(q * rhos[-1] + 1)
-                - mp.log(pq * rhos[-1] + p + 1)
-                + pq * loges[-1]
-            )
-            rhos.append(p + 1 + pq * rhos[-1])
-        rhos_closed = [(p + 1) * (pq**j - 1) / (pq - 1) for j in range(jmax + 1)]
-
-        etilde = mp.mpf(2) ** (-(p + 1)) * C * mp.mpf(K) ** p * ((p + 1) / (pq - 1)) ** (
-            -(p + 1)
+        rhos, rhos_closed, loges, j2, ehat = _induction(
+            M, eps, jmax, C, K, p, q, (p + 1, mp.mpf(1), 1, p + 1, 0)
         )
-        ehat = M * pq ** (-pq * (p + 1) / (pq - 1) ** 2) * etilde ** (1 / (pq - 1))
-        j2 = _ceil_threshold(mp.log(etilde) / mp.log(pq ** (p + 1)) - pq / (pq - 1))
-        return CuspSequences(
-            rhos=_float_list(rhos),
-            rhos_closed=_float_list(rhos_closed),
-            logEs=_float_list(loges),
-            j2=j2,
-            Ehat=float(ehat),
-            Etilde=float(etilde),
-            p=sys.p,
-            q=sys.q,
-            eps=eps,
-            regime_mismatch=mismatch,
-        )
+    return CuspSequences(
+        rhos=rhos,
+        rhos_closed=rhos_closed,
+        logEs=loges,
+        j2=j2,
+        Ehat=ehat,
+        p=sys.p,
+        q=sys.q,
+        eps=eps,
+        regime_mismatch=mismatch,
+    )
 
 
 @dataclass(frozen=True)
@@ -431,8 +383,8 @@ def divergence_threshold(
     R: float,
 ) -> DivergenceVerdict:
     """Evaluate the divergence bracket of the applicable regime at (z, R)."""
-    if R <= 0 or z <= 0:
-        raise ValueError("need z > 0 and R > 0")
+    if not (math.isfinite(z) and z > 0 and math.isfinite(R) and R > 0):
+        raise ValueError(f"need finite z > 0 and R > 0, got z={z}, R={R}")
     eps = sequences.eps
     p, q = sequences.p, sequences.q
     pq = p * q
@@ -455,28 +407,22 @@ def divergence_threshold(
             log_threshold=log_threshold,
             domain_ok=z >= 3.0 * R,
         )
+    # log regimes: bracket = hat eps log(z/edge)^(a/(pq-1)) on z >= edge,
+    # with the offset a of the exponent recursion
     if isinstance(sequences, CriticalSequences):
-        log_arg = math.log(z / (2.0 * R)) if z > 2.0 * R else 0.0
-        bracket = sequences.Dhat * eps * log_arg ** (1.0 / (pq - 1.0))
-        log_threshold = math.log(2.0 * R) + (sequences.Dhat * eps) ** (-(pq - 1.0))
-        return DivergenceVerdict(
-            regime="critical",
-            bracket=bracket,
-            diverges=bracket > 1.0,
-            threshold=_exp_or_inf(log_threshold),
-            log_threshold=log_threshold,
-            domain_ok=z >= 2.0 * R,
-        )
-    if isinstance(sequences, CuspSequences):
-        log_arg = math.log(z / R) if z > R else 0.0
-        bracket = sequences.Ehat * eps * log_arg ** ((p + 1.0) / (pq - 1.0))
-        log_threshold = math.log(R) + (sequences.Ehat * eps) ** (-(pq - 1.0) / (p + 1.0))
-        return DivergenceVerdict(
-            regime="cusp",
-            bracket=bracket,
-            diverges=bracket > 1.0,
-            threshold=_exp_or_inf(log_threshold),
-            log_threshold=log_threshold,
-            domain_ok=z >= R,
-        )
-    raise TypeError(f"unrecognized sequence family: {type(sequences).__name__}")
+        regime, edge, a, hat = "critical", 2.0 * R, 1.0, sequences.Dhat
+    elif isinstance(sequences, CuspSequences):
+        regime, edge, a, hat = "cusp", R, p + 1.0, sequences.Ehat
+    else:
+        raise TypeError(f"unrecognized sequence family: {type(sequences).__name__}")
+    log_arg = math.log(z / edge) if z > edge else 0.0
+    bracket = hat * eps * log_arg ** (a / (pq - 1.0))
+    log_threshold = math.log(edge) + (hat * eps) ** (-(pq - 1.0) / a)
+    return DivergenceVerdict(
+        regime=regime,
+        bracket=bracket,
+        diverges=bracket > 1.0,
+        threshold=_exp_or_inf(log_threshold),
+        log_threshold=log_threshold,
+        domain_ok=z >= edge,
+    )

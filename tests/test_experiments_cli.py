@@ -1,5 +1,6 @@
 """Sweep orchestration, config round-trips, CSV determinism, CLI exit codes."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -225,14 +226,50 @@ def test_cli_exponents_system(capsys):
     assert "p~=2" in out
 
 
-def test_cli_sequences_cusp_table(capsys):
-    code = main(["sequences", "--mode", "cusp", "--p", "2", "--q", "2", "--n", "1",
-                 "--sigma1", "2", "--sigma2", "2", "--jmax", "10"])
+@pytest.mark.parametrize(
+    "mode, args, digest",
+    [
+        # C = 1e4 puts j0 at 1 and z = 10 past the threshold t* = 5.89
+        ("subcritical", ["--sigma1", "0", "--sigma2", "0", "--C", "1e4", "--z", "10"],
+         "2e0be09c76f037822805095c3f5bb90c6e25f3299baf2b046b8b8c6cac2345be"),
+        # K = 1000 puts j1 at 1 and z = 20 past the threshold z* = 4.83
+        ("critical", ["--sigma1", "2", "--sigma2", "4", "--K", "1000", "--eps", "0.5",
+                      "--z", "20"],
+         "aff782d76b22a850792463ee66bcd7243caf30b6ae47a5ae2f69ec6cd39b2353"),
+        ("cusp", ["--sigma1", "2", "--sigma2", "2", "--z", "2"],
+         "71d0f5ff535d75dc3f48a6add8604fbc9938b6d07c09668e4d0e56ee8cd5d3b4"),
+    ],
+    ids=["subcritical", "critical", "cusp"],
+)
+def test_cli_sequences_table(capsys, mode, args, digest):
+    code = main(["sequences", "--mode", mode, "--p", "2", "--q", "2", "--n", "1",
+                 "--jmax", "10", *args])
     assert code == 0
     out = capsys.readouterr().out
-    assert "j,rho,logE" in out
-    # rho_j = 4^j - 1
-    assert "\n3,63," in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if mode == "cusp":
+        assert "j,rho,logE" in out
+        # rho_j = 4^j - 1
+        assert "\n3,63," in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "nan", "eps must be finite and > 0"),
+        ("--C", "inf", "C must be finite and > 0"),
+        ("--jmax", "-1", "jmax must be an integer >= 0"),
+        ("--z", "nan", "need finite z > 0 and R > 0"),
+        ("--R", "nan", "need finite z > 0 and R > 0"),
+    ],
+    ids=["eps-nan", "C-inf", "jmax-negative", "z-nan", "R-nan"],
+)
+def test_cli_sequences_rejects_bad_induction_input(capsys, flag, value, message):
+    args = {"--z": "2", flag: value}
+    code = main(["sequences", "--mode", "cusp", "--p", "2", "--q", "2", "--sigma1", "2",
+                 "--sigma2", "2", *(v for kv in args.items() for v in kv)])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cli_verify_suites(capsys):

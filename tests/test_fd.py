@@ -306,7 +306,7 @@ def test_exponent_must_be_finite_and_above_one(p):
             run()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "p, pair", [(1.5, (5.359999999999999, 5.02)), (2.0, (2.38, 2.13)), (3.0, (0.76, 0.6))]
 )
@@ -320,7 +320,7 @@ def test_infinite_threshold_stops_at_the_first_non_finite_level(p, pair):
     assert record.richardson_pair == pair
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_infinite_threshold_system_stops_at_the_first_non_finite_level():
     sys = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
     grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=20.0, t_max=19.0)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from siwave.iteration import (
-    build_iteration_frame,
     critical_sequences,
     cusp_sequences,
     divergence_threshold,
@@ -39,30 +38,6 @@ SAMPLE = [
     for p in (1.5, 2.0, 3.0)
     for q in (1.5, 2.0, 3.0)
 ]
-
-
-def test_frame_weights_examples():
-    frame = build_iteration_frame(1, _system(0.0, 0.0, 2.0, 2.0))
-    assert frame.weight_u == 0.0 and frame.weight_v == 0.0
-    frame = build_iteration_frame(1, _system(2.0, 2.0, 2.0, 2.0))
-    assert frame.weight_u == -1.0 and frame.weight_v == -1.0
-    frame = build_iteration_frame(3, _system(1.0, 0.0, 2.0, 2.0))
-    assert frame.weight_u == -0.5
-
-
-def test_frame_weights_are_minus_one_at_any_admissible_cusp():
-    for n, s1, s2 in ((1, 2.0, 2.0), (1, 3.0, 2.0), (2, 1.0, 2.5), (3, 0.0, 0.0)):
-        cusp = cusp_exponents(n, s1, s2)
-        if not cusp.admissible:
-            continue
-        frame = build_iteration_frame(n, _system(s1, s2, cusp.p, cusp.q))
-        assert abs(frame.weight_u + 1.0) <= 1e-12
-        assert abs(frame.weight_v + 1.0) <= 1e-12
-
-
-def test_frame_constants_validated():
-    with pytest.raises(ValueError):
-        build_iteration_frame(1, _system(0.0, 0.0, 2.0, 2.0), constants=(1.0, 0.0, 1.0, 1.0))
 
 
 def test_subcritical_closed_form_example():
@@ -236,6 +211,12 @@ def test_divergence_threshold_critical_and_cusp():
     assert verdict.regime == "cusp"
     assert abs(verdict.threshold - want) <= 1e-12 * want
 
+    # both log regimes hold on z >= edge, with edge 2R (critical) and R (cusp)
+    for seq, edge in ((crit, 2.0), (cusp, 1.0)):
+        at_edge = divergence_threshold(seq, z=edge, R=1.0)
+        assert at_edge.domain_ok and at_edge.bracket == 0.0
+        assert not divergence_threshold(seq, z=0.9 * edge, R=1.0).domain_ok
+
 
 def test_divergence_thresholds_reproduce_lifespan_rates():
     # the eps-exponent of each threshold matches the predicted lifespan rate
@@ -285,8 +266,36 @@ def test_divergence_rejects_raw_subcritical_without_positive_branch():
         divergence_threshold(seq, z=5.0, R=1.0)
 
 
-def test_sequences_validate_inputs():
-    with pytest.raises(ValueError):
-        subcritical_sequences(1, _system(0.0, 0.0, 2.0, 2.0), M=0.0, eps=0.1, jmax=3)
-    with pytest.raises(ValueError):
-        cusp_sequences(1, _system(2.0, 2.0, 2.0, 2.0), M=1.0, eps=-0.1, jmax=3)
+BUILDERS = {
+    "subcritical": (subcritical_sequences, _system(0.0, 0.0, 2.0, 2.0)),
+    "critical": (critical_sequences, _system(2.0, 4.0, 2.0, 2.0)),
+    "cusp": (cusp_sequences, _system(2.0, 2.0, 2.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("M", 0.0), ("M", math.nan), ("M", math.inf),
+        ("eps", -0.1), ("eps", math.nan), ("eps", math.inf),
+        ("C", math.inf), ("C", math.nan), ("K", 0.0), ("K", math.nan),
+        ("jmax", -1), ("jmax", 2.5),
+    ],
+)
+def test_sequences_validate_inputs(family, name, value):
+    build, sysp = BUILDERS[family]
+    kwargs = {"M": 1.0, "eps": 0.1, "jmax": 3, "C": 1.0, "K": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        build(1, sysp, **kwargs)
+
+
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+@pytest.mark.parametrize(
+    "z, R", [(math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (2.0, math.nan), (2.0, -1.0)]
+)
+def test_divergence_threshold_validates_point(family, z, R):
+    build, sysp = BUILDERS[family]
+    seq = build(1, sysp, M=1.0, eps=0.1, jmax=3)
+    with pytest.raises(ValueError, match="need finite z > 0 and R > 0"):
+        divergence_threshold(seq, z=z, R=R)

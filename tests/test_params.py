@@ -207,6 +207,10 @@ def test_cusp_zeroes_both_branches():
             continue
         assert abs(lambda_curve(n + s1, cusp.p, cusp.q)) <= 1e-12
         assert abs(lambda_curve(n + s2, cusp.q, cusp.p)) <= 1e-12
+        # both (R+y)-weights of the coupled inequalities are exactly (R+y)^(-1)
+        p, q = cusp.p, cusp.q
+        assert abs(-(n - 1) * (p - 1) / 2 + s1 / 2 - s2 * p / 2 + 1.0) <= 1e-12
+        assert abs(-(n - 1) * (q - 1) / 2 + s2 / 2 - s1 * q / 2 + 1.0) <= 1e-12
         count += 1
 
 
