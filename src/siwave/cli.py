@@ -243,6 +243,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sequences(args) -> int:
+    # the divergence point is checked before any output: a bad --z or --R
+    # prints no table
+    if args.z is not None and not all(math.isfinite(v) and v > 0 for v in (args.z, args.R)):
+        raise ValueError(f"need finite z > 0 and R > 0, got z={args.z}, R={args.R}")
     comp1 = params_with_sigma(args.sigma1)
     comp2 = params_with_sigma(args.sigma2)
     sys_params = SystemParams(comp1=comp1, comp2=comp2, p=args.p, q=args.q)
@@ -274,7 +278,10 @@ def _cmd_sequences(args) -> int:
         print(f"wrote {path}")
     else:
         print("\n".join(lines))
-    if args.z is not None and not seq.regime_mismatch:
+    if args.z is not None and seq.regime_mismatch:
+        print(f"note: no divergence verdict at z={args.z}: raw off-regime sequences "
+              "carry no threshold", file=_sys.stderr)
+    elif args.z is not None:
         verdict = divergence_threshold(seq, z=args.z, R=args.R)
         print(
             f"divergence bracket at z={args.z}: {verdict.bracket:.6g} "

@@ -27,17 +27,23 @@ threshold (or a non-finite value appears); reaching t_max without crossing
 is reported as censored data (T >= t_max), never as a no-blow-up fact.
 
 Only the numerical light cone is stepped.  The data are sampled on
-|x| <= R; the window starts as the span of nodes where the data or the
+|x| <= R; the cone starts as the span of nodes where the data or the
 Taylor level are not +0.0, and grows by one node per level (the 3-point
 stencil spreads one node per step at any cfl), clipped at the grid ends,
-whose nodes keep a zero Laplacian.  Outside the window every update of a
-zero state is exactly +0.0, so the windowed run is bit-identical to
-stepping the whole grid.  A sampled source term can be nonzero anywhere,
-so a run with one steps the whole grid.  u^{k-1}, u^k and u^{k+1} are
-preallocated full-width buffers that rotate between levels; u_t and |u_t|
-have one full-width buffer each.  The step writes into them with in-place
-ufuncs in the order of the scheme's expression, and computes no term
-twice:
+whose nodes keep a zero Laplacian.  Levels are stepped in blocks of
+_BLOCK = 32 on one window per block: the cone at the block's last level,
+clipped to the grid.  Outside the cone every update of a zero state is
+exactly +0.0, so stepping the block window -- or the whole grid -- gives
+the same bits as stepping the cone level by level (_BLOCK = 1).  A sampled
+source term can be nonzero anywhere, so a run with one steps the whole
+grid.  u^{k-1}, u^k and u^{k+1} are preallocated full-width buffers that
+rotate between levels; u_t and |u_t| have one full-width buffer each.  At
+the start of a block every view a level needs is sliced once -- each u
+buffer's window, its Laplacian interior and that interior shifted by one
+node either way, and the windows of u_t, |u_t| and the scratch arrays --
+and the levels of the block rotate the views with the buffers.  The step
+writes into them with in-place ufuncs in the order of the scheme's
+expression, and computes no term twice:
 
   * |u_t| is taken once per level, for the blow-up test, into its own
     buffer; the next level's |u_t|^p forcing reads it from there;
@@ -55,12 +61,26 @@ twice:
 Stored rows are full width.
 
 Runs are sequential in time; independent runs (different eps or grids)
-share no mutable state.
+share no mutable state.  The two grids of a Richardson pair (refine=True)
+run side by side: a forked child runs the coarse grid and sends its
+(blow_up, T_est), or the exception it raised, back through a pipe, while
+the caller runs the fine grid (dx/2, about four times the work).  The
+caller raises the coarse run's exception before the fine run's, as the
+serial order would, and on any exception of its own kills and reaps the
+child.  The pair runs serially, coarse first, where the process cannot fork,
+may use only one CPU, or has a second thread (a fork could copy a lock that
+thread holds).  The outcome is the same bits either way; only the wall time
+of the call changes, and hooks or tracers in the caller do not see the
+child's work (such as sampling the coarse data).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -83,6 +103,10 @@ DEFAULT_THRESHOLD = 1e8
 
 #: Relative lifespan drift under grid halving accepted as converged.
 RICHARDSON_RTOL = 0.05
+
+#: Levels stepped on one window and one set of prebuilt buffer views; 1 is
+#: the plain level-by-level light-cone window.
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -107,24 +131,38 @@ class LifespanRecord:
             raise ValueError("censored record must carry the +inf marker")
 
 
-def _laplacian(
-    u: np.ndarray, two_u: np.ndarray, dx: float, w: slice, out: np.ndarray
-) -> np.ndarray:
-    """Centered u_xx on the nodes of window ``w``, written to and returned as
-    out[w]; ``two_u`` holds 2u on ``w``.  The two boundary nodes of the grid
-    get 0."""
-    n = len(u)
-    lo, hi = max(w.start, 1), min(w.stop, n - 1)
-    if lo < hi:
-        seg = out[lo:hi]
-        np.subtract(u[lo + 1 : hi + 1], two_u[lo:hi], out=seg)
-        np.add(seg, u[lo - 1 : hi - 1], out=seg)
-        np.divide(seg, dx * dx, out=seg)
-    if w.start == 0:
-        out[0] = 0.0
-    if w.stop == n:
-        out[n - 1] = 0.0
-    return out[w]
+class _Views(NamedTuple):
+    """Views of one full-width buffer on a window [lo, hi) of the grid: the
+    window, its interior nodes (the grid ends left out), that interior
+    shifted by -1 and by +1, and the window indices of the grid ends it
+    holds."""
+
+    win: np.ndarray
+    mid: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    ends: tuple[int, ...]
+
+
+def _views(a: np.ndarray, lo: int, hi: int) -> _Views:
+    n = len(a)
+    mlo = max(lo, 1)
+    mhi = max(min(hi, n - 1), mlo)
+    ends = tuple(i for i, end in ((0, lo == 0), (hi - lo - 1, hi == n)) if end and lo < hi)
+    return _Views(a[lo:hi], a[mlo:mhi], a[mlo - 1 : mhi - 1], a[mlo + 1 : mhi + 1], ends)
+
+
+def _laplacian(u: _Views, two_u: np.ndarray, dx: float, out: _Views) -> np.ndarray:
+    """Centered u_xx on the window of the views, written to and returned as
+    out.win; ``two_u`` holds 2u on the window's interior.  The boundary nodes
+    of the grid get 0."""
+    seg = out.mid
+    np.subtract(u.right, two_u, out=seg)
+    np.add(seg, u.left, out=seg)
+    np.divide(seg, dx * dx, out=seg)
+    for i in out.ends:
+        out.win[i] = 0.0
+    return out.win
 
 
 def _power(a: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -145,38 +183,38 @@ def _power(a: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndar
 
 
 def _advance(
-    u_prev: np.ndarray,
-    u_curr: np.ndarray,
+    u_prev: _Views,
+    u_curr: _Views,
+    u_next: _Views,
     rhs: np.ndarray,
     t: float,
     dt: float,
     dx: float,
     params: ScaleInvariantParams,
     massless: bool,
-    w: slice,
-    out: np.ndarray,
-    lap: np.ndarray,
+    lap: _Views,
     tmp: np.ndarray,
 ) -> np.ndarray:
-    """One leapfrog step with semi-implicit damping on the nodes of window
-    ``w``, written to out[w]; rhs is evaluated at level k on ``w``.
+    """One leapfrog step with semi-implicit damping on the window of the
+    views, written to and returned as u_next.win; rhs is evaluated at level k
+    on the window and ``tmp`` is window-sized scratch.
 
     Computes (2 u^k - (1-lam) u^{k-1} + dt^2 (u^k_xx - mass u^k + rhs)) / (1+lam)
     one operation per ufunc, in the order of that expression.  2 u^k is
-    written to out[w] first and the Laplacian reads it from there.
+    written to u_next.win first and the Laplacian reads it from there.
     ``massless`` (nu2 == 0 and a forcing that never holds -0.0) skips the
     product mass u^k, which leaves every bit as it is (see the module
     docstring).
     """
     lam = 0.5 * params.mu * dt / (1.0 + t)
-    new = np.multiply(u_curr[w], 2.0, out=out[w])
-    force = _laplacian(u_curr, out, dx, w, lap)
+    new = np.multiply(u_curr.win, 2.0, out=u_next.win)
+    force = _laplacian(u_curr, u_next.mid, dx, lap)
     if not massless:
         mass = params.nu2 / (1.0 + t) ** 2
-        np.subtract(force, np.multiply(u_curr[w], mass, out=tmp[w]), out=force)
+        np.subtract(force, np.multiply(u_curr.win, mass, out=tmp), out=force)
     np.add(force, rhs, out=force)
     np.multiply(force, dt * dt, out=force)
-    np.subtract(new, np.multiply(u_prev[w], 1.0 - lam, out=tmp[w]), out=new)
+    np.subtract(new, np.multiply(u_prev.win, 1.0 - lam, out=tmp), out=new)
     np.add(new, force, out=new)
     return np.divide(new, 1.0 + lam, out=new)
 
@@ -186,7 +224,8 @@ def _taylor_start(
     params: ScaleInvariantParams,
 ) -> np.ndarray:
     """First level u^1 = u0 + dt u1 + dt^2/2 (u0'' - mu u1 - nu2 u0 + rhs(0))."""
-    lap = _laplacian(U0, U0 * 2.0, dx, slice(0, len(U0)), np.empty_like(U0))
+    n = len(U0)
+    lap = _laplacian(_views(U0, 0, n), _views(U0 * 2.0, 0, n).mid, dx, _views(np.empty(n), 0, n))
     return U0 + dt * U1 + 0.5 * dt * dt * (lap - params.mu * U1 - params.nu2 * U0 + rhs0)
 
 
@@ -195,9 +234,10 @@ class _Component(NamedTuple):
 
     ``rhs(abs_ut_lag, t, w, out, tmp)`` maps the lagged |u_t| of every
     component (in run order) and the time of the level to this component's
-    forcing on the nodes of window ``w``, written to and returned as out[w]
-    (``tmp`` is scratch).  ``local`` says the forcing vanishes wherever every
-    lagged u_t does, so it never reaches past the numerical light cone.
+    forcing on the nodes of window ``w``, written to and returned as ``out``
+    (``tmp`` is scratch); the arrays are views on the window.  ``local``
+    says the forcing vanishes wherever every lagged u_t does, so it never
+    reaches past the numerical light cone.
     ``nonneg`` says the forcing never holds a negative value or -0.0, which
     lets a massless step skip its mass product bit-exactly.
     """
@@ -215,7 +255,7 @@ def _power_component(
     """Component forced by |u_t|^p of component ``src``; |0|^p = +0.0 for p > 0."""
 
     def rhs(abs_ut, t, w, out, tmp):
-        return _power(abs_ut[src][w], p, out[w], tmp[w])
+        return _power(abs_ut[src], p, out, tmp)
 
     return _Component(params, data, rhs, local=p > 0, nonneg=True)
 
@@ -241,6 +281,17 @@ def _support(arrays: list[np.ndarray]) -> tuple[int, int]:
     return (lo, hi) if lo < hi else (0, 0)
 
 
+def _check_run(
+    components: list[_Component], grid: GridSpec, threshold: float | None,
+    store_every: int | None = None,
+) -> None:
+    if store_every is not None and store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    if threshold is not None and not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    grid.validate_cone(max(c.data.R for c in components))
+
+
 def _run(
     components: list[_Component],
     grid: GridSpec,
@@ -254,11 +305,7 @@ def _run(
     (t, u, u_t) of component 0 are kept at every store_every-th level and
     at the last one.
     """
-    if store_every is not None and store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
-    if threshold is not None and not threshold > 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
-    grid.validate_cone(max(c.data.R for c in components))
+    _check_run(components, grid, threshold, store_every)
     xs = grid.xs()
     n = len(xs)
     dt, dx = grid.dt, grid.dx
@@ -294,29 +341,38 @@ def _run(
     # lagged |u_t| before the level overwrites it.  Overflow past the last
     # finite peak is the blow-up the loop detects, so it raises no warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, k_max + 1):
-            t_k = k * dt
+        for first in range(1, k_max + 1, _BLOCK):
+            levels = range(first, min(first + _BLOCK, k_max + 1))
+            # one window for the block: the cone at its last level
             if lo < hi:
-                lo, hi = max(lo - 1, 0), min(hi + 1, n)
+                lo, hi = max(lo - len(levels), 0), min(hi + len(levels), n)
             w = slice(lo, hi)
-            for c, ml, up, uc, un in zip(components, massless, u_prev, u_curr, u_next):
-                force = c.rhs(abs_ut, t_k, w, rhs, tmp)
-                _advance(up, uc, force, t_k, dt, dx, c.params, ml, w, un, lap, tmp)
-            # u^{k-1} is finite, so a non-finite u^{k+1} makes its peak max |u_t|
-            # non-finite; only then is u^{k+1} itself scanned
-            peaks = []
-            for un, up, v, a in zip(u_next, u_prev, ut, abs_ut):
-                du = np.subtract(un[w], up[w], out=v[w])
-                np.divide(du, 2.0 * dt, out=du)
-                peaks.append(float(np.abs(du, out=a[w]).max(initial=0.0)))
-            if not all(map(math.isfinite, peaks)) and not all(
-                np.isfinite(un[w]).all() for un in u_next
-            ):
-                return True, t_k + dt, rows
-            store(k, t_k, u_curr[0], ut[0])
-            if threshold is not None and any(peak > threshold for peak in peaks):
-                return True, t_k, rows
-            u_prev, u_curr, u_next = u_curr, u_next, u_prev
+            v_prev, v_curr, v_next = (
+                [_views(u, lo, hi) for u in level] for level in (u_prev, u_curr, u_next)
+            )
+            v_ut, v_abs = [v[w] for v in ut], [a[w] for a in abs_ut]
+            v_rhs, v_lap, v_tmp = rhs[w], _views(lap, lo, hi), tmp[w]
+            for k in levels:
+                t_k = k * dt
+                for c, ml, vp, vc, vn in zip(components, massless, v_prev, v_curr, v_next):
+                    force = c.rhs(v_abs, t_k, w, v_rhs, v_tmp)
+                    _advance(vp, vc, vn, force, t_k, dt, dx, c.params, ml, v_lap, v_tmp)
+                # u^{k-1} is finite, so a non-finite u^{k+1} makes its peak
+                # max |u_t| non-finite; only then is u^{k+1} itself scanned
+                peaks = []
+                for vn, vp, du, a in zip(v_next, v_prev, v_ut, v_abs):
+                    np.subtract(vn.win, vp.win, out=du)
+                    np.divide(du, 2.0 * dt, out=du)
+                    peaks.append(float(np.abs(du, out=a).max(initial=0.0)))
+                if not all(map(math.isfinite, peaks)) and not all(
+                    np.isfinite(vn.win).all() for vn in v_next
+                ):
+                    return True, t_k + dt, rows
+                store(k, t_k, u_curr[0], ut[0])
+                if threshold is not None and any(peak > threshold for peak in peaks):
+                    return True, t_k, rows
+                u_prev, u_curr, u_next = u_curr, u_next, u_prev
+                v_prev, v_curr, v_next = v_curr, v_next, v_prev
     return False, math.inf, rows
 
 
@@ -325,17 +381,107 @@ def _field(grid: GridSpec, rows: _Rows) -> SpacetimeField:
     return SpacetimeField(grid=grid, times=times, values=values, dvalues=dvalues)
 
 
+def _may_fork() -> bool:
+    """A child may run beside the caller: fork exists, a second CPU is
+    allowed, and no other thread could hold a lock across the fork."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _outcome(components: list[_Component], grid: GridSpec, threshold: float) -> tuple[bool, float]:
+    blow_up, t_est, _ = _run(components, grid, threshold)
+    return blow_up, t_est
+
+
+def _pickled_outcome(components: list[_Component], grid: GridSpec, threshold: float) -> bytes:
+    """The pickled outcome of one run, or the exception it raised.
+
+    Runs in the forked child, whose only report is the pipe, so every
+    exception (an interrupt too) is sent for the caller to raise.  One that
+    does not survive pickling is sent as None: the caller then runs the grid
+    itself and meets the exception first hand.
+    """
+    try:
+        return pickle.dumps(_outcome(components, grid, threshold))
+    except BaseException as exc:
+        try:
+            payload = pickle.dumps(exc)
+            pickle.loads(payload)
+        except Exception:
+            payload = pickle.dumps(None)
+        return payload
+
+
+def _pair(
+    components: list[_Component], coarse: GridSpec, fine: GridSpec, threshold: float
+) -> tuple[tuple[bool, float], tuple[bool, float]]:
+    """(blow_up, T_est) on the coarse and the fine grid.
+
+    When a child may run beside the caller, a forked child runs the coarse
+    grid and pickles its outcome (or the exception it raised) into a pipe
+    while the caller runs the fine grid; otherwise the two run one after the
+    other.  Either way the coarse run's exception is raised before the fine
+    run's, and no child outlives the call.
+    """
+    if not _may_fork():
+        return _outcome(components, coarse, threshold), _outcome(components, fine, threshold)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled_outcome(components, coarse, threshold))
+            status = 0
+        finally:
+            os._exit(status)
+    reaped = False
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            fine_error = None
+            try:
+                fine_out = _outcome(components, fine, threshold)
+            except Exception as exc:
+                fine_error = exc
+            payload = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        if not payload:
+            raise RuntimeError(f"coarse run ended without a result (wait status {status})")
+        coarse_out = pickle.loads(payload)
+        if coarse_out is None:
+            coarse_out = _outcome(components, coarse, threshold)
+        elif isinstance(coarse_out, BaseException):
+            raise coarse_out
+        if fine_error is not None:
+            raise fine_error
+        return coarse_out, fine_out
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _lifespan(
     components: list[_Component], grid: GridSpec, threshold: float, refine: bool
 ) -> LifespanRecord:
     """Lifespan record of one run, with the Richardson pair when ``refine``."""
-    blow_up, t_est, _ = _run(components, grid, threshold)
     pair = converged = None
     if refine:
-        blow_coarse, t_coarse = blow_up, t_est
-        blow_up, t_est, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
+        # validated here, not in a child: the fine grid shares the cone
+        fine = replace(grid, dx=0.5 * grid.dx)
+        _check_run(components, grid, threshold)
+        (blow_coarse, t_coarse), (blow_up, t_est) = _pair(components, grid, fine, threshold)
         pair = (t_coarse, t_est)
         converged = blow_coarse and blow_up and abs(t_coarse - t_est) <= RICHARDSON_RTOL * t_est
+    else:
+        blow_up, t_est = _outcome(components, grid, threshold)
     return LifespanRecord(
         eps=components[0].data.eps,
         T_est=t_est,
@@ -364,8 +510,8 @@ def solve_linear_fd(
     xs = grid.xs()
 
     def rhs(abs_ut, t, w, out, tmp):
-        out[w] = [src.f(t, float(x)) for x in xs[w]]
-        return out[w]
+        out[:] = [src.f(t, float(x)) for x in xs[w]]
+        return out
 
     # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
     # f may return -0.0, so the mass product stays even when nu2 == 0

@@ -272,6 +272,35 @@ def test_cli_sequences_rejects_bad_induction_input(capsys, flag, value, message)
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--z", "nan"), ("--z", "-1"), ("--R", "nan")])
+def test_cli_sequences_bad_divergence_point_prints_no_table(capsys, flag, value):
+    args = {"--z": "2", flag: value}
+    code = main(["sequences", "--mode", "cusp", "--p", "2", "--q", "2", "--sigma1", "2",
+                 "--sigma2", "2", "--jmax", "3", *(v for kv in args.items() for v in kv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "need finite z > 0 and R > 0" in captured.err
+
+
+def test_cli_sequences_raw_off_regime_notes_the_dropped_z(capsys):
+    # sigma2 = 1 puts (p, q) = (2, 2) off the critical set; raw sequences
+    # carry no divergence threshold, so --z gets a note on stderr and
+    # leaves stdout as it is without it
+    argv = ["sequences", "--mode", "critical", "--p", "2", "--q", "2", "--sigma1", "2",
+            "--sigma2", "1", "--jmax", "3", "--raw"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["--z", "3"]) == 0
+    with_z = capsys.readouterr()
+    assert "off the exact regime set" in with_z.out
+    assert with_z.out == plain.out
+    assert plain.err == ""
+    assert with_z.err == (
+        "note: no divergence verdict at z=3.0: raw off-regime sequences carry no threshold\n"
+    )
+
+
 def test_cli_verify_suites(capsys):
     for suite in ("exponents", "hypergeom", "kernels", "sequences", "comparison"):
         assert main(["verify", "--suite", suite]) == 0, suite

@@ -1,12 +1,18 @@
 """Finite-difference solver: scheme order, blow-up detection, system coupling."""
 
 import math
+import os
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from helpers import poly_bump, poly_bump_derivative, poly_profile
 
+from siwave import fd
 from siwave.fd import (
+    RICHARDSON_RTOL,
+    LifespanRecord,
     _power_component,
     _run,
     detect_lifespan,
@@ -25,6 +31,15 @@ P1 = ScaleInvariantParams(1.0, 0.0)
 P2 = ScaleInvariantParams(2.0, 0.0)
 
 ZERO_DATA = CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=1.0, eps=1.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    # a refined lifespan may fork a child for its coarse grid; none may
+    # outlive the call, running or unreaped
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_zero_state_is_a_fixed_point():
@@ -193,6 +208,11 @@ CROSS_SYSTEM = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
         (ScaleInvariantParams(3.0, 0.5), 1.7, 0.9, bump_profile(R=1.5, eps=0.3, amplitude=4.0)),
         (P1, 2.0, 0.5, bump_profile(R=1.0, eps=0.5, amplitude=8.0, u0_zero=True)),
         (CROSS_SYSTEM, None, 0.9, bump_profile(R=1.0, eps=0.6, amplitude=8.0)),
+        # censored after 125 levels, four blocks of 32 levels from 1, 33, 65
+        # and 97 (the last one 29 levels long): the window of the block from
+        # level 97 reaches the grid ends there, three levels before the cone
+        # does; with a mass product and the general power
+        (ScaleInvariantParams(4.0, 1.0), 1.8, 0.8, bump_profile(R=1.0, eps=0.4, amplitude=8.0)),
     ],
 )
 def test_windowed_stepper_matches_full_grid_reference(params, p, cfl, prof):
@@ -274,6 +294,185 @@ def test_window_clipped_at_the_grid_ends():
     assert last_ut[2] == float.fromhex("0x1.590a630dd8630p-34")
     assert last_ut[-3] == float.fromhex("0x1.590a630dd862dp-34")
     assert last_u[400] == float.fromhex("0x1.23cded3ddf356p+0")
+
+
+def test_block_size_leaves_every_bit(monkeypatch):
+    # a block of one level steps the per-level light-cone window; a longer
+    # block steps a wider window whose extra nodes hold a zero state and
+    # update to +0.0
+    params, prof = ScaleInvariantParams(4.0, 1.0), bump_profile(R=1.0, eps=0.4, amplitude=8.0)
+    grid = GridSpec(dx=1.0 / 25, cfl=0.8, x_max=5.0, t_max=4.0)
+    fields = []
+    for block in (1, 7, fd._BLOCK):
+        monkeypatch.setattr(fd, "_BLOCK", block)
+        fields.append(solve_semilinear_field(params, prof, 1.8, grid)[0])
+    for field in fields[1:]:
+        assert field.values.tobytes() == fields[0].values.tobytes()
+        assert field.dvalues.tobytes() == fields[0].dvalues.tobytes()
+
+
+@pytest.fixture(params=["forked", "serial"])
+def pair_forks(request, monkeypatch):
+    """Runs the Richardson pairs of a test in a forked child beside the
+    caller (where the host allows it) or one after the other; returns the
+    list of fork calls and the number each refined lifespan should make."""
+    expected = int(request.param == "forked" and fd._may_fork())
+    if request.param == "serial":
+        monkeypatch.setattr(fd, "_may_fork", lambda: False)
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls, expected
+
+
+def _serial_record(components, grid, threshold):
+    """The refined lifespan record made of two explicit runs, coarse first."""
+    blow_coarse, t_coarse, _ = _run(components, grid, threshold)
+    blow_fine, t_fine, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
+    return LifespanRecord(
+        eps=components[0].data.eps,
+        T_est=t_fine,
+        blow_up=blow_fine,
+        threshold_used=threshold,
+        grid=grid,
+        richardson_pair=(t_coarse, t_fine),
+        converged=blow_coarse and blow_fine and abs(t_coarse - t_fine) <= RICHARDSON_RTOL * t_fine,
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "system, p, prof, grid, threshold",
+    [
+        (None, 1.5, bump_profile(R=1.0, eps=0.5, amplitude=8.0),
+         GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0), 1e8),
+        (CROSS_SYSTEM, None, bump_profile(R=1.0, eps=0.6, amplitude=8.0),
+         GridSpec(dx=1.0 / 25, cfl=0.9, x_max=5.0, t_max=4.0), 1e8),
+        (None, 1.5, bump_profile(R=1.0, eps=0.01, amplitude=0.1),
+         GridSpec(dx=1.0 / 25, cfl=1.0, x_max=3.0, t_max=1.5), 1e8),
+        (None, 2.0, bump_profile(R=1.0, eps=0.5, amplitude=8.0),
+         GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0), math.inf),
+    ],
+    ids=["single", "cross-system", "censored", "non-finite-stop"],
+)
+def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, threshold):
+    forks, expected = pair_forks
+    if system is None:
+        components = [_power_component(P2, prof, 0, p)]
+        record = detect_lifespan(P2, prof, p, grid, threshold=threshold, refine=True)
+    else:
+        components = [
+            _power_component(system.comp1, prof, 1, system.p),
+            _power_component(system.comp2, prof, 0, system.q),
+        ]
+        record = detect_lifespan_system(system, prof, prof, grid, threshold=threshold, refine=True)
+    assert len(forks) == expected
+    assert record == _serial_record(components, grid, threshold)
+
+
+@pytest.mark.parametrize("bad_nodes", ["both grids", "fine grid only"])
+def test_refined_lifespan_raises_as_the_serial_pair(pair_forks, bad_nodes):
+    # the grids' first bad nodes differ, so the message tells which run
+    # raised: a serial pair raises the coarse run's error first
+    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
+    fine = replace(grid, dx=0.5 * grid.dx)
+    if bad_nodes == "both grids":
+        def bad(x):
+            return 0.49 < x <= 1.0
+    else:
+        def bad(x):
+            return abs(x) <= 1.0 and round((x + grid.x_max) / fine.dx) % 2 == 1
+
+    def u1(x):
+        if bad(x):
+            raise ValueError(f"u1 undefined at x = {x!r}")
+        return 0.0
+
+    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
+    components = [_power_component(P2, prof, 0, 1.5)]
+    with pytest.raises(ValueError) as fine_error:
+        _run(components, fine, 1e8)
+    with pytest.raises(ValueError) as serial_error:
+        _serial_record(components, grid, 1e8)
+    assert (str(serial_error.value) == str(fine_error.value)) == (bad_nodes == "fine grid only")
+    with pytest.raises(ValueError) as error:
+        detect_lifespan(P2, prof, 1.5, grid, refine=True)
+    assert str(error.value) == str(serial_error.value)
+    assert len(pair_forks[0]) == pair_forks[1]
+
+
+def test_unpicklable_coarse_error_is_raised_as_the_serial_pair(pair_forks):
+    # a local exception class does not pickle, so a forked child cannot send
+    # it; the caller then runs the coarse grid itself and raises it first hand
+    class LocalError(Exception):
+        pass
+
+    armed = []
+
+    def u1(x):
+        if armed:
+            raise LocalError(f"u1 undefined at x = {x!r}")
+        return 0.0
+
+    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
+    armed.append(True)  # the profile probes u1 once it is built
+    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
+    with pytest.raises(LocalError) as serial_error:
+        _serial_record([_power_component(P2, prof, 0, 1.5)], grid, 1e8)
+    with pytest.raises(LocalError) as error:
+        detect_lifespan(P2, prof, 1.5, grid, refine=True)
+    assert str(error.value) == str(serial_error.value)
+    assert len(pair_forks[0]) == pair_forks[1]
+
+
+def test_interrupted_refined_lifespan_leaves_no_child(pair_forks):
+    # the caller is interrupted in its own run; a coarse child, stalled in
+    # its sampler for 20 s, is killed and reaped rather than waited for
+    caller, armed = os.getpid(), []
+
+    def u1(x):
+        if armed and os.getpid() == caller:
+            raise KeyboardInterrupt
+        if armed:
+            armed.clear()
+            time.sleep(20.0)
+        return 0.0
+
+    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
+    armed.append(True)  # the profile probes u1 once it is built
+    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        detect_lifespan(P2, prof, 1.5, grid, refine=True)
+    assert time.monotonic() - start < 10.0
+    assert len(pair_forks[0]) == pair_forks[1]
+
+
+def test_coarse_child_that_dies_is_an_error(pair_forks):
+    # a child that exits without sending its outcome fails the call; a
+    # serial pair never leaves the caller, so it completes
+    caller = os.getpid()
+
+    def u1(x):
+        if os.getpid() != caller:
+            os._exit(3)
+        return 0.0
+
+    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
+    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
+    if pair_forks[1]:
+        with pytest.raises(RuntimeError, match="coarse run ended without a result"):
+            detect_lifespan(P2, prof, 1.5, grid, refine=True)
+    else:
+        assert detect_lifespan(P2, prof, 1.5, grid, refine=True).richardson_pair == (
+            math.inf, math.inf
+        )
+    assert len(pair_forks[0]) == pair_forks[1]
 
 
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
