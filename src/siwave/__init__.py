@@ -24,7 +24,6 @@ from .comparison import (
     comparison_blowup_z,
     empirical_frame,
     frame_for,
-    lifespan_rate_from_frame,
     reduce_solution,
     verify_fundamental_inequality,
 )
@@ -37,7 +36,7 @@ from .fd import (
     solve_semilinear_field,
 )
 from .grids import GridSpec, SpacetimeField
-from .hypergeom import ConvergenceError, hyp2f1, hyp2f1_lower_bound_check
+from .hypergeom import ConvergenceError, hyp2f1
 from .iteration import (
     CriticalSequences,
     CuspSequences,
@@ -54,7 +53,6 @@ from .kernels import (
     LightConeSample,
     kernel_E,
     kernel_K0_K1,
-    kernel_dbE_at_b0,
     light_cone_sample,
     verify_kernel_lower_bounds,
 )
@@ -67,7 +65,6 @@ from .params import (
     SystemParams,
     classify_system,
     cusp_exponents,
-    delta_of,
     fujita,
     glassey,
     lambda_curve,

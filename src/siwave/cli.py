@@ -15,7 +15,7 @@ Subcommands:
                    optional SVG chart), print the scaling fit
   sequences        emit iteration-sequence tables and the divergence
                    threshold for the chosen regime
-  verify           run the built-in property suites
+  comparison       closed-form comparison blow-up point
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime or
 convergence failure.  Relative output paths resolve against
@@ -54,7 +54,6 @@ from .params import (
     strauss,
 )
 from .profiles import bump_profile, zero_source
-from .selfcheck import run_suite
 
 __all__ = ["main"]
 
@@ -92,9 +91,27 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _cmd_exponents(args) -> int:
+    # every input is checked before the first line is printed: a failing
+    # command writes nothing to stdout
     params = ScaleInvariantParams(mu=args.mu, nu2=args.nu2)
     n = args.n
+    if n < 1:
+        raise ValueError(f"need space dimension n >= 1, got {n}")
+    if args.q is not None and args.p is None:
+        raise ValueError("--q requires --p")
     d = n + params.sigma
+    pred = None
+    if args.p is not None and args.q is None:
+        pred = predicted_lifespan_exponent(n, params, args.p)
+    if args.q is not None:
+        mu2 = args.mu2 if args.mu2 is not None else args.mu
+        nu22 = args.nu22 if args.nu22 is not None else args.nu2
+        sys_params = SystemParams(
+            comp1=params, comp2=ScaleInvariantParams(mu=mu2, nu2=nu22), p=args.p, q=args.q
+        )
+        report = classify_system(n, sys_params)
+        cusp = cusp_exponents(n, sys_params.sigma1, sys_params.sigma2)
+        sys_pred = lifespan_rate_system(n, sys_params)
     print(f"mu={params.mu} nu2={params.nu2} n={n}")
     print(f"delta = {params.delta:.12g}")
     print(f"gamma = {params.gamma:.12g}")
@@ -107,8 +124,7 @@ def _cmd_exponents(args) -> int:
         print("glassey(n+sigma) = inf (dimension <= 1)")
         print("strauss(n+sigma) = inf (dimension <= 1)")
     print(f"fujita(n+sigma)  = {fujita(d):.12g}")
-    if args.p is not None and args.q is None:
-        pred = predicted_lifespan_exponent(n, params, args.p)
+    if pred is not None:
         if pred.regime == "none":
             print(f"p={args.p}: no blow-up prediction (above the shifted Glassey exponent)")
         elif pred.regime == "algebraic":
@@ -116,30 +132,20 @@ def _cmd_exponents(args) -> int:
         else:
             print(f"p={args.p}: exponential lifespan rate, log T <~ eps^(-{pred.rate:.12g})")
     if args.q is not None:
-        if args.p is None:
-            raise ValueError("--q requires --p")
-        mu2 = args.mu2 if args.mu2 is not None else args.mu
-        nu22 = args.nu22 if args.nu22 is not None else args.nu2
-        sys_params = SystemParams(
-            comp1=params, comp2=ScaleInvariantParams(mu=mu2, nu2=nu22), p=args.p, q=args.q
-        )
-        report = classify_system(n, sys_params)
         print(f"system: sigma1={sys_params.sigma1:.12g} sigma2={sys_params.sigma2:.12g}")
         print(f"Lambda(n+sigma1,p,q) = {report.lambda1:.12g}")
         print(f"Lambda(n+sigma2,q,p) = {report.lambda2:.12g}")
         print(f"Omega = {report.omega:.12g}  regime = {report.regime}")
-        cusp = cusp_exponents(n, sys_params.sigma1, sys_params.sigma2)
         print(
             f"cusp exponents: p~={cusp.p:.12g} q~={cusp.q:.12g} "
             f"({'admissible' if cusp.admissible else 'inadmissible'})"
         )
-        pred = lifespan_rate_system(n, sys_params)
-        if pred.regime == "none":
+        if sys_pred.regime == "none":
             print("lifespan: no prediction (supercritical)")
-        elif pred.regime == "algebraic":
-            print(f"lifespan: T <~ eps^(-{pred.rate:.12g})  [{pred.branch}]")
+        elif sys_pred.regime == "algebraic":
+            print(f"lifespan: T <~ eps^(-{sys_pred.rate:.12g})  [{sys_pred.branch}]")
         else:
-            print(f"lifespan: log T <~ eps^(-{pred.rate:.12g})  [{pred.branch}]")
+            print(f"lifespan: log T <~ eps^(-{sys_pred.rate:.12g})  [{sys_pred.branch}]")
     return EXIT_OK
 
 
@@ -302,18 +308,6 @@ def _cmd_comparison(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    checks = run_suite(args.suite)
-    failures = 0
-    for name, ok, detail in checks:
-        status = "ok  " if ok else "FAIL"
-        suffix = f"  [{detail}]" if detail else ""
-        print(f"{status}  {name}{suffix}")
-        failures += not ok
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_RUNTIME
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="siwave",
@@ -390,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--eps", type=float, required=True)
     p_cmp.set_defaults(func=_cmd_comparison)
 
-    p_ver = sub.add_parser("verify", help="run the built-in property suites")
-    p_ver.add_argument(
-        "--suite", default="all",
-        choices=("all", "exponents", "hypergeom", "kernels", "sequences", "comparison"),
-    )
-    p_ver.set_defaults(func=_cmd_verify)
     return parser
 
 

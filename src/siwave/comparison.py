@@ -29,7 +29,7 @@ import numpy as np
 
 from .grids import FLOAT_FMT, SpacetimeField
 from .kernels import BoundReport
-from .params import LifespanPrediction, ScaleInvariantParams, algebraic_rate
+from .params import ScaleInvariantParams
 
 __all__ = [
     "ReducedTrace",
@@ -39,7 +39,6 @@ __all__ = [
     "verify_fundamental_inequality",
     "comparison_blowup_z",
     "comparison_blowup_log",
-    "lifespan_rate_from_frame",
     "frame_for",
     "empirical_frame",
 ]
@@ -295,16 +294,3 @@ def comparison_blowup_z(frame: ComparisonFrame, eps: float) -> float:
         return math.exp(log_rz) - frame.R
     except OverflowError:
         return math.inf
-
-
-def lifespan_rate_from_frame(frame: ComparisonFrame) -> LifespanPrediction:
-    """Lifespan rate implied by the frame: (p-1)/(1-a) below critical, p-1 at it.
-
-    Shares the rate formula with the exponent-algebra prediction, so the
-    two routes agree exactly on matching inputs.
-    """
-    if frame.a > 1.0 + CRITICAL_A_TOL:
-        return LifespanPrediction(regime="none", rate=None)
-    if frame.a >= 1.0 - CRITICAL_A_TOL:
-        return LifespanPrediction(regime="exponential", rate=frame.p - 1.0)
-    return LifespanPrediction(regime="algebraic", rate=algebraic_rate(frame.p, frame.a))

@@ -263,11 +263,22 @@ def _power_component(
 _Rows = list[tuple[float, np.ndarray, np.ndarray]]
 
 
-def _sample(f: Callable[[float], float], data: CauchyProfile, xs: np.ndarray) -> np.ndarray:
-    """eps*f on the nodes |x| <= R; +0.0 elsewhere (the data's support)."""
+def _sample(data: CauchyProfile, name: str, xs: np.ndarray) -> np.ndarray:
+    """eps*data.<name> on the nodes |x| <= R; +0.0 elsewhere (the data's support).
+
+    A non-finite sample raises: stepped, it would read as a blow-up at the
+    first level.
+    """
+    f = getattr(data, name)
     out = np.zeros(len(xs))
     inside = np.abs(xs) <= data.R
     out[inside] = [data.eps * f(float(x)) for x in xs[inside]]
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"datum {name} is not finite at node {k} (x={float(xs[k])!r}): {float(out[k])!r}"
+        )
     return out
 
 
@@ -319,8 +330,8 @@ def _run(
     # scratch for the forcing and the step, shared by all components
     rhs, lap, tmp = np.empty(n), np.empty(n), np.empty(n)
     full = slice(0, n)
-    u_prev = [_sample(c.data.u0, c.data, xs) for c in components]
-    ut = [_sample(c.data.u1, c.data, xs) for c in components]
+    u_prev = [_sample(c.data, "u0", xs) for c in components]
+    ut = [_sample(c.data, "u1", xs) for c in components]
     abs_ut = [np.abs(v) for v in ut]
     u_curr = [
         _taylor_start(u0, u1, c.rhs(abs_ut, 0.0, full, rhs, tmp), dt, dx, c.params)

@@ -77,7 +77,6 @@ __all__ = [
     "ConvergenceError",
     "hyp2f1",
     "hyp2f1_grid",
-    "hyp2f1_lower_bound_check",
 ]
 
 DEFAULT_TOL = 1e-13
@@ -421,15 +420,3 @@ def _block(plan: _Plan, z: np.ndarray, tol: float, max_terms: int, near_one: boo
         zf = z[~ok]
         value[~ok] = _direct(plan, zf, tol, max_terms, int(np.argmax(zf)))
     return value
-
-
-def hyp2f1_lower_bound_check(
-    a: float,
-    c: float,
-    zgrid: list[float] | np.ndarray,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """True iff F(a,a;c;z) >= 1 - tol for every z in the grid (needs c > 0)."""
-    if c <= 0:
-        raise ValueError(f"lower bound requires c > 0, got {c}")
-    return all(hyp2f1(a, a, c, z, tol=tol) >= 1.0 - tol for z in zgrid)

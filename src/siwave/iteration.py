@@ -87,6 +87,13 @@ def _regime_check(n: int, sys: SystemParams, wanted: str, raw: bool) -> bool:
     else:  # cusp
         ok = report.regime == "cusp"
     if not ok and not raw:
+        if report.regime == wanted:  # subcritical, led by the lambda2 branch
+            raise ValueError(
+                f"parameters are in regime 'subcritical', but the lambda2 branch "
+                f"dominates (lambda1 = {report.lambda1:.6g} < lambda2 = "
+                f"{report.lambda2:.6g}); relabel the components (swap p<->q and "
+                "sigma1<->sigma2), or pass raw=True to build the sequences anyway"
+            )
         raise ValueError(
             f"parameters are in regime '{report.regime}', not '{wanted}' "
             "(pass raw=True to build the sequences anyway)"

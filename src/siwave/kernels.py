@@ -38,7 +38,6 @@ __all__ = [
     "LightConeSample",
     "BoundReport",
     "kernel_E",
-    "kernel_dbE_at_b0",
     "kernel_K0_K1",
     "verify_kernel_lower_bounds",
     "light_cone_sample",
@@ -55,6 +54,8 @@ def _zeta(t: float, b: float, w: float) -> float:
 
 
 def _check_domain(t: float, b: float, w: float) -> None:
+    if not (math.isfinite(t) and math.isfinite(b) and math.isfinite(w)):
+        raise ValueError(f"kernel point must be finite, got t={t}, b={b}, y-x={w}")
     slack = CONE_SLACK * (1.0 + t)
     if t < 0 or b < -slack or b > t + slack:
         raise ValueError(f"point outside light-cone domain: t={t}, b={b}")
@@ -135,12 +136,6 @@ def _E_scalar(params: ScaleInvariantParams, t: float, b: float, w: float) -> flo
 def kernel_E(params: ScaleInvariantParams, pt: KernelPoint) -> float:
     """Source kernel E at a light-cone point (positive whenever delta >= 0)."""
     return _E_scalar(params, pt.t, pt.b, pt.y - pt.x)
-
-
-def kernel_dbE_at_b0(params: ScaleInvariantParams, t: float, x: float, y: float) -> float:
-    """d/db E(t,x;b,y) at b=0 (= -K0), from the analytic expansion."""
-    k0, _ = kernel_K0_K1(params, t, x, y)
-    return -k0
 
 
 def kernel_K0_K1(params: ScaleInvariantParams, t: float, x: float, y: float) -> tuple[float, float]:
@@ -247,6 +242,11 @@ def light_cone_sample(
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(x)):
         raise ValueError(f"sample bounds must be finite, got t_min={t_min}, t_max={t_max}, x={x}")
+    if not t_max > t_min:
+        raise ValueError(f"need t_max > t_min, got t_min={t_min}, t_max={t_max}")
+    for name, count in (("n_t", n_t), ("n_b", n_b), ("n_y", n_y)):
+        if not count >= 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
     ts = np.linspace(t_min, t_max, n_t + 1)[1:]
     if ts.size and ts.min() < 0.0:
         raise ValueError(f"point outside light-cone domain: t={ts.min()}")

@@ -22,7 +22,6 @@ __all__ = [
     "CriticalCurveReport",
     "CuspExponents",
     "LifespanPrediction",
-    "delta_of",
     "glassey",
     "fujita",
     "strauss",
@@ -30,17 +29,11 @@ __all__ = [
     "classify_system",
     "cusp_exponents",
     "predicted_lifespan_exponent",
-    "algebraic_rate",
     "params_with_sigma",
 ]
 
 #: Default tolerance used to decide that a critical-curve value is zero.
 CLASSIFY_TOL = 1e-12
-
-
-def delta_of(mu: float, nu2: float) -> float:
-    """Discriminant (mu-1)^2 - 4*nu2 of the lower-order coefficient pair."""
-    return (mu - 1.0) ** 2 - 4.0 * nu2
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,7 @@ class ScaleInvariantParams:
             raise ValueError(f"damping strength mu must be >= 0, got {self.mu}")
         if self.nu2 < 0:
             raise ValueError(f"mass-squared nu2 must be >= 0, got {self.nu2}")
-        delta = delta_of(self.mu, self.nu2)
+        delta = (self.mu - 1.0) ** 2 - 4.0 * self.nu2
         if delta < 0:
             raise ValueError(
                 f"delta = (mu-1)^2 - 4*nu2 = {delta} is negative; "
@@ -159,6 +152,11 @@ def lambda_curve(d: float, p: float, q: float) -> float:
     return (p + 1.0) / (p * q - 1.0) - (d - 1.0) / 2.0
 
 
+def _check_dimension(n: int) -> None:
+    if not n >= 1:
+        raise ValueError(f"need space dimension n >= 1, got {n}")
+
+
 @dataclass(frozen=True)
 class CriticalCurveReport:
     """Both branch values of the critical curve plus the regime label.
@@ -181,6 +179,7 @@ def classify_system(n: int, sys: SystemParams, tol: float = CLASSIFY_TOL) -> Cri
     the size of the terms entering it (so exact-zero classification survives
     floating-point inputs).
     """
+    _check_dimension(n)
     if tol <= 0:
         raise ValueError(f"classification tolerance must be > 0, got {tol}")
     p, q = sys.p, sys.q
@@ -243,16 +242,6 @@ class LifespanPrediction:
     rate: float | None
 
 
-def algebraic_rate(p: float, a: float) -> float:
-    """Rate (p-1)/(1-a) of the subcritical lifespan bound T <~ eps^(-rate).
-
-    ``a`` is the weight exponent (n+sigma-1)(p-1)/2 of the comparison
-    machinery; keeping a single code path for this formula makes the
-    exponent-algebra and comparison-module predictions bit-identical.
-    """
-    return (p - 1.0) / (1.0 - a)
-
-
 def predicted_lifespan_exponent(
     n: int, params: ScaleInvariantParams, p: float, tol: float = CLASSIFY_TOL
 ) -> LifespanPrediction:
@@ -262,12 +251,13 @@ def predicted_lifespan_exponent(
     (1/(p-1) - (n+sigma-1)/2)^(-1); at the exponent it is exponential with
     rate p-1; above it there is no blow-up prediction.
     """
-    if p <= 1:
-        raise ValueError(f"need p > 1, got {p}")
+    _check_dimension(n)
+    if not (math.isfinite(p) and p > 1):
+        raise ValueError(f"need finite p > 1, got {p}")
     d = n + params.sigma
     a = 0.5 * (d - 1.0) * (p - 1.0)
     if a > 1.0 + tol:
         return LifespanPrediction(regime="none", rate=None)
     if a >= 1.0 - tol:
         return LifespanPrediction(regime="exponential", rate=p - 1.0)
-    return LifespanPrediction(regime="algebraic", rate=algebraic_rate(p, a))
+    return LifespanPrediction(regime="algebraic", rate=(p - 1.0) / (1.0 - a))

@@ -28,7 +28,7 @@ from siwave.hypergeom import hyp2f1
 from siwave.iteration import critical_sequences, cusp_sequences, subcritical_sequences
 from siwave.kernels import (
     _E_scalar,
-    kernel_dbE_at_b0,
+    kernel_K0_K1,
     light_cone_sample,
     verify_kernel_lower_bounds,
 )
@@ -180,7 +180,7 @@ def test_criterion_5_kernel_bounds():
         params = ScaleInvariantParams(mu, nu2)
         t = float(rng.uniform(0.3, 15.0))
         w = float(rng.uniform(-0.95, 0.95)) * (t - 3 * h)
-        analytic = kernel_dbE_at_b0(params, t, 0.0, w)
+        analytic = -kernel_K0_K1(params, t, 0.0, w)[0]  # dE/db at b = 0
         fd = (
             -3.0 * _E_scalar(params, t, 0.0, w)
             + 4.0 * _E_scalar(params, t, h, w)

@@ -12,8 +12,6 @@ from siwave.comparison import (
     comparison_blowup_log,
     comparison_blowup_z,
     empirical_frame,
-    frame_for,
-    lifespan_rate_from_frame,
     reduce_solution,
     verify_fundamental_inequality,
 )
@@ -21,7 +19,7 @@ from siwave.fd import solve_semilinear_field
 from siwave.grids import GridSpec, SpacetimeField
 from siwave.kernels import light_cone_sample, verify_kernel_lower_bounds
 from siwave.linear import solve_linear_field
-from siwave.params import ScaleInvariantParams, predicted_lifespan_exponent
+from siwave.params import ScaleInvariantParams
 from siwave.profiles import bump_profile, zero_source
 from helpers import poly_profile
 
@@ -257,16 +255,3 @@ def test_blowup_z_critical_asymptotic_log_ratio():
     ratios = [comparison_blowup_log(frame, float(e)) / float(e) ** -(p - 1.0) for e in eps]
     spread = (max(ratios) - min(ratios)) / abs(ratios[-1])
     assert spread <= 0.02
-
-
-def test_lifespan_rate_matches_exponent_algebra_exactly():
-    for mu, nu2, p in ((2.0, 0.0, 1.5), (0.0, 0.0, 1.5), (1.0, 0.0, 1.7), (2.0, 0.0, 2.0)):
-        params = ScaleInvariantParams(mu, nu2)
-        frame = frame_for(1, params, p=p, R=1.0, M=1.0, C=1.0)
-        assert lifespan_rate_from_frame(frame) == predicted_lifespan_exponent(1, params, p)
-
-
-def test_lifespan_rate_no_prediction_above_critical():
-    frame = ComparisonFrame(M=1.0, C=1.0, p=3.0, a=2.0, R=1.0)
-    pred = lifespan_rate_from_frame(frame)
-    assert pred.regime == "none" and pred.rate is None

@@ -227,6 +227,25 @@ def test_cli_exponents_system(capsys):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--p", "nan"], "need finite p > 1"),
+        (["--p", "1"], "need finite p > 1"),
+        (["--n", "0"], "need space dimension n >= 1"),
+        (["--n", "0", "--p", "2"], "need space dimension n >= 1"),
+        (["--p", "2", "--q", "nan"], "exponent q must be finite"),
+        (["--q", "2"], "--q requires --p"),
+    ],
+    ids=["p-nan", "p-one", "n-zero", "n-zero-with-p", "q-nan", "q-without-p"],
+)
+def test_cli_exponents_bad_input_prints_nothing(capsys, args, message):
+    assert main(["exponents", "--mu", "2", "--nu2", "0", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "mode, args, digest",
     [
         # C = 1e4 puts j0 at 1 and z = 10 past the threshold t* = 5.89
@@ -283,6 +302,20 @@ def test_cli_sequences_bad_divergence_point_prints_no_table(capsys, flag, value)
     assert "need finite z > 0 and R > 0" in captured.err
 
 
+def test_cli_sequences_subcritical_led_by_lambda2_asks_for_relabelling(capsys):
+    # (p, q) = (1.5, 2) is subcritical, but on the lambda2 branch; the
+    # swapped system (2, 1.5) is the one the induction runs on
+    argv = ["sequences", "--mode", "subcritical", "--sigma1", "2", "--sigma2", "2",
+            "--jmax", "3"]
+    assert main(argv + ["--p", "1.5", "--q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not 'subcritical'" not in captured.err
+    assert "the lambda2 branch dominates (lambda1 = 0.25 < lambda2 = 0.5)" in captured.err
+    assert "swap p<->q and sigma1<->sigma2" in captured.err
+    assert main(argv + ["--p", "2", "--q", "1.5"]) == 0
+
+
 def test_cli_sequences_raw_off_regime_notes_the_dropped_z(capsys):
     # sigma2 = 1 puts (p, q) = (2, 2) off the critical set; raw sequences
     # carry no divergence threshold, so --z gets a note on stderr and
@@ -301,15 +334,10 @@ def test_cli_sequences_raw_off_regime_notes_the_dropped_z(capsys):
     )
 
 
-def test_cli_verify_suites(capsys):
-    for suite in ("exponents", "hypergeom", "kernels", "sequences", "comparison"):
-        assert main(["verify", "--suite", suite]) == 0, suite
-        assert "checks passed" in capsys.readouterr().out
-
-
 def test_cli_unknown_subcommand_is_usage_error(capsys):
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+    assert main(["verify"]) == 1
 
 
 def test_cli_bad_config_is_config_error(tmp_path, capsys):

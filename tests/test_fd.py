@@ -406,6 +406,38 @@ def test_refined_lifespan_raises_as_the_serial_pair(pair_forks, bad_nodes):
     assert len(pair_forks[0]) == pair_forks[1]
 
 
+@pytest.mark.parametrize("system", [False, True], ids=["single", "system"])
+def test_non_finite_datum_is_an_error_not_a_blow_up(pair_forks, system):
+    # stepped, a NaN datum would read as a blow-up at the first level
+    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
+    good = bump_profile(R=1.0, eps=0.5, amplitude=1.0)
+    bad = bump_profile(R=1.0, eps=0.5, amplitude=math.nan)
+    if system:
+        components = [
+            _power_component(CROSS_SYSTEM.comp1, good, 1, CROSS_SYSTEM.p),
+            _power_component(CROSS_SYSTEM.comp2, bad, 0, CROSS_SYSTEM.q),
+        ]
+
+        def lifespan(refine):
+            return detect_lifespan_system(CROSS_SYSTEM, good, bad, grid, refine=refine)
+    else:
+        components = [_power_component(P2, bad, 0, 1.5)]
+
+        def lifespan(refine):
+            return detect_lifespan(P2, bad, 1.5, grid, refine=refine)
+    xs = grid.xs()
+    k = int(np.flatnonzero(np.abs(xs) < 1.0)[0])  # the bump is 0.0 on |x| = R
+    message = f"datum u0 is not finite at node {k} (x={float(xs[k])!r}): nan"
+    with pytest.raises(ValueError) as serial_error:
+        _serial_record(components, grid, 1e8)
+    assert str(serial_error.value) == message
+    for refine in (False, True):
+        with pytest.raises(ValueError) as error:
+            lifespan(refine)
+        assert str(error.value) == message
+    assert len(pair_forks[0]) == pair_forks[1]
+
+
 def test_unpicklable_coarse_error_is_raised_as_the_serial_pair(pair_forks):
     # a local exception class does not pickle, so a forked child cannot send
     # it; the caller then runs the coarse grid itself and raises it first hand

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from siwave.hypergeom import (
-    ConvergenceError,
-    hyp2f1,
-    hyp2f1_grid,
-    hyp2f1_lower_bound_check,
-)
+from siwave.hypergeom import DEFAULT_TOL, ConvergenceError, hyp2f1, hyp2f1_grid
 
 # frozen from the 50-digit brute-force series oracle (see oracle_2f1 below)
 F_HALF_HALF_1_HALF = 1.180340599016096226
@@ -77,10 +72,13 @@ def test_monotone_in_z_for_equal_parameters():
 
 
 def test_lower_bound_check():
-    grid = [0.0, 0.5, 0.9, 0.99]
-    assert hyp2f1_lower_bound_check(0.5, 1.0, grid)  # gamma at delta = 0
-    assert hyp2f1_lower_bound_check(0.0, 1.0, grid)  # equality case F = 1
-    assert hyp2f1_lower_bound_check(-0.5, 1.0, [0.0, 0.5, 0.9])  # negative parameter
+    # F(a,a;c;z) >= 1 for c > 0: a = 0.5 is gamma at delta = 0, a = 0 the
+    # equality case F = 1, negative a the other side of it
+    grid = [0.0, 0.3, 0.5, 0.6, 0.9, 0.99]
+    for a in (-2.0, -0.5, 0.0, 0.5, 2.0):
+        for c in (1.0, 2.0):
+            for z in grid:
+                assert hyp2f1(a, a, c, z) >= 1.0 - DEFAULT_TOL, (a, c, z)
 
 
 def test_exact_lower_bound_above_half():
@@ -91,11 +89,6 @@ def test_exact_lower_bound_above_half():
         for c in (0.5, 1.25, 3.5):
             assert all(hyp2f1(a, a, c, float(z)) >= 1.0 for z in zs), (a, c)
             assert np.all(hyp2f1_grid(a, a, c, zs) >= 1.0), (a, c)
-
-
-def test_lower_bound_requires_positive_c():
-    with pytest.raises(ValueError):
-        hyp2f1_lower_bound_check(0.5, -1.5, [0.1])
 
 
 def test_pole_parameters_rejected():

@@ -12,7 +12,6 @@ from siwave.kernels import (
     _E_scalar,
     kernel_E,
     kernel_K0_K1,
-    kernel_dbE_at_b0,
     light_cone_sample,
     verify_kernel_lower_bounds,
 )
@@ -36,6 +35,20 @@ def test_kernel_point_domain_and_zeta():
         KernelPoint(t=1.0, x=0.0, b=0.0, y=1.5)  # outside the cone
     with pytest.raises(ValueError):
         KernelPoint(t=1.0, x=0.0, b=1.2, y=0.0)  # b > t
+    for t, x, b, y in (
+        (math.nan, 0.0, 0.0, 0.0),
+        (math.inf, 0.0, 0.0, 0.0),
+        (1.0, 0.0, math.nan, 0.0),
+        (1.0, math.nan, 0.0, 0.0),
+        (1.0, 0.0, 0.0, math.nan),
+        (math.inf, 0.0, 0.0, math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            KernelPoint(t=t, x=x, b=b, y=y)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_K0_K1(P2, math.nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_K0_K1(P2, 1.0, 0.0, math.inf)
 
 
 def test_zeta_clamped_on_the_cone():
@@ -63,9 +76,10 @@ def test_E_hypergeometric_point_value():
 
 
 def test_dbE_closed_forms_at_gamma_zero():
+    # dE/db at b = 0 is -K0
     for t in (0.5, 2.0, 7.0):
-        assert abs(kernel_dbE_at_b0(P2, t, 0.0, 0.3 * t) - 1.0 / (1.0 + t)) <= 1e-15
-        assert kernel_dbE_at_b0(P0, t, 0.0, 0.3 * t) == 0.0
+        assert abs(-kernel_K0_K1(P2, t, 0.0, 0.3 * t)[0] - 1.0 / (1.0 + t)) <= 1e-15
+        assert -kernel_K0_K1(P0, t, 0.0, 0.3 * t)[0] == 0.0
 
 
 @pytest.mark.parametrize("params", [P1, P3, ScaleInvariantParams(5.0, 4.0)])
@@ -76,7 +90,7 @@ def test_dbE_matches_one_sided_difference(params):
     for _ in range(25):
         t = rng.uniform(0.3, 10.0)
         w = rng.uniform(-0.9, 0.9) * (t - 3 * h)
-        analytic = kernel_dbE_at_b0(params, t, 0.0, w)
+        analytic = -kernel_K0_K1(params, t, 0.0, w)[0]
         fd = (
             -3.0 * _E_scalar(params, t, 0.0, w)
             + 4.0 * _E_scalar(params, t, h, w)
@@ -207,7 +221,8 @@ def test_sample_columns_match_a_point_loop_bitwise(args):
 def test_sample_len_truthiness_and_iteration():
     sample = light_cone_sample(6.0, 4, 3, 2, t_min=0.5, x=1.25)
     assert len(sample) == 24 and sample
-    assert not light_cone_sample(6.0, 0, 3, 2)
+    empty = np.empty(0)
+    assert not LightConeSample(t=empty, b=empty.copy(), y=empty.copy(), x=0.0)
     points = list(sample)
     assert len(points) == 24 and all(isinstance(pt, KernelPoint) for pt in points)
     for k in (0, 7, 23):
@@ -229,3 +244,11 @@ def test_sample_is_hashable_and_read_only():
 def test_sample_rejects_non_finite_bounds(t_max, x):
     with pytest.raises(ValueError, match="finite"):
         light_cone_sample(t_max, 2, 2, 2, x=x)
+    # counts below 1 and an empty or reversed time range name their field
+    for counts, field in (((0, 2, 2), "n_t"), ((-1, 2, 2), "n_t"), ((-3, 2, 2), "n_t"),
+                          ((2, 0, 2), "n_b"), ((2, 2, 0), "n_y")):
+        with pytest.raises(ValueError, match=field):
+            light_cone_sample(5.0, *counts)
+    for t_min, t_hi in ((2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="t_max > t_min"):
+            light_cone_sample(t_hi, 2, 2, 2, t_min=t_min)

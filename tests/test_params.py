@@ -10,7 +10,6 @@ from siwave.params import (
     SystemParams,
     classify_system,
     cusp_exponents,
-    delta_of,
     fujita,
     glassey,
     lambda_curve,
@@ -25,7 +24,7 @@ from siwave.params import (
     [(2.0, 0.0, 1.0), (0.0, 0.0, 1.0), (3.0, 0.75, 1.0), (1.0, 0.0, 0.0), (5.0, 4.0, 0.0)],
 )
 def test_delta_of(mu, nu2, expected):
-    assert delta_of(mu, nu2) == expected
+    assert ScaleInvariantParams(mu, nu2).delta == expected
 
 
 @pytest.mark.parametrize(
@@ -226,6 +225,27 @@ def test_predicted_lifespan_examples(mu, nu2, p, regime, rate):
     pred = predicted_lifespan_exponent(1, ScaleInvariantParams(mu, nu2), p)
     assert pred.regime == regime
     assert pred.rate == rate
+
+
+@pytest.mark.parametrize(
+    "n, p, message",
+    [
+        (1, math.nan, "finite p > 1"),
+        (1, math.inf, "finite p > 1"),
+        (1, 1.0, "finite p > 1"),
+        (0, 1.5, "n >= 1"),
+        (-1, 1.5, "n >= 1"),
+    ],
+)
+def test_predicted_lifespan_rejects_bad_input(n, p, message):
+    with pytest.raises(ValueError, match=message):
+        predicted_lifespan_exponent(n, ScaleInvariantParams(2.0, 0.0), p)
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_classify_rejects_dimension_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        classify_system(n, _system(0.0, 0.0, 2.0, 2.0))
 
 
 def test_predicted_lifespan_above_glassey():
