@@ -110,7 +110,10 @@ def _cmd_exponents(args) -> int:
             comp1=params, comp2=ScaleInvariantParams(mu=mu2, nu2=nu22), p=args.p, q=args.q
         )
         report = classify_system(n, sys_params)
-        cusp = cusp_exponents(n, sys_params.sigma1, sys_params.sigma2)
+        # the cusp point needs n+sigma > 1 on both components
+        cusp = None
+        if n + min(sys_params.sigma1, sys_params.sigma2) > 1:
+            cusp = cusp_exponents(n, sys_params.sigma1, sys_params.sigma2)
         sys_pred = lifespan_rate_system(n, sys_params)
     print(f"mu={params.mu} nu2={params.nu2} n={n}")
     print(f"delta = {params.delta:.12g}")
@@ -136,10 +139,13 @@ def _cmd_exponents(args) -> int:
         print(f"Lambda(n+sigma1,p,q) = {report.lambda1:.12g}")
         print(f"Lambda(n+sigma2,q,p) = {report.lambda2:.12g}")
         print(f"Omega = {report.omega:.12g}  regime = {report.regime}")
-        print(
-            f"cusp exponents: p~={cusp.p:.12g} q~={cusp.q:.12g} "
-            f"({'admissible' if cusp.admissible else 'inadmissible'})"
-        )
+        if cusp is None:
+            print("cusp exponents: undefined (n+sigma <= 1 on a component)")
+        else:
+            print(
+                f"cusp exponents: p~={cusp.p:.12g} q~={cusp.q:.12g} "
+                f"({'admissible' if cusp.admissible else 'inadmissible'})"
+            )
         if sys_pred.regime == "none":
             print("lifespan: no prediction (supercritical)")
         elif sys_pred.regime == "algebraic":

@@ -226,6 +226,18 @@ def test_cli_exponents_system(capsys):
     assert "p~=2" in out
 
 
+def test_cli_exponents_system_without_cusp_point(capsys):
+    # n + sigma = 1 on both components: the cusp point is undefined, but the
+    # classification and the lifespan rate are not
+    code = main(["exponents", "--mu", "0", "--nu2", "0", "--n", "1", "--p", "2", "--q", "2"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "Omega = 1  regime = subcritical\n" in captured.out
+    assert "cusp exponents: undefined (n+sigma <= 1 on a component)\n" in captured.out
+    assert "lifespan: T <~ eps^(-1)  [omega_positive]\n" in captured.out
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
@@ -314,6 +326,24 @@ def test_cli_sequences_subcritical_led_by_lambda2_asks_for_relabelling(capsys):
     assert "the lambda2 branch dominates (lambda1 = 0.25 < lambda2 = 0.5)" in captured.err
     assert "swap p<->q and sigma1<->sigma2" in captured.err
     assert main(argv + ["--p", "2", "--q", "1.5"]) == 0
+
+
+@pytest.mark.parametrize(
+    "mode, p, q, sigma, regime",
+    [("cusp", "2", "2", "0", "in regime 'subcritical', not 'cusp'"),
+     ("subcritical", "1.5", "2", "2", "the lambda2 branch dominates")],
+    ids=["off-regime", "lambda2-branch"],
+)
+def test_cli_sequences_regime_error_names_the_raw_flag(capsys, mode, p, q, sigma, regime):
+    code = main(["sequences", "--mode", mode, "--p", p, "--q", q, "--sigma1", sigma,
+                 "--sigma2", sigma, "--jmax", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert regime in captured.err
+    assert "pass raw=True (--raw on the command line) to build the sequences anyway" in (
+        captured.err
+    )
 
 
 def test_cli_sequences_raw_off_regime_notes_the_dropped_z(capsys):

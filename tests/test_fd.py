@@ -1,5 +1,6 @@
 """Finite-difference solver: scheme order, blow-up detection, system coupling."""
 
+import functools
 import math
 import os
 import time
@@ -24,7 +25,7 @@ from siwave.fd import (
 from siwave.grids import GridSpec
 from siwave.linear import solve_linear_point
 from siwave.params import ScaleInvariantParams, SystemParams
-from siwave.profiles import CauchyProfile, SourceTerm, bump_profile
+from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump_derivative
 
 P0 = ScaleInvariantParams(0.0, 0.0)
 P1 = ScaleInvariantParams(1.0, 0.0)
@@ -373,6 +374,110 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
         record = detect_lifespan_system(system, prof, prof, grid, threshold=threshold, refine=True)
     assert len(forks) == expected
     assert record == _serial_record(components, grid, threshold)
+
+
+def _window_edges(monkeypatch):
+    """The lower edge of every window the stepper advances in this process,
+    one entry per component and level."""
+    edges = []
+    advance = fd._advance
+
+    def spy(u_prev, u_curr, u_next, *args):
+        win = u_next.win
+        edges.append((win.ctypes.data - win.base.ctypes.data) // win.itemsize)
+        return advance(u_prev, u_curr, u_next, *args)
+
+    monkeypatch.setattr(fd, "_advance", spy)
+    return edges
+
+
+def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
+    # bump data are even: a lifespan run pins its window at the centre node
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    centre = len(grid.xs()) // 2
+    edges = _window_edges(monkeypatch)
+    assert detect_lifespan(P2, prof, 1.5, grid).blow_up
+    assert edges and set(edges) == {centre}
+    edges.clear()
+    assert detect_lifespan_system(CROSS_SYSTEM, prof, prof, grid).blow_up
+    assert edges and set(edges) == {centre}
+
+
+#: the criterion-9 sweep at dx = 1/100 and the seed-0 system_sweep benchmark
+#: sweep, as (system, eps, grid); every record is refined
+C9_GRID = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=93.5, t_max=92.0)
+SWEEP_SYSTEM = SystemParams(P2, P2, p=1.5, q=2.0)
+SWEEP_SYSTEM_GRID = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=25.0, t_max=24.0)
+EVEN_SWEEPS = [(False, 0.5 * 10.0 ** (-k / 4.0), C9_GRID) for k in range(7)] + [
+    (True, eps, SWEEP_SYSTEM_GRID) for eps in (0.25, 0.25 / math.sqrt(2.0), 0.125)
+]
+
+
+def _sweep_record(system, eps, grid):
+    prof = bump_profile(R=1.0, eps=eps, amplitude=8.0)
+    if system:
+        return detect_lifespan_system(SWEEP_SYSTEM, prof, prof, grid, refine=True)
+    return detect_lifespan(P2, prof, 1.5, grid, refine=True)
+
+
+@functools.cache
+def _full_window_record(system, eps, grid):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fd, "_even", lambda arrays: False)
+        return _sweep_record(system, eps, grid)
+
+
+@pytest.mark.parametrize(
+    "system, eps, grid", EVEN_SWEEPS,
+    ids=[f"c9-{k}" for k in range(7)] + [f"system-{k}" for k in range(3)],
+)
+def test_mirrored_lifespan_is_the_full_window_record(pair_forks, system, eps, grid):
+    # the mirrored run is the exactly even solution, the full window rounds
+    # (a-b)+c on one side and (c-b)+a on the other: no T_est, blow-up flag
+    # or Richardson pair of these sweeps may tell them apart
+    forks, expected = pair_forks
+    record = _sweep_record(system, eps, grid)
+    assert len(forks) == expected
+    assert record.blow_up
+    assert record == _full_window_record(system, eps, grid)
+
+
+ODD_DATA = CauchyProfile(
+    u0=lambda x: 0.0, u1=smooth_bump_derivative(1.0, 8.0), R=1.0, eps=0.5
+)
+
+
+@pytest.mark.parametrize("case", ["odd data", "one uneven component", "stored rows"])
+def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
+    # each run's window reaches left of the centre node, and its lifespan is
+    # the one of the whole-grid reference
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    edges = _window_edges(monkeypatch)
+    if case == "odd data":
+        t_ref = _full_grid_run([(P2, ODD_DATA, 0, 1.5)], grid)[0]
+        t_est = detect_lifespan(P2, ODD_DATA, 1.5, grid).T_est
+    elif case == "one uneven component":
+        c = CROSS_SYSTEM
+        t_ref = _full_grid_run([(c.comp1, prof, 1, c.p), (c.comp2, ODD_DATA, 0, c.q)], grid)[0]
+        t_est = detect_lifespan_system(c, prof, ODD_DATA, grid).T_est
+    else:
+        t_ref = _full_grid_run([(P2, prof, 0, 1.5)], grid)[0]
+        t_est = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)[1].T_est
+    assert t_est == t_ref
+    assert min(edges) < len(grid.xs()) // 2
+
+
+@pytest.mark.parametrize("x_max", [3.0, 3.1], ids=["one node", "three nodes"])
+def test_mirror_on_the_smallest_grids(monkeypatch, x_max):
+    # a one-node grid has no ghost node and steps its one node; on three
+    # nodes the ghost is the left grid end
+    grid = GridSpec(dx=6.0, cfl=1.0 / 6.0, x_max=x_max, t_max=2.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    record = detect_lifespan(P2, prof, 1.5, grid)
+    monkeypatch.setattr(fd, "_even", lambda arrays: False)
+    assert record == detect_lifespan(P2, prof, 1.5, grid)
 
 
 @pytest.mark.parametrize("bad_nodes", ["both grids", "fine grid only"])
