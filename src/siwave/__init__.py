@@ -51,8 +51,6 @@ from .kernels import (
     BoundReport,
     KernelPoint,
     LightConeSample,
-    kernel_E,
-    kernel_K0_K1,
     light_cone_sample,
     verify_kernel_lower_bounds,
 )

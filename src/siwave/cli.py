@@ -28,6 +28,8 @@ import argparse
 import math
 import sys as _sys
 
+import numpy as np
+
 from .comparison import ComparisonFrame, comparison_blowup_z
 from .experiments import SweepConfig, resolve_output_path, run_sweep, write_sweep_svg
 from .fd import lifespan_records_to_csv, solve_semilinear_field
@@ -40,7 +42,9 @@ from .iteration import (
     lifespan_rate_system,
     subcritical_sequences,
 )
-from .kernels import kernel_E, kernel_K0_K1, light_cone_sample, verify_kernel_lower_bounds
+from .kernels import (
+    _E, _data_kernels, _distance, _zeta, light_cone_sample, verify_kernel_lower_bounds,
+)
 from .linear import QuadratureError, solve_linear_field
 from .params import (
     ScaleInvariantParams,
@@ -170,18 +174,17 @@ def _cmd_kernels(args) -> int:
     print(f"all strictly positive: {report.all_positive}")
     if args.out:
         path = resolve_output_path(args.out)
+        t, b, y = sample.t, sample.b, sample.y
+        w = y - sample.x
+        mix, k1 = _data_kernels(params, t, w)
+        columns = (
+            t, np.full_like(t, sample.x), b, y, _zeta(t - b, w, _distance(t + b + 2.0, w)),
+            _E(params, t, b, w), mix - params.mu * k1, k1,
+        )
         with open(path, "w", encoding="ascii") as handle:
             handle.write("t,x,b,y,zeta,E,K0,K1\n")
-            for pt in sample:
-                k0, k1 = kernel_K0_K1(params, pt.t, pt.x, pt.y)
-                handle.write(
-                    ",".join(
-                        FLOAT_FMT % v
-                        for v in (pt.t, pt.x, pt.b, pt.y, pt.zeta,
-                                  kernel_E(params, pt), k0, k1)
-                    )
-                    + "\n"
-                )
+            for row in zip(*(c.tolist() for c in columns)):
+                handle.write(",".join(FLOAT_FMT % v for v in row) + "\n")
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -7,10 +7,10 @@ predicted scaling law:
     algebraic regime:    log T  = slope * log eps + intercept,
     exponential regime:  log log T = slope * log eps + intercept (T > 1 only).
 
-Fits use only uncensored records not flagged unconverged.  The default
-acceptance band of +-20% around the predicted slope is an exploratory
-convention: the underlying results are one-sided (upper bounds on T), so
-the fitted constant of T <= C*eps^(-rate) is reported alongside.
+Fits use only uncensored records not flagged unconverged.  The
+acceptance band ``PASS_BAND`` (+-20% of the predicted slope) is an
+exploratory convention: the underlying results are one-sided (upper bounds
+on T), so the fitted constant of T <= C*eps^(-rate) is reported alongside.
 
 Configurations serialize to JSON with exact field names for reproducible,
 diffable experiments; identical configurations produce bit-identical CSV
@@ -56,6 +56,12 @@ __all__ = [
 OUTPUT_DIR_ENV = "SIWAVE_OUTPUT_DIR"
 
 DATA_FAMILIES = ("smooth_bump",)
+
+#: Relative band around the predicted slope within which a fit passes.
+PASS_BAND = 0.2
+
+#: Pixel size of the sweep chart.
+SVG_WIDTH, SVG_HEIGHT = 640, 480
 
 
 def resolve_output_path(path: str) -> str:
@@ -190,9 +196,7 @@ def _usable(record: LifespanRecord) -> bool:
     return record.blow_up and math.isfinite(record.T_est) and record.converged is not False
 
 
-def _fit_records(
-    records: list[LifespanRecord], prediction, pass_band: float
-) -> tuple[ScalingFit | None, str]:
+def _fit_records(records: list[LifespanRecord], prediction) -> tuple[ScalingFit | None, str]:
     if prediction.regime == "none":
         return None, "fit unavailable: no blow-up prediction for these parameters"
     usable = [r for r in records if _usable(r)]
@@ -223,7 +227,7 @@ def _fit_records(
         r2=r2,
         predicted_slope=-rate,
         regime=prediction.regime,
-        pass_band=pass_band,
+        pass_band=PASS_BAND,
         n_used=len(usable),
         n_excluded=len(records) - len(usable),
         upper_bound_constant=upper_c,
@@ -231,7 +235,7 @@ def _fit_records(
     return fit, f"fit over {len(usable)} records{note_extra}"
 
 
-def run_sweep(config: SweepConfig, pass_band: float = 0.2) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Run one lifespan detection per eps, write the CSV, fit the scaling."""
     records: list[LifespanRecord] = []
     if config.model == "single":
@@ -281,7 +285,7 @@ def run_sweep(config: SweepConfig, pass_band: float = 0.2) -> SweepResult:
         if t_lo < t_hi:
             violations.append(eps_lo)
 
-    fit, note = _fit_records(records, prediction, pass_band)
+    fit, note = _fit_records(records, prediction)
     return SweepResult(
         config=config,
         records=records,
@@ -292,8 +296,9 @@ def run_sweep(config: SweepConfig, pass_band: float = 0.2) -> SweepResult:
     )
 
 
-def write_sweep_svg(result: SweepResult, path: str, width: int = 640, height: int = 480) -> None:
+def write_sweep_svg(result: SweepResult, path: str) -> None:
     """Minimal SVG log-log chart of the sweep (no plotting dependencies)."""
+    width, height = SVG_WIDTH, SVG_HEIGHT
     pts = [
         (math.log10(r.eps), math.log10(r.T_est))
         for r in result.records

@@ -371,7 +371,7 @@ def _run(
     # even data, |u_t|^p forcings (they keep parity) and no rows: step x >= 0
     # only, with node centre - 1 a ghost of node centre + 1
     centre = n // 2
-    mirror = store_every is None and local and n > 1 and _even(u_prev + ut)
+    mirror = store_every is None and local and _even(u_prev + ut)
     if mirror:
         for u in u_curr:
             u[centre - 1] = u[centre + 1]

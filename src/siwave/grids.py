@@ -1,8 +1,9 @@
 """Uniform spacetime grids and sampled fields.
 
-The x-interval [-x_max, x_max] must contain the full light cone of the data
-(x_max >= R + t_max), so numerical boundaries never activate: solutions
-with compactly supported data vanish identically near the grid edges.
+The grid's nodes must cover the full light cone of the data (last node
+>= R + t_max, up to rounding), so numerical boundaries never activate:
+solutions with compactly supported data vanish identically near the grid
+edges.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ __all__ = ["GridSpec", "SpacetimeField"]
 
 #: Text format for CSV payloads: 17 significant digits round-trips binary64.
 FLOAT_FMT = "%.17g"
+
+#: Relative rounding slack when the last node is compared with R + t_max.
+CONE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,12 +54,14 @@ class GridSpec:
         return math.ceil(self.t_max / self.dt - 1e-12)
 
     def validate_cone(self, R: float) -> None:
-        """Check the domain contains the light cone of data with radius R."""
+        """Check the nodes cover the light cone of data with radius R (the
+        last node, which rounding can leave up to dx/2 short of x_max)."""
         if not math.isfinite(R):
             raise ValueError(f"support radius must be finite, got {R}")
-        if self.x_max < R + self.t_max:
+        edge, reach = float(self.xs()[-1]), R + self.t_max
+        if reach - edge > CONE_RTOL * abs(reach):
             raise ValueError(
-                f"x_max={self.x_max} < R+t_max={R + self.t_max}: "
+                f"last node x={edge} < R+t_max={reach} (x_max={self.x_max}, dx={self.dx}): "
                 "light cone would reach the boundary"
             )
 

@@ -332,11 +332,9 @@ class SystemLifespanPrediction:
     curve: CriticalCurveReport
 
 
-def lifespan_rate_system(
-    n: int, sys: SystemParams, tol: float = 1e-12
-) -> SystemLifespanPrediction:
+def lifespan_rate_system(n: int, sys: SystemParams) -> SystemLifespanPrediction:
     """Predicted lifespan scaling of the coupled system."""
-    report = classify_system(n, sys, tol=tol)
+    report = classify_system(n, sys)
     p, q = sys.p, sys.q
     pq = p * q
     if report.regime == "subcritical":

@@ -8,11 +8,13 @@ Three kernels enter the solution formula (module :mod:`siwave.linear`):
 
 All three are built from power factors and F(gamma,gamma;1;zeta) with
 zeta = ((t-b)^2 - (y-x)^2) / ((t+b+2)^2 - (y-x)^2) in [0,1) on the
-light-cone domain 0 <= b <= t, |y-x| <= t-b.  zeta is always computed in
-the factored form ((t-b)+w)((t-b)-w) / ((t+b+2)+w)((t+b+2)-w) to avoid
+light-cone domain 0 <= b <= t, |y-x| <= t-b.  Each kernel has one
+evaluator, on arrays of points: :func:`_E` for E and :func:`_data_kernels`
+for (K0 + mu*K1, K1); both take zeta from :func:`_zeta`, which writes it
+in the factored form ((t-b)+w)((t-b)-w) / ((t+b+2)+w)((t+b+2)-w) to avoid
 cancellation near the light cone, where the hypergeometric argument must
-stay accurate; points within 1e-12*(1+t) of the cone are accepted and
-clamped onto it.
+stay accurate.  :class:`KernelPoint` accepts points within 1e-12*(1+t) of
+the cone, and zeta is clamped at 0 there.
 
 The solver's positivity arguments need the weighted minima of K1, E and
 K0 + mu*K1; :func:`verify_kernel_lower_bounds` reports those minima over a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +39,6 @@ __all__ = [
     "KernelPoint",
     "LightConeSample",
     "BoundReport",
-    "kernel_E",
-    "kernel_K0_K1",
     "verify_kernel_lower_bounds",
     "light_cone_sample",
 ]
@@ -47,22 +47,14 @@ __all__ = [
 CONE_SLACK = 1e-12
 
 
-def _zeta(t: float, b: float, w: float) -> float:
-    num = ((t - b) + w) * ((t - b) - w)
-    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
-    return max(0.0, num / den)
+def _distance(r, w):
+    """(r + w)(r - w): r^2 - w^2 in factored form."""
+    return (r + w) * (r - w)
 
 
-def _check_domain(t: float, b: float, w: float) -> None:
-    if not (math.isfinite(t) and math.isfinite(b) and math.isfinite(w)):
-        raise ValueError(f"kernel point must be finite, got t={t}, b={b}, y-x={w}")
-    slack = CONE_SLACK * (1.0 + t)
-    if t < 0 or b < -slack or b > t + slack:
-        raise ValueError(f"point outside light-cone domain: t={t}, b={b}")
-    if abs(w) > (t - b) + slack:
-        raise ValueError(
-            f"point outside light-cone domain: |y-x|={abs(w)} > t-b={t - b}"
-        )
+def _zeta(s, w, den):
+    """zeta at s = t - b, w = y - x, den = _distance(t + b + 2, w); >= 0 on the cone."""
+    return np.maximum(0.0, _distance(s, w) / den)
 
 
 @dataclass(frozen=True)
@@ -73,11 +65,18 @@ class KernelPoint:
     x: float
     b: float
     y: float
-    zeta: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _check_domain(self.t, self.b, self.y - self.x)
-        object.__setattr__(self, "zeta", _zeta(self.t, self.b, self.y - self.x))
+        t, b, w = self.t, self.b, self.y - self.x
+        if not (math.isfinite(t) and math.isfinite(b) and math.isfinite(w)):
+            raise ValueError(f"kernel point must be finite, got t={t}, b={b}, y-x={w}")
+        slack = CONE_SLACK * (1.0 + t)
+        if t < 0 or b < -slack or b > t + slack:
+            raise ValueError(f"point outside light-cone domain: t={t}, b={b}")
+        if abs(w) > (t - b) + slack:
+            raise ValueError(
+                f"point outside light-cone domain: |y-x|={abs(w)} > t-b={t - b}"
+            )
 
 
 def _E(params: ScaleInvariantParams, t, b, w, weight: float = 0.0):
@@ -89,15 +88,14 @@ def _E(params: ScaleInvariantParams, t, b, w, weight: float = 0.0):
     powers.
     """
     mu, gamma = params.mu, params.gamma
-    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
+    den = _distance(t + b + 2.0, w)
     value = (
         (1.0 + t) ** (-0.5 * mu + gamma + 0.5 * weight)
         * (1.0 + b) ** (0.5 * mu + gamma - 0.5 * weight)
         * den**-gamma
     )
     if gamma != 0.0:
-        zeta = np.maximum(0.0, ((t - b) + w) * ((t - b) - w) / den)
-        value = value * hyp2f1_grid(gamma, gamma, 1.0, zeta)
+        value = value * hyp2f1_grid(gamma, gamma, 1.0, _zeta(t - b, w, den))
     return value
 
 
@@ -112,9 +110,9 @@ def _data_kernels(params: ScaleInvariantParams, t, w, weight: float = 0.0, mixed
     is not evaluated.
     """
     mu, gamma = params.mu, params.gamma
-    den0 = ((t + 2.0) + w) * ((t + 2.0) - w)
+    den0 = _distance(t + 2.0, w)
     if gamma != 0.0:
-        zeta0 = np.maximum(0.0, (t + w) * (t - w) / den0)
+        zeta0 = _zeta(t, w, den0)
         f1 = hyp2f1_grid(gamma, gamma, 1.0, zeta0)
     else:
         f1 = np.ones_like(t)
@@ -127,23 +125,6 @@ def _data_kernels(params: ScaleInvariantParams, t, w, weight: float = 0.0, mixed
         combo = combo + 2.0 * gamma * (t + 2.0) / den0 * f1
         combo = combo - 4.0 * gamma**2 * (1.0 + t) * (w * w - t * (t + 2.0)) / (den0 * den0) * f2
     return prefactor * combo, prefactor * f1
-
-
-def _E_scalar(params: ScaleInvariantParams, t: float, b: float, w: float) -> float:
-    return float(_E(params, np.float64(t), np.float64(b), np.float64(w)))
-
-
-def kernel_E(params: ScaleInvariantParams, pt: KernelPoint) -> float:
-    """Source kernel E at a light-cone point (positive whenever delta >= 0)."""
-    return _E_scalar(params, pt.t, pt.b, pt.y - pt.x)
-
-
-def kernel_K0_K1(params: ScaleInvariantParams, t: float, x: float, y: float) -> tuple[float, float]:
-    """Data kernels (K0, K1) at (t,x;y): K1 = E(b=0), K0 = -dE/db|0."""
-    w = y - x
-    _check_domain(t, 0.0, w)
-    mix, k1 = _data_kernels(params, np.float64(t), np.float64(w))
-    return float(mix - params.mu * k1), float(k1)
 
 
 @dataclass(frozen=True)
@@ -208,9 +189,9 @@ class LightConeSample:
 
     Columns ``t``, ``b`` and ``y`` hold one entry per point; ``x`` is shared.
     ``len()`` is the point count, and iteration yields the points as
-    :class:`KernelPoint` records (with ``zeta``), built on demand.  The
-    columns are read-only; equality and hashing are by identity (compare
-    columns with ``np.array_equal``).
+    :class:`KernelPoint` records, built on demand.  The columns are
+    read-only; equality and hashing are by identity (compare columns with
+    ``np.array_equal``).
     """
 
     t: np.ndarray

@@ -32,7 +32,7 @@ __all__ = [
     "params_with_sigma",
 ]
 
-#: Default tolerance used to decide that a critical-curve value is zero.
+#: Relative tolerance below which a critical-curve value counts as zero.
 CLASSIFY_TOL = 1e-12
 
 
@@ -172,23 +172,21 @@ class CriticalCurveReport:
     regime: str
 
 
-def classify_system(n: int, sys: SystemParams, tol: float = CLASSIFY_TOL) -> CriticalCurveReport:
+def classify_system(n: int, sys: SystemParams) -> CriticalCurveReport:
     """Evaluate both critical-curve branches and classify the (p, q) pair.
 
-    A branch counts as zero when its magnitude is below ``tol`` relative to
-    the size of the terms entering it (so exact-zero classification survives
-    floating-point inputs).
+    A branch counts as zero when its magnitude is below ``CLASSIFY_TOL``
+    relative to the size of the terms entering it (so exact-zero
+    classification survives floating-point inputs).
     """
     _check_dimension(n)
-    if tol <= 0:
-        raise ValueError(f"classification tolerance must be > 0, got {tol}")
     p, q = sys.p, sys.q
     lam1 = lambda_curve(n + sys.sigma1, p, q)
     lam2 = lambda_curve(n + sys.sigma2, q, p)
     scale1 = max(1.0, (p + 1.0) / (p * q - 1.0), (n + sys.sigma1 - 1.0) / 2.0)
     scale2 = max(1.0, (q + 1.0) / (p * q - 1.0), (n + sys.sigma2 - 1.0) / 2.0)
-    zero1 = abs(lam1) <= tol * scale1
-    zero2 = abs(lam2) <= tol * scale2
+    zero1 = abs(lam1) <= CLASSIFY_TOL * scale1
+    zero2 = abs(lam2) <= CLASSIFY_TOL * scale2
     omega = max(lam1, lam2)
     if zero1 and zero2:
         regime = "cusp"
@@ -242,9 +240,7 @@ class LifespanPrediction:
     rate: float | None
 
 
-def predicted_lifespan_exponent(
-    n: int, params: ScaleInvariantParams, p: float, tol: float = CLASSIFY_TOL
-) -> LifespanPrediction:
+def predicted_lifespan_exponent(n: int, params: ScaleInvariantParams, p: float) -> LifespanPrediction:
     """Lifespan rate for the single equation at shifted dimension n+sigma.
 
     Below the shifted Glassey exponent the bound is algebraic with rate
@@ -256,8 +252,8 @@ def predicted_lifespan_exponent(
         raise ValueError(f"need finite p > 1, got {p}")
     d = n + params.sigma
     a = 0.5 * (d - 1.0) * (p - 1.0)
-    if a > 1.0 + tol:
+    if a > 1.0 + CLASSIFY_TOL:
         return LifespanPrediction(regime="none", rate=None)
-    if a >= 1.0 - tol:
+    if a >= 1.0 - CLASSIFY_TOL:
         return LifespanPrediction(regime="exponential", rate=p - 1.0)
     return LifespanPrediction(regime="algebraic", rate=(p - 1.0) / (1.0 - a))

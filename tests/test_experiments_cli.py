@@ -5,7 +5,9 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy.special
 
 from siwave.cli import main
 from siwave.experiments import (
@@ -15,7 +17,7 @@ from siwave.experiments import (
     write_sweep_svg,
 )
 from siwave.grids import FLOAT_FMT, GridSpec
-from siwave.kernels import kernel_E, kernel_K0_K1, light_cone_sample
+from siwave.kernels import _data_kernels, _E, light_cone_sample
 from siwave.params import ScaleInvariantParams
 
 
@@ -412,7 +414,10 @@ def test_cli_solve_semilinear(tmp_path, capsys):
     assert out.read_text().splitlines()[0].startswith("eps,")
 
 
-def test_cli_kernels_writes_sample_table(tmp_path, capsys):
+KERNEL_TABLE_SAMPLE = dict(t_max=6.0, n_t=3, n_b=2, n_y=4)
+
+
+def _kernel_table(tmp_path, capsys) -> list[str]:
     out = tmp_path / "kernels.csv"
     code = main([
         "kernels", "--mu", "3", "--nu2", "0", "--t-max", "6",
@@ -423,11 +428,50 @@ def test_cli_kernels_writes_sample_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,x,b,y,zeta,E,K0,K1"
     assert len(lines) == 1 + 3 * 2 * 4
+    return lines[1:]
+
+
+def test_cli_kernels_writes_sample_table(tmp_path, capsys):
+    rows = _kernel_table(tmp_path, capsys)
     params = ScaleInvariantParams(3.0, 0.0)
-    pt = list(light_cone_sample(t_max=6.0, n_t=3, n_b=2, n_y=4))[13]
-    k0, k1 = kernel_K0_K1(params, pt.t, pt.x, pt.y)
-    want = (pt.t, pt.x, pt.b, pt.y, pt.zeta, kernel_E(params, pt), k0, k1)
-    assert lines[1 + 13] == ",".join(FLOAT_FMT % v for v in want)
+    sample = light_cone_sample(**KERNEL_TABLE_SAMPLE)
+    t, b, w = sample.t, sample.b, sample.y - sample.x
+    mix, k1 = _data_kernels(params, t, w)
+    kernels = zip(_E(params, t, b, w).tolist(), (mix - params.mu * k1).tolist(), k1.tolist())
+    for row, pt, (e, k0, k1_) in zip(rows, sample, kernels, strict=True):
+        # zeta in plain float arithmetic, in the factored form
+        d, s, r = pt.y - pt.x, pt.t - pt.b, pt.t + pt.b + 2.0
+        zeta = max(0.0, (s + d) * (s - d) / ((r + d) * (r - d)))
+        want = (pt.t, pt.x, pt.b, pt.y, zeta, e, k0, k1_)
+        assert row == ",".join(FLOAT_FMT % v for v in want)
+
+
+def test_cli_kernel_table_matches_scipy_oracle(tmp_path, capsys):
+    # the closed forms of E, K1 and K0 = (K0 + mu*K1) - mu*K1, with the
+    # hypergeometric factors from scipy.special.hyp2f1
+    table = np.array([[float(v) for v in row.split(",")] for row in _kernel_table(tmp_path, capsys)])
+    t, x, b, y = table[:, :4].T
+    mu, gamma = 3.0, ScaleInvariantParams(3.0, 0.0).gamma
+    w = y - x
+    den = ((t + b + 2.0) + w) * ((t + b + 2.0) - w)
+    zeta = ((t - b) + w) * ((t - b) - w) / den
+    e = (
+        (1.0 + t) ** (-0.5 * mu + gamma) * (1.0 + b) ** (0.5 * mu + gamma) * den**-gamma
+        * scipy.special.hyp2f1(gamma, gamma, 1.0, zeta)
+    )
+    den0 = ((t + 2.0) + w) * ((t + 2.0) - w)
+    zeta0 = (t + w) * (t - w) / den0
+    f1 = scipy.special.hyp2f1(gamma, gamma, 1.0, zeta0)
+    f2 = scipy.special.hyp2f1(gamma + 1.0, gamma + 1.0, 2.0, zeta0)
+    prefactor = (1.0 + t) ** (-0.5 * mu + gamma) * den0**-gamma
+    k1 = prefactor * f1
+    mix = prefactor * (
+        (0.5 * mu - gamma) * f1
+        + 2.0 * gamma * (t + 2.0) / den0 * f1
+        - 4.0 * gamma**2 * (1.0 + t) * (w * w - t * (t + 2.0)) / (den0 * den0) * f2
+    )
+    for k, name, oracle in ((5, "E", e), (6, "K0", mix - mu * k1), (7, "K1", k1)):
+        np.testing.assert_allclose(table[:, k], oracle, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_cli_store_every_must_be_positive(capsys):

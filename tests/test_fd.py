@@ -471,10 +471,14 @@ def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
 
 @pytest.mark.parametrize("x_max", [3.0, 3.1], ids=["one node", "three nodes"])
 def test_mirror_on_the_smallest_grids(monkeypatch, x_max):
-    # a one-node grid has no ghost node and steps its one node; on three
-    # nodes the ghost is the left grid end
+    # x_max = R + t_max rounds to a one-node grid at x = 0, which cannot
+    # hold the cone; on three nodes the ghost is the left grid end
     grid = GridSpec(dx=6.0, cfl=1.0 / 6.0, x_max=x_max, t_max=2.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    if len(grid.xs()) == 1:
+        with pytest.raises(ValueError, match="light cone"):
+            detect_lifespan(P2, prof, 1.5, grid)
+        return
     record = detect_lifespan(P2, prof, 1.5, grid)
     monkeypatch.setattr(fd, "_even", lambda arrays: False)
     assert record == detect_lifespan(P2, prof, 1.5, grid)

@@ -1,5 +1,7 @@
 """Grid/field plumbing and data-profile validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,19 @@ def test_gridspec_validation():
     grid.validate_cone(R=1.0)
     with pytest.raises(ValueError, match="light cone"):
         grid.validate_cone(R=1.5)
+
+
+@pytest.mark.parametrize(
+    "dx, x_max, t_max, R", [(0.3, 1.3, 0.3, 1.0), (0.25, 4.1, 3.0, 1.1)]
+)
+def test_validate_cone_checks_the_last_node(dx, x_max, t_max, R):
+    # x_max = R + t_max, but the last node dx*round(x_max/dx) falls short of it
+    grid = GridSpec(dx=dx, cfl=1.0, x_max=x_max, t_max=t_max)
+    assert grid.xs()[-1] < R + t_max - 0.05
+    with pytest.raises(ValueError, match="light cone"):
+        grid.validate_cone(R)
+    # a half-width one node further out holds the cone
+    replace(grid, x_max=x_max + dx).validate_cone(R)
 
 
 @pytest.mark.parametrize(

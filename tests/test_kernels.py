@@ -9,9 +9,10 @@ from siwave.hypergeom import hyp2f1
 from siwave.kernels import (
     KernelPoint,
     LightConeSample,
-    _E_scalar,
-    kernel_E,
-    kernel_K0_K1,
+    _data_kernels,
+    _distance,
+    _E,
+    _zeta,
     light_cone_sample,
     verify_kernel_lower_bounds,
 )
@@ -26,11 +27,36 @@ P3 = ScaleInvariantParams(3.0, 0.0)  # delta = 4, gamma = -1/2
 F_HALF_AT_QUARTER = 1.0731820071493643751
 
 
+def _cols(*values):
+    """Float arrays, at least 1-d, that broadcast against each other."""
+    return tuple(np.atleast_1d(np.asarray(v, dtype=float)) for v in values)
+
+
+def _zeta_at(t, b, w):
+    t, b, w = _cols(t, b, w)
+    return _zeta(t - b, w, _distance(t + b + 2.0, w))
+
+
+def _E_at(params, t, b, w):
+    return _E(params, *_cols(t, b, w))
+
+
+def _K0_K1(params, t, w):
+    """(K0, K1) columns: K0 = (K0 + mu*K1) - mu*K1."""
+    mix, k1 = _data_kernels(params, *_cols(t, w))
+    return mix - params.mu * k1, k1
+
+
+def _sample_E(params, sample):
+    return _E(params, sample.t, sample.b, sample.y - sample.x)
+
+
 def test_kernel_point_domain_and_zeta():
-    pt = KernelPoint(t=2.0, x=0.0, b=0.5, y=1.0)
-    assert 0.0 <= pt.zeta < 1.0
+    KernelPoint(t=2.0, x=0.0, b=0.5, y=1.0)
+    zeta = _zeta_at(2.0, 0.5, 1.0)[0]
+    assert 0.0 <= zeta < 1.0
     expected = ((2.0 - 0.5) ** 2 - 1.0) / ((2.0 + 0.5 + 2.0) ** 2 - 1.0)
-    assert abs(pt.zeta - expected) < 1e-15
+    assert abs(zeta - expected) < 1e-15
     with pytest.raises(ValueError):
         KernelPoint(t=1.0, x=0.0, b=0.0, y=1.5)  # outside the cone
     with pytest.raises(ValueError):
@@ -45,41 +71,35 @@ def test_kernel_point_domain_and_zeta():
     ):
         with pytest.raises(ValueError, match="finite"):
             KernelPoint(t=t, x=x, b=b, y=y)
-    with pytest.raises(ValueError, match="finite"):
-        kernel_K0_K1(P2, math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError, match="finite"):
-        kernel_K0_K1(P2, 1.0, 0.0, math.inf)
 
 
 def test_zeta_clamped_on_the_cone():
-    pt = KernelPoint(t=1.0, x=0.0, b=0.0, y=1.0)
-    assert pt.zeta == 0.0
-    # within rounding slack of the cone: accepted, zeta clamped to >= 0
-    pt = KernelPoint(t=1.0, x=0.0, b=0.0, y=1.0 + 1e-13)
-    assert pt.zeta == 0.0
+    # on the cone, and within rounding slack of it (accepted as a point):
+    # zeta is clamped to >= 0
+    KernelPoint(t=1.0, x=0.0, b=0.0, y=1.0 + 1e-13)
+    assert _zeta_at([1.0, 1.0], [0.0, 0.0], [1.0, 1.0 + 1e-13]).tolist() == [0.0, 0.0]
 
 
 def test_E_is_one_without_damping_and_mass():
-    for pt in light_cone_sample(8.0, 5, 4, 4):
-        assert kernel_E(P0, pt) == 1.0
+    assert (_sample_E(P0, light_cone_sample(8.0, 5, 4, 4)) == 1.0).all()
 
 
 def test_E_closed_form_for_mu_two():
-    for pt in light_cone_sample(8.0, 5, 4, 4):
-        assert abs(kernel_E(P2, pt) - (1.0 + pt.b) / (1.0 + pt.t)) <= 1e-15
+    sample = light_cone_sample(8.0, 5, 4, 4)
+    closed = (1.0 + sample.b) / (1.0 + sample.t)
+    assert np.abs(_sample_E(P2, sample) - closed).max() <= 1e-15
 
 
 def test_E_hypergeometric_point_value():
     # gamma = 1/2 at t=2, b=0, y=x: E = (16)^(-1/2) F(1/2,1/2;1;4/16)
-    pt = KernelPoint(t=2.0, x=0.0, b=0.0, y=0.0)
-    assert abs(kernel_E(P1, pt) - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
+    assert abs(_E_at(P1, 2.0, 0.0, 0.0)[0] - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
 
 
 def test_dbE_closed_forms_at_gamma_zero():
     # dE/db at b = 0 is -K0
-    for t in (0.5, 2.0, 7.0):
-        assert abs(-kernel_K0_K1(P2, t, 0.0, 0.3 * t)[0] - 1.0 / (1.0 + t)) <= 1e-15
-        assert -kernel_K0_K1(P0, t, 0.0, 0.3 * t)[0] == 0.0
+    t = np.array([0.5, 2.0, 7.0])
+    assert np.abs(-_K0_K1(P2, t, 0.3 * t)[0] - 1.0 / (1.0 + t)).max() <= 1e-15
+    assert (-_K0_K1(P0, t, 0.3 * t)[0] == 0.0).all()
 
 
 @pytest.mark.parametrize("params", [P1, P3, ScaleInvariantParams(5.0, 4.0)])
@@ -87,36 +107,39 @@ def test_dbE_matches_one_sided_difference(params):
     # 2nd-order one-sided stencil in b (centered would leave the domain)
     h = 1e-5
     rng = np.random.default_rng(5)
+    points = []
     for _ in range(25):
         t = rng.uniform(0.3, 10.0)
-        w = rng.uniform(-0.9, 0.9) * (t - 3 * h)
-        analytic = -kernel_K0_K1(params, t, 0.0, w)[0]
-        fd = (
-            -3.0 * _E_scalar(params, t, 0.0, w)
-            + 4.0 * _E_scalar(params, t, h, w)
-            - _E_scalar(params, t, 2 * h, w)
-        ) / (2.0 * h)
-        assert abs(analytic - fd) <= 1e-8 * max(1.0, abs(analytic))
+        points.append((t, rng.uniform(-0.9, 0.9) * (t - 3 * h)))
+    t, w = np.array(points).T
+    analytic = -_K0_K1(params, t, w)[0]
+    fd = (
+        -3.0 * _E_at(params, t, 0.0, w)
+        + 4.0 * _E_at(params, t, h, w)
+        - _E_at(params, t, 2 * h, w)
+    ) / (2.0 * h)
+    assert (np.abs(analytic - fd) <= 1e-8 * np.maximum(1.0, np.abs(analytic))).all()
 
 
 def test_K0_K1_closed_forms():
-    for t in (0.5, 2.0, 7.0):
-        k0, k1 = kernel_K0_K1(P2, t, 0.0, 0.2)
-        assert abs(k0 + 1.0 / (1.0 + t)) <= 1e-15
-        assert abs(k1 - 1.0 / (1.0 + t)) <= 1e-15
-        assert kernel_K0_K1(P0, t, 0.0, 0.2) == (0.0, 1.0)
+    t = np.array([0.5, 2.0, 7.0])
+    k0, k1 = _K0_K1(P2, t, 0.2)
+    assert np.abs(k0 + 1.0 / (1.0 + t)).max() <= 1e-15
+    assert np.abs(k1 - 1.0 / (1.0 + t)).max() <= 1e-15
+    k0, k1 = _K0_K1(P0, t, 0.2)
+    assert (k0 == 0.0).all() and (k1 == 1.0).all()
 
 
 def test_K1_equals_E_at_b_zero_bitwise():
+    t, y = np.array([(0.7, 0.3), (4.0, -2.2), (12.0, 6.0)]).T
     for params in (P1, P2, P3):
-        for t, y in ((0.7, 0.3), (4.0, -2.2), (12.0, 6.0)):
-            _, k1 = kernel_K0_K1(params, t, 0.0, y)
-            assert k1 == kernel_E(params, KernelPoint(t=t, x=0.0, b=0.0, y=y))
+        _, k1 = _K0_K1(params, t, y)
+        assert k1.tobytes() == _E_at(params, t, 0.0, y).tobytes()
 
 
 def test_K1_hypergeometric_point_value():
-    _, k1 = kernel_K0_K1(P1, 2.0, 0.0, 0.0)
-    assert abs(k1 - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
+    _, k1 = _K0_K1(P1, 2.0, 0.0)
+    assert abs(k1[0] - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -124,8 +147,7 @@ def test_K1_hypergeometric_point_value():
     [P0, P1, P2, P3, ScaleInvariantParams(5.0, 4.0)],
 )
 def test_E_positive_on_domain(params):
-    sample = light_cone_sample(15.0, 8, 6, 6)
-    assert all(kernel_E(params, pt) > 0.0 for pt in sample)
+    assert (_sample_E(params, light_cone_sample(15.0, 8, 6, 6)) > 0.0).all()
 
 
 def test_weighted_minima_exact_for_mu_two():
@@ -178,20 +200,19 @@ def test_delta_one_degeneracy_reduces_to_powers():
             continue
         params = ScaleInvariantParams(mu, nu2)
         assert params.delta == 1.0 and params.gamma == 0.0
-        for pt in light_cone_sample(6.0, 4, 3, 3):
-            direct = (1.0 + pt.t) ** (-0.5 * mu) * (1.0 + pt.b) ** (0.5 * mu)
-            value = kernel_E(params, pt)
-            assert abs(value - direct) <= 1e-14 * abs(direct)
+        sample = light_cone_sample(6.0, 4, 3, 3)
+        direct = (1.0 + sample.t) ** (-0.5 * mu) * (1.0 + sample.b) ** (0.5 * mu)
+        value = _sample_E(params, sample)
+        assert (np.abs(value - direct) <= 1e-14 * np.abs(direct)).all()
 
 
 def test_E_monotone_z_dependence_enters_through_F():
     # with gamma != 0 the F factor exceeds 1 strictly inside the cone
-    pt_inside = KernelPoint(t=4.0, x=0.0, b=1.0, y=0.0)
-    base = (1.0 + pt_inside.t) ** (-0.5 + 0.5) * (1.0 + pt_inside.b) ** (0.5 + 0.5) * (
-        (pt_inside.t + pt_inside.b + 2.0) ** 2
-    ) ** -0.5
-    assert kernel_E(P1, pt_inside) > base
-    assert abs(kernel_E(P1, pt_inside) / base - hyp2f1(0.5, 0.5, 1.0, pt_inside.zeta)) <= 1e-13
+    t, b, w = 4.0, 1.0, 0.0
+    base = (1.0 + t) ** (-0.5 + 0.5) * (1.0 + b) ** (0.5 + 0.5) * ((t + b + 2.0) ** 2) ** -0.5
+    value = _E_at(P1, t, b, w)[0]
+    assert value > base
+    assert abs(value / base - hyp2f1(0.5, 0.5, 1.0, _zeta_at(t, b, w)[0])) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -228,8 +249,6 @@ def test_sample_len_truthiness_and_iteration():
     for k in (0, 7, 23):
         pt = points[k]
         assert (pt.t, pt.x, pt.b, pt.y) == (sample.t[k], 1.25, sample.b[k], sample.y[k])
-        assert pt.zeta == KernelPoint(t=pt.t, x=pt.x, b=pt.b, y=pt.y).zeta
-        assert 0.0 <= pt.zeta < 1.0
 
 
 def test_sample_is_hashable_and_read_only():

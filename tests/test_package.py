@@ -1,4 +1,4 @@
-"""Package layout: every module the benchmark tracer names must import."""
+"""Package layout: traced modules import, and every export is a real public name."""
 
 import ast
 import importlib
@@ -22,3 +22,19 @@ def test_every_traced_module_imports():
     modules = _tracer_modules()
     for name in modules:
         importlib.import_module(f"siwave.{name}")
+
+
+def test_every_exported_name_exists():
+    for name in _tracer_modules():
+        module = importlib.import_module(f"siwave.{name}")
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not missing, f"siwave.{name}.__all__ names missing symbols {missing}"
+
+
+def test_package_imports_only_exported_names():
+    init = Path(importlib.import_module("siwave").__file__)
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"siwave.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in exported, f"siwave.{node.module}.{alias.name} is not in __all__"

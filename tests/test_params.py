@@ -144,7 +144,7 @@ def _system(sigma1, sigma2, p, q):
 
 
 def test_classify_cusp():
-    report = classify_system(1, _system(2.0, 2.0, 2.0, 2.0), tol=1e-12)
+    report = classify_system(1, _system(2.0, 2.0, 2.0, 2.0))
     assert report.regime == "cusp"
     assert report.lambda1 == 0.0 and report.lambda2 == 0.0
     assert report.omega == 0.0
