@@ -99,16 +99,19 @@ class SpacetimeField:
         return self._xs
 
     def interpolate(self, t: float, x: float) -> float:
-        """Bilinear interpolation of u at an off-node point."""
+        """Bilinear interpolation of u at an off-node point; a field of one
+        stored row is interpolated in x only, at its one time."""
         times, xs, u = self.times, self.xs, self.values
         if not (times[0] <= t <= times[-1]) or not (xs[0] <= x <= xs[-1]):
             raise ValueError(f"point (t={t}, x={x}) outside stored field")
-        i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
-        i = max(i, 0)
         j = min(int(np.searchsorted(xs, x, side="right")) - 1, len(xs) - 2)
         j = max(j, 0)
-        ft = (t - times[i]) / (times[i + 1] - times[i])
         fx = (x - xs[j]) / (xs[j + 1] - xs[j])
+        if len(times) == 1:
+            return float((1 - fx) * u[0, j] + fx * u[0, j + 1])
+        i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+        i = max(i, 0)
+        ft = (t - times[i]) / (times[i + 1] - times[i])
         return float(
             (1 - ft) * (1 - fx) * u[i, j]
             + (1 - ft) * fx * u[i, j + 1]

@@ -100,8 +100,20 @@ def zero_source() -> SourceTerm:
     return _ZeroSource(f=lambda t, x: 0.0, support=None)
 
 
+def _check_bump(R: float, amplitude: float) -> None:
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"support radius must be finite and > 0, got {R}")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"bump amplitude must be finite, got {amplitude}")
+
+
 def smooth_bump(R: float, amplitude: float = 1.0) -> Sampler:
-    """C^infinity bump A*exp(-1/(1-(x/R)^2)) on |x| < R, zero outside."""
+    """C^infinity bump A*exp(-1/(1-(x/R)^2)) on |x| < R, zero outside.
+
+    R must be finite and > 0 and the amplitude finite (it may be zero or
+    negative).
+    """
+    _check_bump(R, amplitude)
 
     def sample(x: float) -> float:
         s = x / R
@@ -113,7 +125,9 @@ def smooth_bump(R: float, amplitude: float = 1.0) -> Sampler:
 
 
 def smooth_bump_derivative(R: float, amplitude: float = 1.0) -> Sampler:
-    """Derivative of :func:`smooth_bump` (also smooth, also supported in R)."""
+    """Derivative of :func:`smooth_bump` (also smooth, also supported in R);
+    R and the amplitude are checked as there."""
+    _check_bump(R, amplitude)
 
     def sample(x: float) -> float:
         s = x / R

@@ -545,6 +545,20 @@ def test_cli_solve_linear_rejects_non_finite_qtol(tmp_path, capsys, flag, value)
     assert not (tmp_path / "field.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-linear", "solve-semilinear"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_amplitude(tmp_path, capsys, command, value):
+    # a configuration error, not a convergence failure or a first-level blow-up
+    exponent = ["--p", "1.5"] if command == "solve-semilinear" else []
+    code = main([
+        command, "--mu", "3", "--nu2", "0", *exponent, "--amplitude", value,
+        "--dx", "0.25", "--t-max", "1.0", "--out", str(tmp_path / "out.csv"),
+    ])
+    assert code == 2
+    assert "bump amplitude must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_delta_below_one_requires_zero_u0(capsys):
     code = main([
         "solve-semilinear", "--mu", "1", "--nu2", "0", "--p", "1.5",

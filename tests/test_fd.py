@@ -376,15 +376,22 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
     assert record == _serial_record(components, grid, threshold)
 
 
-def _window_edges(monkeypatch):
-    """The lower edge of every window the stepper advances in this process,
-    one entry per component and level."""
+def _window_edges(monkeypatch, grid):
+    """The lower edge, as a node index of ``grid``, of every window the
+    stepper advances in this process, one entry per step call.  A buffer
+    holds the m components of a node side by side, so its element offset
+    is m times the node index."""
     edges = []
     advance = fd._advance
+    n = len(grid.xs())
 
     def spy(u_prev, u_curr, u_next, *args):
         win = u_next.win
-        edges.append((win.ctypes.data - win.base.ctypes.data) // win.itemsize)
+        m, rest = divmod(win.base.size, n)
+        assert rest == 0 and m >= 1
+        offset = (win.ctypes.data - win.base.ctypes.data) // win.itemsize
+        assert offset % m == 0 and win.size % m == 0
+        edges.append(offset // m)
         return advance(u_prev, u_curr, u_next, *args)
 
     monkeypatch.setattr(fd, "_advance", spy)
@@ -396,7 +403,7 @@ def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
     centre = len(grid.xs()) // 2
-    edges = _window_edges(monkeypatch)
+    edges = _window_edges(monkeypatch, grid)
     assert detect_lifespan(P2, prof, 1.5, grid).blow_up
     assert edges and set(edges) == {centre}
     edges.clear()
@@ -404,20 +411,46 @@ def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
     assert edges and set(edges) == {centre}
 
 
-#: the criterion-9 sweep at dx = 1/100 and the seed-0 system_sweep benchmark
-#: sweep, as (system, eps, grid); every record is refined
+@pytest.mark.parametrize(
+    "system, prof, blow_up",
+    [
+        (CROSS_SYSTEM, bump_profile(R=1.0, eps=0.5, amplitude=8.0), True),
+        (SystemParams(P2, P2, p=1.5, q=2.0), bump_profile(R=1.0, eps=0.01, amplitude=0.1), False),
+    ],
+    ids=["cross-system", "shared-coefficients-censored"],
+)
+def test_system_steps_all_components_in_one_call_per_level(monkeypatch, system, prof, blow_up):
+    # the components share one interleaved buffer, so a level is one step
+    # of both, on both coefficient paths and with the mirror on or off
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
+    edges = _window_edges(monkeypatch, grid)
+    for data2 in (prof, ODD_DATA):
+        edges.clear()
+        record = detect_lifespan_system(system, prof, data2, grid)
+        assert record.blow_up == blow_up
+        levels = round(record.T_est / grid.dt) if blow_up else grid.n_steps()
+        assert len(edges) == levels
+
+
+#: the criterion-9 sweep at dx = 1/100, the seed-0 system_sweep benchmark
+#: sweep, and the cross system of unequal coefficients (one step call per
+#: component for the lam and mass products) on the same grid, as (system,
+#: eps, grid) with system None for the single equation; every record is
+#: refined
 C9_GRID = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=93.5, t_max=92.0)
 SWEEP_SYSTEM = SystemParams(P2, P2, p=1.5, q=2.0)
 SWEEP_SYSTEM_GRID = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=25.0, t_max=24.0)
-EVEN_SWEEPS = [(False, 0.5 * 10.0 ** (-k / 4.0), C9_GRID) for k in range(7)] + [
-    (True, eps, SWEEP_SYSTEM_GRID) for eps in (0.25, 0.25 / math.sqrt(2.0), 0.125)
-]
+EVEN_SWEEPS = (
+    [(None, 0.5 * 10.0 ** (-k / 4.0), C9_GRID) for k in range(7)]
+    + [(SWEEP_SYSTEM, eps, SWEEP_SYSTEM_GRID) for eps in (0.25, 0.25 / math.sqrt(2.0), 0.125)]
+    + [(CROSS_SYSTEM, eps, SWEEP_SYSTEM_GRID) for eps in (0.6, 0.35, 0.25)]
+)
 
 
 def _sweep_record(system, eps, grid):
     prof = bump_profile(R=1.0, eps=eps, amplitude=8.0)
-    if system:
-        return detect_lifespan_system(SWEEP_SYSTEM, prof, prof, grid, refine=True)
+    if system is not None:
+        return detect_lifespan_system(system, prof, prof, grid, refine=True)
     return detect_lifespan(P2, prof, 1.5, grid, refine=True)
 
 
@@ -430,7 +463,8 @@ def _full_window_record(system, eps, grid):
 
 @pytest.mark.parametrize(
     "system, eps, grid", EVEN_SWEEPS,
-    ids=[f"c9-{k}" for k in range(7)] + [f"system-{k}" for k in range(3)],
+    ids=[f"c9-{k}" for k in range(7)] + [f"system-{k}" for k in range(3)]
+    + [f"cross-system-{k}" for k in range(3)],
 )
 def test_mirrored_lifespan_is_the_full_window_record(pair_forks, system, eps, grid):
     # the mirrored run is the exactly even solution, the full window rounds
@@ -454,7 +488,7 @@ def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
     # the one of the whole-grid reference
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
-    edges = _window_edges(monkeypatch)
+    edges = _window_edges(monkeypatch, grid)
     if case == "odd data":
         t_ref = _full_grid_run([(P2, ODD_DATA, 0, 1.5)], grid)[0]
         t_est = detect_lifespan(P2, ODD_DATA, 1.5, grid).T_est
@@ -520,7 +554,11 @@ def test_non_finite_datum_is_an_error_not_a_blow_up(pair_forks, system):
     # stepped, a NaN datum would read as a blow-up at the first level
     grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
     good = bump_profile(R=1.0, eps=0.5, amplitude=1.0)
-    bad = bump_profile(R=1.0, eps=0.5, amplitude=math.nan)
+
+    def nan_bump(x):
+        return math.nan if abs(x) < 1.0 else 0.0
+
+    bad = CauchyProfile(u0=nan_bump, u1=nan_bump, R=1.0, eps=0.5)
     if system:
         components = [
             _power_component(CROSS_SYSTEM.comp1, good, 1, CROSS_SYSTEM.p),
@@ -545,6 +583,25 @@ def test_non_finite_datum_is_an_error_not_a_blow_up(pair_forks, system):
             lifespan(refine)
         assert str(error.value) == message
     assert len(pair_forks[0]) == pair_forks[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_taylor_start_is_a_first_level_blow_up_without_warnings(monkeypatch):
+    # |u_1|^p overflows in the Taylor start: the run reports T_est = dt and
+    # keeps row 0, and numpy prints no overflow warning
+    grid = GridSpec(dx=0.1, cfl=1.0, x_max=4.0, t_max=2.0)
+    huge = bump_profile(R=1.0, eps=1.0, amplitude=1e300)
+    field, record = solve_semilinear_field(P2, huge, 1.5, grid)
+    assert record.blow_up and record.T_est == grid.dt
+    assert list(field.times) == [0.0]
+    assert field.interpolate(0.0, 0.5) == pytest.approx(huge.u0(0.5), rel=1e-3)
+    # the serial pair, so both grids run in this process
+    monkeypatch.setattr(fd, "_may_fork", lambda: False)
+    for record in (
+        detect_lifespan(P2, huge, 1.5, grid, refine=True),
+        detect_lifespan_system(CROSS_SYSTEM, huge, huge, grid, refine=True),
+    ):
+        assert record.blow_up and record.richardson_pair == (grid.dt, 0.5 * grid.dt)
 
 
 def test_unpicklable_coarse_error_is_raised_as_the_serial_pair(pair_forks):

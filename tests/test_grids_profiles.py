@@ -1,5 +1,6 @@
 """Grid/field plumbing and data-profile validation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +82,22 @@ def test_field_bilinear_interpolation():
         field.interpolate(1.5, 0.0)
 
 
+def test_one_row_field_interpolates_in_x_at_its_time():
+    # a run that blows up at its first level stores only row 0
+    grid = GridSpec(dx=0.5, cfl=1.0, x_max=1.0, t_max=1.0)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(2, len(grid.xs())))
+    two = SpacetimeField(grid=grid, times=np.array([0.25, 0.75]), values=values, dvalues=values)
+    one = SpacetimeField(
+        grid=grid, times=two.times[:1], values=values[:1], dvalues=values[:1]
+    )
+    for x in (-1.0, -0.3, 0.0, 0.45, 1.0):
+        assert one.interpolate(0.25, x) == two.interpolate(0.25, x)
+    for t, x in ((0.2, 0.0), (0.3, 0.0), (0.25, 1.5)):
+        with pytest.raises(ValueError, match="outside"):
+            one.interpolate(t, x)
+
+
 def test_profile_support_validation():
     with pytest.raises(ValueError, match="support"):
         CauchyProfile(u0=lambda x: 1.0, u1=lambda x: 0.0, R=1.0, eps=0.1)
@@ -120,6 +137,38 @@ def test_source_support_box_validated(support):
     with pytest.raises(ValueError, match="source support"):
         SourceTerm(f=lambda t, x: 1.0, support=support)
     SourceTerm(f=lambda t, x: 1.0, support=(0.0, np.inf, -np.inf, 1.0))
+
+
+@pytest.mark.parametrize("make", [smooth_bump, smooth_bump_derivative, bump_profile])
+@pytest.mark.parametrize(
+    "R, amplitude, message",
+    [
+        (0.0, 1.0, "support radius must be finite and > 0"),
+        (-1.0, 1.0, "support radius must be finite and > 0"),
+        (np.nan, 1.0, "support radius must be finite and > 0"),
+        (np.inf, 1.0, "support radius must be finite and > 0"),
+        (1.0, np.nan, "bump amplitude must be finite"),
+        (1.0, np.inf, "bump amplitude must be finite"),
+        (1.0, -np.inf, "bump amplitude must be finite"),
+    ],
+    ids=["R-zero", "R-negative", "R-nan", "R-inf", "amplitude-nan", "amplitude-inf",
+         "amplitude-minus-inf"],
+)
+def test_bump_rejects_bad_radius_and_amplitude(make, R, amplitude, message):
+    # R = 0 would raise ZeroDivisionError only once sampled, and a NaN
+    # amplitude would reach the solvers as NaN data
+    with pytest.raises(ValueError, match=message):
+        make(R=R, amplitude=amplitude)
+
+
+def test_bump_takes_zero_and_negative_amplitudes():
+    for amplitude in (0.0, -2.0):
+        assert smooth_bump(1.0, amplitude)(0.0) == amplitude * math.exp(-1.0)
+        assert smooth_bump_derivative(1.0, amplitude)(0.5) == (
+            amplitude * smooth_bump_derivative(1.0)(0.5)
+        )
+        prof = bump_profile(R=1.0, eps=0.1, amplitude=amplitude)
+        assert prof.u1(0.0) == amplitude * math.exp(-1.0)
 
 
 def test_bump_profile_u0_zero_mode():
