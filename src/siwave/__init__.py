@@ -23,7 +23,6 @@ from .comparison import (
     comparison_blowup_log,
     comparison_blowup_z,
     empirical_frame,
-    frame_for,
     reduce_solution,
     verify_fundamental_inequality,
 )

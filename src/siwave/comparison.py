@@ -39,7 +39,6 @@ __all__ = [
     "verify_fundamental_inequality",
     "comparison_blowup_z",
     "comparison_blowup_log",
-    "frame_for",
     "empirical_frame",
 ]
 
@@ -95,20 +94,6 @@ class ComparisonFrame:
             raise ValueError(f"need R > 0, got {self.R}")
 
 
-def frame_for(
-    n: int,
-    params: ScaleInvariantParams,
-    p: float,
-    R: float,
-    M: float,
-    C: float,
-    provenance: str = "user",
-) -> ComparisonFrame:
-    """Frame with the weight exponent a = (n+sigma-1)(p-1)/2 filled in."""
-    a = 0.5 * (n + params.sigma - 1.0) * (p - 1.0)
-    return ComparisonFrame(M=M, C=C, p=p, a=a, R=R, provenance=provenance)
-
-
 def empirical_frame(
     params: ScaleInvariantParams,
     p: float,
@@ -145,7 +130,10 @@ def empirical_frame(
         f"c_mix={'n/a' if bounds.c_mix is None else format(bounds.c_mix, '.6g')}, "
         f"data_l1={data_l1:.6g})"
     )
-    return frame_for(1, params, p, R, M=M, C=C, provenance=provenance)
+    # a = (n+sigma-1)(p-1)/2 at n = 1, kept in that form: (1+sigma)-1 is not
+    # always sigma in floating point
+    a = 0.5 * (1 + sig - 1.0) * (p - 1.0)
+    return ComparisonFrame(M=M, C=C, p=p, a=a, R=R, provenance=provenance)
 
 
 def reduce_solution(
@@ -277,19 +265,18 @@ def comparison_blowup_z(frame: ComparisonFrame, eps: float) -> float:
     """Blow-up point z* of the comparison ODE G' = C(R+z)^(-a) G^p, G(R) = M*eps.
 
     See :func:`comparison_blowup_log` for the closed forms.  Returns
-    math.inf when a > 1 (no blow-up forced by comparison) and also when z*
-    exceeds the float range (use the log variant for asymptotic studies).
+    math.inf wherever that function does (a > 1, M = 0 or C = 0) and also
+    when z* exceeds the float range (use the log variant for asymptotic
+    studies).
     Values z* < 2R mean the data are so large that blow-up happens before
     the asymptotic regime ("immediate blow-up").
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"need finite eps > 0, got {eps}")
-    if frame.M == 0.0 or frame.C == 0.0 or frame.a > 1.0 + CRITICAL_A_TOL:
+    log_rz = comparison_blowup_log(frame, eps)
+    if log_rz == math.inf:
         return math.inf
     if frame.a == 0.0:
         # exact arithmetic matters here: z* = R + (M eps)^(1-p) / (C (p-1))
         return frame.R + (frame.M * eps) ** (1.0 - frame.p) / (frame.C * (frame.p - 1.0))
-    log_rz = comparison_blowup_log(frame, eps)
     try:
         return math.exp(log_rz) - frame.R
     except OverflowError:

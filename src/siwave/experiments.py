@@ -1,8 +1,11 @@
 """Experiment orchestration: eps-sweeps of numerical lifespans and scaling fits.
 
-A sweep runs one blow-up detection per amplitude eps (largest first),
-writes the batch CSV, and fits the measured lifespans against the
-predicted scaling law:
+A sweep runs one blow-up detection per amplitude eps (largest first) in
+space dimension n = 1 on the smooth bump data of
+:func:`~siwave.profiles.bump_profile`, writes the batch CSV, and fits the
+measured lifespans against the predicted scaling law (of
+:func:`~siwave.params.predicted_lifespan_exponent` for the single equation,
+of :func:`~siwave.iteration.lifespan_rate_system` for the coupled system):
 
     algebraic regime:    log T  = slope * log eps + intercept,
     exponential regime:  log log T = slope * log eps + intercept (T > 1 only).
@@ -55,8 +58,6 @@ __all__ = [
 #: Environment variable naming the default directory for relative outputs.
 OUTPUT_DIR_ENV = "SIWAVE_OUTPUT_DIR"
 
-DATA_FAMILIES = ("smooth_bump",)
-
 #: Relative band around the predicted slope within which a fit passes.
 PASS_BAND = 0.2
 
@@ -74,7 +75,13 @@ def resolve_output_path(path: str) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Full description of one sweep experiment (JSON-serializable)."""
+    """Full description of one sweep experiment (JSON-serializable).
+
+    Every sweep runs at n = 1 on ``bump_profile`` data of radius ``R`` and
+    the given ``amplitude``; a system sweep gives both components the same
+    data.  ``q``, ``mu2`` and ``nu22`` are the second component's exponent
+    and coefficients, required for ``model='system'`` only.
+    """
 
     model: str  # 'single' | 'system'
     mu: float
@@ -85,8 +92,6 @@ class SweepConfig:
     R: float = 1.0
     amplitude: float = 1.0
     u0_zero: bool = False
-    family: str = "smooth_bump"
-    n: int = 1
     q: float | None = None
     mu2: float | None = None
     nu22: float | None = None
@@ -97,10 +102,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.model not in ("single", "system"):
             raise ValueError(f"model must be 'single' or 'system', got {self.model!r}")
-        if self.family not in DATA_FAMILIES:
-            raise ValueError(f"unknown data family {self.family!r}")
-        if self.n != 1:
-            raise ValueError("finite-difference sweeps run at n = 1 only")
         if not self.eps_grid:
             raise ValueError("eps_grid must not be empty")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):
@@ -240,7 +241,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     records: list[LifespanRecord] = []
     if config.model == "single":
         params = config.single_params()
-        prediction = predicted_lifespan_exponent(config.n, params, config.p)
+        prediction = predicted_lifespan_exponent(1, params, config.p)
         for eps in config.eps_grid:
             profile = bump_profile(
                 R=config.R, eps=eps, amplitude=config.amplitude, u0_zero=config.u0_zero
@@ -253,22 +254,16 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             )
     else:
         sys = config.system_params()
-        system_prediction = lifespan_rate_system(config.n, sys)
-        prediction = LifespanPrediction(
-            regime=system_prediction.regime, rate=system_prediction.rate
-        )
+        prediction = lifespan_rate_system(1, sys)
         for eps in config.eps_grid:
-            prof1 = bump_profile(
-                R=config.R, eps=eps, amplitude=config.amplitude,
-                u0_zero=config.u0_zero or sys.comp1.delta < 1.0,
-            )
-            prof2 = bump_profile(
-                R=config.R, eps=eps, amplitude=config.amplitude,
-                u0_zero=config.u0_zero or sys.comp2.delta < 1.0,
+            # __post_init__ demands u0_zero for any delta < 1 component, so
+            # both components get the same data
+            profile = bump_profile(
+                R=config.R, eps=eps, amplitude=config.amplitude, u0_zero=config.u0_zero
             )
             records.append(
                 detect_lifespan_system(
-                    sys, prof1, prof2, config.grid,
+                    sys, profile, profile, config.grid,
                     threshold=config.threshold, refine=config.refine,
                 )
             )

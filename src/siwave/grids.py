@@ -99,24 +99,18 @@ class SpacetimeField:
         return self._xs
 
     def interpolate(self, t: float, x: float) -> float:
-        """Bilinear interpolation of u at an off-node point; a field of one
-        stored row is interpolated in x only, at its one time."""
+        """Bilinear interpolation of u at an off-node point; an axis with one
+        node (one stored row, or a one-node grid) is taken at that node."""
         times, xs, u = self.times, self.xs, self.values
         if not (times[0] <= t <= times[-1]) or not (xs[0] <= x <= xs[-1]):
             raise ValueError(f"point (t={t}, x={x}) outside stored field")
-        j = min(int(np.searchsorted(xs, x, side="right")) - 1, len(xs) - 2)
-        j = max(j, 0)
-        fx = (x - xs[j]) / (xs[j + 1] - xs[j])
-        if len(times) == 1:
-            return float((1 - fx) * u[0, j] + fx * u[0, j + 1])
-        i = min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
-        i = max(i, 0)
-        ft = (t - times[i]) / (times[i + 1] - times[i])
+        i, i1, ft = _bracket(times, t)
+        j, j1, fx = _bracket(xs, x)
         return float(
             (1 - ft) * (1 - fx) * u[i, j]
-            + (1 - ft) * fx * u[i, j + 1]
-            + ft * (1 - fx) * u[i + 1, j]
-            + ft * fx * u[i + 1, j + 1]
+            + (1 - ft) * fx * u[i, j1]
+            + ft * (1 - fx) * u[i1, j]
+            + ft * fx * u[i1, j1]
         )
 
     def to_csv(self, path: str) -> None:
@@ -133,3 +127,11 @@ class SpacetimeField:
                         )
                         + "\n"
                     )
+
+
+def _bracket(nodes: np.ndarray, v: float) -> tuple[int, int, float]:
+    """Nodes i, i+1 around v and the weight of node i+1; (0, 0, 0.0) for one node."""
+    if len(nodes) == 1:
+        return 0, 0, 0.0
+    i = min(max(int(np.searchsorted(nodes, v, side="right")) - 1, 0), len(nodes) - 2)
+    return i, i + 1, (v - nodes[i]) / (nodes[i + 1] - nodes[i])

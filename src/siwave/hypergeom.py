@@ -25,10 +25,11 @@ Which formula, by z:
   m = 0, (-1/2,-1/2;1) has m = 2 and (1/2,1/2;2) has m = 1.
 
 The direct series stays in use at every z for a terminating series (a or b
-a non-positive integer), and wherever the connection formula would lose
-more than ``tol`` to cancellation (next paragraph).  Near z = 1 it needs
-about 1/(1-z) terms and raises :class:`ConvergenceError` beyond its term
-budget; it never truncates silently.
+a non-positive integer), where it stops after its last nonzero term, and
+wherever the connection formula would lose more than ``tol`` to
+cancellation (next paragraph).  There, near z = 1, it needs about 1/(1-z)
+terms and raises :class:`ConvergenceError` beyond its term budget; it
+never truncates silently.
 
 Cancellation.  Each addend of the connection formula is a product of a few
 correctly rounded factors with Gamma and digamma values good to a few ulps,
@@ -293,7 +294,9 @@ def _accumulate(state, s: _Series, w, lnw, tol: float, max_terms: int, probe):
     term = scale * w**power if power else scale
     n = len(table)
     h = 0.0
+    r = 1.0
     for k in range(max_terms + 1):
+        terminated = r == 0.0
         r, h, rho = table[k] if k < n else _coefficients(a, b, c, k, h, log)
         if log:
             addend = lnw + h
@@ -307,6 +310,10 @@ def _accumulate(state, s: _Series, w, lnw, tol: float, max_terms: int, probe):
         total = t
         if track:
             mass += abs(addend)
+        if terminated:
+            # t_k and every later term are exactly zero: adding t_k applied
+            # the last compensation, and later zeros would leave the sum as it is
+            return total, comp, mass
         if k >= start:
             lead = abs(term) if scalar else abs(float(term[probe]))
             if lead <= limit and lead * bound * rho <= tol * (1.0 - w_max * rho):

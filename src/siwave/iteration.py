@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import mpmath as mp
 
 from .params import (
-    CriticalCurveReport,
+    LifespanPrediction,
     SystemParams,
     classify_system,
     lambda_curve,
@@ -64,7 +64,6 @@ __all__ = [
     "SubcriticalSequences",
     "CriticalSequences",
     "CuspSequences",
-    "SystemLifespanPrediction",
     "DivergenceVerdict",
     "subcritical_sequences",
     "critical_sequences",
@@ -315,45 +314,30 @@ def cusp_sequences(
     )
 
 
-@dataclass(frozen=True)
-class SystemLifespanPrediction:
-    """Lifespan rate for the coupled system, per critical-curve regime.
+def lifespan_rate_system(n: int, sys: SystemParams) -> LifespanPrediction:
+    """Predicted lifespan scaling of the coupled system, per critical-curve regime.
 
     regime 'algebraic':   T <~ eps^(-rate) with rate = 1/Omega;
     regime 'exponential': log T <~ eps^(-rate), where rate is pq-1 on a
         single critical branch and (pq-1)/(p+1) resp. (pq-1)/(q+1) at the
         cusp (the branch with the larger shift wins, which is the min);
     regime 'none':        Omega < 0, no prediction.
+
+    ``branch`` names the critical-curve case that gave the rate.
     """
-
-    regime: str
-    rate: float | None
-    branch: str
-    curve: CriticalCurveReport
-
-
-def lifespan_rate_system(n: int, sys: SystemParams) -> SystemLifespanPrediction:
-    """Predicted lifespan scaling of the coupled system."""
     report = classify_system(n, sys)
     p, q = sys.p, sys.q
     pq = p * q
     if report.regime == "subcritical":
-        return SystemLifespanPrediction(
-            regime="algebraic", rate=1.0 / report.omega, branch="omega_positive",
-            curve=report,
-        )
+        return LifespanPrediction(regime="algebraic", rate=1.0 / report.omega, branch="omega_positive")
     if report.regime in ("critical_branch1", "critical_branch2"):
-        return SystemLifespanPrediction(
-            regime="exponential", rate=pq - 1.0, branch=report.regime, curve=report
-        )
+        return LifespanPrediction(regime="exponential", rate=pq - 1.0, branch=report.regime)
     if report.regime == "cusp":
         rate1 = (pq - 1.0) / (p + 1.0)
         rate2 = (pq - 1.0) / (q + 1.0)
         branch = "cusp_sigma1_ge_sigma2" if sys.sigma1 >= sys.sigma2 else "cusp_sigma2_gt_sigma1"
-        return SystemLifespanPrediction(
-            regime="exponential", rate=min(rate1, rate2), branch=branch, curve=report
-        )
-    return SystemLifespanPrediction(regime="none", rate=None, branch="supercritical", curve=report)
+        return LifespanPrediction(regime="exponential", rate=min(rate1, rate2), branch=branch)
+    return LifespanPrediction(regime="none", rate=None, branch="supercritical")
 
 
 @dataclass(frozen=True)

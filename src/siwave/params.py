@@ -234,10 +234,15 @@ class LifespanPrediction:
     regime 'algebraic':    T(eps) <~ eps^(-rate)
     regime 'exponential':  log T(eps) <~ eps^(-rate)
     regime 'none':         no blow-up prediction (rate is None)
+
+    ``branch`` is the critical-curve label of a coupled-system prediction
+    (:func:`siwave.iteration.lifespan_rate_system`) and None for the single
+    equation.
     """
 
     regime: str
     rate: float | None
+    branch: str | None = None
 
 
 def predicted_lifespan_exponent(n: int, params: ScaleInvariantParams, p: float) -> LifespanPrediction:

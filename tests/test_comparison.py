@@ -187,6 +187,15 @@ def test_blowup_z_exact_a_zero():
     assert comparison_blowup_z(frame, eps=0.1) == 11.0
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("constants", [dict(M=0.0, C=1.0), dict(M=1.0, C=0.0)], ids=["M0", "C0"])
+def test_blowup_point_degenerate_constants_return_inf(constants, a):
+    # a zero data constant or zero nonlinearity constant forces no blow-up
+    frame = ComparisonFrame(p=2.0, a=a, R=1.0, **constants)
+    assert comparison_blowup_log(frame, eps=0.1) == math.inf
+    assert comparison_blowup_z(frame, eps=0.1) == math.inf
+
+
 def test_blowup_z_critical_closed_form():
     # a=1, M=C=1, p=2, R=1, eps=0.5: separable ODE gives z* = 2R e^2 - R
     frame = ComparisonFrame(M=1.0, C=1.0, p=2.0, a=1.0, R=1.0)

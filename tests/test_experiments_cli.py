@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from siwave.experiments import (
     write_sweep_svg,
 )
 from siwave.grids import FLOAT_FMT, GridSpec
+from siwave.iteration import lifespan_rate_system
 from siwave.kernels import _data_kernels, _E, light_cone_sample
 from siwave.params import ScaleInvariantParams
 
@@ -75,6 +77,7 @@ def test_sweep_runs_fits_and_writes_csv(tmp_path):
     assert result.fit.regime == "algebraic"
     assert result.fit.predicted_slope == -1.0
     assert result.fit.n_used == 3
+    assert result.prediction.branch is None
     lines = out.read_text().splitlines()
     assert lines[0] == "eps,T_est,blow_up,threshold,dx,cfl,converged"
     assert len(lines) == 4
@@ -194,6 +197,9 @@ def test_system_sweep_smoke(tmp_path):
     result = run_sweep(config)
     assert all(r.blow_up for r in result.records)
     assert result.prediction.regime == "algebraic"
+    # the system prediction passes through whole, branch label included
+    assert result.prediction == lifespan_rate_system(1, config.system_params())
+    assert result.prediction.branch == "omega_positive"
 
 
 def test_svg_writer(tmp_path):
@@ -378,6 +384,26 @@ def test_cli_bad_config_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": "single"}))
     assert main(["sweep", "--config", str(bad)]) == 2
+    # sweeps run at n = 1 on bump data; a config naming either is stale
+    for key, value in (("family", "smooth_bump"), ("n", 1)):
+        payload = json.loads(_tiny_config(tmp_path / "out.csv").to_json())
+        assert key not in payload
+        payload[key] = value
+        bad.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(bad)]) == 2
+        assert "invalid sweep config" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_readme_sweep_config_loads():
+    # the documented JSON example must stay a valid config
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Sweep configs"):]
+    block = section[section.index("```json\n") + len("```json\n"):]
+    text = block[:block.index("```")]
+    config = SweepConfig.from_json(text)
+    assert set(json.loads(text)) == set(json.loads(config.to_json()))
 
 
 def test_cli_sweep_round_trip(tmp_path, capsys):
@@ -511,6 +537,17 @@ def test_cli_solve_semilinear_rejects_bad_exponent(capsys, p):
     ])
     assert code == 2
     assert "p must be finite and > 1" in capsys.readouterr().err
+
+
+def test_cli_kernels_terminating_kernel_far_out(capsys):
+    # mu = 4, nu2 = 0 gives gamma = -1, so the kernels' series terminate;
+    # at t ~ 2e6 their arguments sit within 1e-6 of z = 1
+    code = main([
+        "kernels", "--mu", "4", "--nu2", "0", "--t-max", "2000000",
+        "--nt", "2", "--nb", "2", "--ny", "2",
+    ])
+    assert code == 0
+    assert "sampled 8 light-cone points" in capsys.readouterr().out
 
 
 def test_cli_kernels_rejects_nan_coefficient(capsys):

@@ -98,6 +98,21 @@ def test_one_row_field_interpolates_in_x_at_its_time():
             one.interpolate(t, x)
 
 
+def test_one_node_field_interpolates_in_t_at_its_node():
+    # x_max < dx/2 leaves the single node x = 0
+    grid = GridSpec(dx=1.0, cfl=1.0, x_max=0.4, t_max=1.0)
+    assert grid.xs().tolist() == [0.0]
+    values = np.array([[2.0], [4.0]])
+    field = SpacetimeField(grid=grid, times=np.array([0.0, 1.0]), values=values, dvalues=values)
+    assert field.interpolate(0.5, 0.0) == 3.0
+    assert field.interpolate(1.0, 0.0) == 4.0
+    one = SpacetimeField(grid=grid, times=np.array([0.0]), values=values[:1], dvalues=values[:1])
+    assert one.interpolate(0.0, 0.0) == 2.0
+    for t, x in ((0.5, 0.1), (1.5, 0.0)):
+        with pytest.raises(ValueError, match="outside"):
+            field.interpolate(t, x)
+
+
 def test_profile_support_validation():
     with pytest.raises(ValueError, match="support"):
         CauchyProfile(u0=lambda x: 1.0, u1=lambda x: 0.0, R=1.0, eps=0.1)

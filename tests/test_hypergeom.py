@@ -191,10 +191,21 @@ def test_grid_evaluation_matches_scalar():
 
 
 def test_terminating_series():
-    # negative-integer parameter terminates the series: F(-2,b;c;z) is a polynomial
-    for z in (0.3, 0.8):
-        want = 1.0 + (-2.0) * 1.5 / 1.0 * z + ((-2) * (-1) / 2) * (1.5 * 2.5 / (1 * 2)) * z * z
-        assert abs(hyp2f1(-2.0, 1.5, 1.0, z) - want) <= 1e-13
+    # a negative-integer parameter terminates the series: F(-n,b;c;z) is a
+    # polynomial, summed to its last nonzero term even where the tail test
+    # alone would need about 1/(1-z) terms (z = 0.999999)
+    polys = {
+        (-2.0, 1.5): lambda z: (
+            1.0 + (-2.0) * 1.5 / 1.0 * z + ((-2) * (-1) / 2) * (1.5 * 2.5 / (1 * 2)) * z * z
+        ),
+        (-1.0, -1.0): lambda z: 1.0 + z,
+    }
+    zs = (0.3, 0.8, 0.999999)
+    for (a, b), poly in polys.items():
+        want = np.array([poly(z) for z in zs])
+        got = np.array([hyp2f1(a, b, 1.0, z, max_terms=10) for z in zs])
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert np.max(np.abs(hyp2f1_grid(a, b, 1.0, np.array(zs), max_terms=10) - want)) <= 1e-13
 
 
 def test_slow_convergence_near_one_still_meets_tolerance():

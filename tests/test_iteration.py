@@ -15,6 +15,7 @@ from siwave.iteration import (
     subcritical_sequences,
 )
 from siwave.params import (
+    LifespanPrediction,
     ScaleInvariantParams,
     SystemParams,
     cusp_exponents,
@@ -144,6 +145,7 @@ def test_lower_bound_chains():
 
 def test_lifespan_rate_subcritical():
     pred = lifespan_rate_system(1, _system(0.0, 0.0, 2.0, 2.0))
+    assert isinstance(pred, LifespanPrediction)
     assert pred.regime == "algebraic" and pred.rate == 1.0
     assert pred.branch == "omega_positive"
 
