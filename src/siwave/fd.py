@@ -7,7 +7,7 @@ the cross-coupled |v_t|^p, |u_t|^q for the system (or each component's
 own u_t in the decoupled diagnostic), and a sampled source term in linear
 mode.
 
-Scheme (uniform grid, dt = cfl*dx):
+Scheme (uniform grid, dt = c*dx with c = cfl):
 
   * u_tt and u_xx by centered 3-point stencils at level k;
   * the damping term mu/(1+t) u_t by the centered difference
@@ -21,73 +21,73 @@ Scheme (uniform grid, dt = cfl*dx):
     because lifespan estimates are validated by grid refinement, not by a
     single run.
 
-The first level is a Taylor start matching the PDE at t=0 to second order.
-Numerical blow-up is declared when max |u_t| of any component crosses a
-threshold (or a non-finite value appears); reaching t_max without crossing
-is reported as censored data (T >= t_max), never as a no-blow-up fact.
+With lam = mu dt / (2 (1+t_k)) and mass = nu2 / (1+t_k)^2, a step is the
+symmetric form, for every cfl (u at level k unless marked):
 
-Only the numerical light cone is stepped.  The data are sampled on
-|x| <= R; the cone starts as the span of nodes where the data or the
-Taylor level are not +0.0, and grows by one node per level (the 3-point
-stencil spreads one node per step at any cfl), clipped at the grid ends,
-whose nodes keep a zero Laplacian.  Levels are stepped in blocks of
-_BLOCK = 32 on one window per block: the cone at the block's last level,
-clipped to the grid.  Outside the cone every update of a zero state is
-exactly +0.0, so stepping the block window gives the same bits as stepping
-the cone level by level (_BLOCK = 1), and a run that stores rows gets the
-bits of stepping the whole grid.  A sampled source term can be nonzero
-anywhere, so a run with one steps the whole grid.
+  (1+lam) u^{k+1}_i = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u_i
+                      - (1-lam) u^{k-1}_i + dt^2 (rhs_i - mass u_i),
 
-A lifespan run (one that stores no rows) with even data -- every
-component's sampled u0 and u1 equal their own reverse bit for bit, as the
-bump data do -- steps only x >= 0. The grid dx*arange(-N, N+1) is exactly
-symmetric and the |u_t|^p forcing keeps parity, so the solution is even:
-the window's lower edge is pinned at the centre node N, and node N-1 is a
-ghost that gets a copy of node N+1 (every component of it) after the
-Taylor start and after each step, before u_t and the peak are taken.  That
-is the exactly even discrete solution.  Stepping the whole grid differs
-from it by rounding only: its Laplacian sums (a-b)+c at x but (c-b)+a at
--x, so interior values move at about 1e-13 relative, and T_est, blow_up
-and the Richardson pair move only when a peak lies within that rounding of
-the threshold.  Odd or uneven data, and runs that store rows, step the
-full window.
+evaluated left to right, one ufunc call per operation; a grid-end node
+takes 2 u_i for the neighbour sum (u_xx = 0 there).  At c = 1 the c^2
+product is a product by 1 and 2 (1-c^2) u_i a zero, so the step leaves
+both out: six calls, where the earlier Laplacian form (2u - (1-lam) u^{k-1}
++ dt^2 (u_xx - mass u + rhs)) / (1+lam) took ten.  The two forms round
+differently; fields moved by rounding only (the tests bound the move) and
+no pinned lifespan moved.  The first level is a Taylor start matching the
+PDE at t=0 to second order, with u0'' = ((u0_{i+1} + u0_{i-1}) - 2 u0_i)
+/ dx^2 (0 at the grid ends).  Numerical blow-up is declared when max |u_t|
+of any component crosses a threshold (or a non-finite value appears);
+reaching t_max without crossing is reported as censored data (T >= t_max),
+never as a no-blow-up fact.
+
+The neighbour sum is the same sum at x_i and -x_i, in the step and in the
+Taylor start, and every other operation is per node; the grid
+dx*arange(-N, N+1) is exactly symmetric and |u_t|^p keeps parity.  So a
+run of even data -- every component's sampled u0 and u1 equal their own
+reverse bit for bit, as the bump data do -- is exactly even.
+
+Only the numerical light cone is stepped: it starts as the span of nodes
+where the data or the Taylor level are not +0.0 (the centre node if none),
+grows by one node per level (at any cfl) and is clipped at the grid ends.
+Levels go in blocks of _BLOCK = 32 on one window per block, the cone at
+the block's last level.  Outside the cone every update of a zero state is
+exactly +0.0, so any _BLOCK gives the same bits, and a run that stores rows
+gets the bits of stepping the whole grid.  A sampled source term can be
+nonzero anywhere, so a run with one steps the whole grid.  A lifespan run
+(no stored rows) of even data steps only x >= 0: the window's lower edge
+is pinned at the centre node N, and node N-1 is a ghost that copies node
+N+1 after the Taylor start and after each step, before u_t and the peak.
+That is the exactly even solution, the full window's bits on x >= 0.
 
 u^{k-1}, u^k and u^{k+1} are preallocated full-width buffers that rotate
-between levels; u_t and |u_t| have one full-width buffer each.  A buffer
-holds all m components of the run, node-major: component j of node i is
-element i*m + j.  A window of nodes [lo, hi) is then the one contiguous
-slice [lo*m, hi*m), and the Laplacian's shifts by one node are shifts by m
-elements, so each operation of a level -- 2u, the Laplacian, +rhs, *dt^2,
--(1-lam) u^{k-1}, /(1+lam), the u_t difference, |u_t| and the peak -- is
-one ufunc call for every component at once.  Only three things go per
-component: each forcing writes its own stride-m view; the products with
-lam and mass take one call on the window when every component has the same
-(mu, nu2), else one strided call per component; and a stored row copies
-component 0's stride-m view.  A single equation is m = 1.  An (m, n) array
-would batch the calls as well, but a ufunc call on its 2-D window views
-cost about twice a 1-D call on a 10-node window (1.96 against 0.88 us for
-np.add), so stacking saved nothing; the interleaved window keeps every
-call 1-D and contiguous.  At the start of a block every view a level needs
-is sliced once -- each u buffer's window, its Laplacian interior and that
-interior shifted by one node either way, and the windows of u_t, |u_t| and
-the scratch arrays -- and the levels of the block rotate the views with
-the buffers.  The step writes into them with in-place ufuncs in the order
-of the scheme's expression, and computes no term twice:
+between levels; u_t, |u_t|, the forcing and a scratch array have one
+each.  A buffer holds the m components node-major (component j of node i
+is element i*m + j), so a window of nodes [lo, hi) is the contiguous slice
+[lo*m, hi*m), a shift by one node is a shift by m elements, and each
+operation of a level is one 1-D ufunc call for every component.  Only the
+forcings (one stride-m view each), the lam and mass products when the
+components' (mu, nu2) differ (one strided call each) and the stored rows
+go per component.  2-D calls cost more: on an (m, n) stack a 10-node
+np.add took 1.96 against 0.88 us, and one call on the (nodes, m) view with
+an (m,) coefficient vector was slower than m strided calls.
 
-  * |u_t| is taken once per level, for the blow-up test, into its own
-    buffer; the next level's |u_t|^p forcing reads it from there;
-  * the finite test is folded into that peak: u^{k-1} is finite, so a
-    non-finite u^{k+1} makes max |u_t| non-finite, and u^{k+1} itself is
-    scanned only when a peak is not finite;
-  * 2 u^k goes straight into the u^{k+1} buffer, and the Laplacian reads
-    it from there;
-  * a massless step (nu2 == 0) with a |.|^p forcing skips the product
-    mass u^k.  It is +-0 there, so it could only flip the sign of a zero
-    u_xx, and adding a forcing that is >= +0.0, never -0.0, gives +0.0
-    from either sign.  A source term may return -0.0, so linear mode
-    keeps the product.
-
-Stored rows are full width.
+The level loop makes nothing but the scheme's ufunc calls.  Every view a
+level needs (windows, the interior and its one-node shifts, grid ends,
+the ghost and its mate) is sliced once per block and rotates with the
+buffers; the per-run constants (c^2, 2 (1-c^2), dt^2, 2 dt) and each
+level's 1-lam, 1+lam and mass are 0-d float64 arrays; outputs are
+positional; each forcing's form is chosen by its exponent when its
+component is built; and a run that stores no rows makes no store call.  A
+single equation at cfl = 1 makes twelve calls per level: two for |u_t|^p,
+six for the step, two for u_t, |u_t|, and np.maximum.reduce for the peak.
+No term is computed twice: |u_t| is taken once per level, for the peak and
+the next level's forcing; the finite test is folded into the peak
+(u^{k-1} is finite, so u^{k+1} is scanned only when max |u_t| is not
+finite); and a massless step (nu2 == 0) with a |.|^p forcing skips the
+mass product, whose +-0 subtracted from a forcing >= +0.0 (never -0.0)
+changes nothing -- a source term may return -0.0, so linear mode keeps it.
+Stored rows go straight into preallocated (rows, n) arrays that become
+the field, so a stored run holds its field once.
 
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.  The two grids of a Richardson pair (refine=True)
@@ -162,120 +162,42 @@ class LifespanRecord:
 
 class _Views(NamedTuple):
     """Views of one full-width buffer of m interleaved components on a window
-    [lo, hi) of nodes: the window, its interior nodes (the grid ends left
-    out), that interior shifted by -1 and by +1 node, the window slices of
-    the grid ends it holds, and the window split into coefficient groups
-    (the whole window when every component shares its coefficients, else
-    each component's stride-m view)."""
+    [lo, hi) of nodes: the window, its interior (the grid ends left out) and
+    that interior shifted by -1 and +1 node, the grid-end nodes it holds, its
+    coefficient groups (the whole window, or each component's stride-m view
+    when their coefficients differ), and the ghost node centre - 1 and its
+    mate centre + 1."""
 
     win: np.ndarray
     mid: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    ends: tuple[slice, ...]
+    ends: tuple[np.ndarray, ...]
     parts: tuple[np.ndarray, ...]
+    ghost: np.ndarray
+    mate: np.ndarray
 
 
-def _views(a: np.ndarray, lo: int, hi: int, m: int = 1, groups: int = 1) -> _Views:
+def _views(a: np.ndarray, lo: int, hi: int, m: int, groups: int) -> _Views:
     n = len(a) // m
     mlo = max(lo, 1)
     mhi = max(min(hi, n - 1), mlo)
-    ends = tuple(e for e, end in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if end)
+    ends = tuple(a[e] for e, end in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if end)
     win = a[lo * m : hi * m]
     parts = (win,) if groups == 1 else tuple(win[j::m] for j in range(m))
     b, e = mlo * m, mhi * m  # a node is m elements
-    return _Views(win, a[b:e], a[b - m : e - m], a[b + m : e + m], ends if lo < hi else (), parts)
-
-
-def _laplacian(u: _Views, two_u: np.ndarray, dx: float, out: _Views) -> np.ndarray:
-    """Centered u_xx on the window of the views, written to and returned as
-    out.win; ``two_u`` holds 2u on the window's interior.  The boundary nodes
-    of the grid get 0."""
-    seg = out.mid
-    np.subtract(u.right, two_u, out=seg)
-    np.add(seg, u.left, out=seg)
-    np.divide(seg, dx * dx, out=seg)
-    for end in out.ends:
-        out.win[end] = 0.0
-    return out.win
-
-
-def _power(a: np.ndarray, p: float, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """a^p of a nonnegative array into ``out`` (``tmp`` is scratch of the same
-    shape); general fractional powers dominate the step cost, so the common
-    half-integer exponents go through sqrt instead."""
-    if p == 1.5:
-        return np.multiply(a, np.sqrt(a, out=tmp), out=out)
-    if p == 2.0:
-        return np.multiply(a, a, out=out)
-    if p == 2.5:
-        np.sqrt(a, out=tmp)
-        return np.multiply(np.multiply(a, a, out=out), tmp, out=out)
-    if p == 3.0:
-        return np.multiply(np.multiply(a, a, out=tmp), a, out=out)
-    out[...] = a**p
-    return out
-
-
-def _advance(
-    u_prev: _Views,
-    u_curr: _Views,
-    u_next: _Views,
-    rhs: np.ndarray,
-    t: float,
-    dt: float,
-    dx: float,
-    params: list[ScaleInvariantParams],
-    massless: bool,
-    lap: _Views,
-    tmp: _Views,
-) -> np.ndarray:
-    """One leapfrog step with semi-implicit damping of every component on the
-    window of the views, written to and returned as u_next.win; rhs is
-    evaluated at level k on the window and ``tmp`` is scratch.
-
-    Computes (2 u^k - (1-lam) u^{k-1} + dt^2 (u^k_xx - mass u^k + rhs)) / (1+lam)
-    one operation per ufunc, in the order of that expression.  2 u^k is
-    written to u_next.win first and the Laplacian reads it from there.
-    ``params`` holds one coefficient bundle per part of the views: the
-    products with lam and mass take one call per part, every other
-    operation one call on the whole window.  ``massless`` (nu2 == 0 and a
-    forcing that never holds -0.0, for every component) skips the product
-    mass u^k, which leaves every bit as it is (see the module docstring).
-    """
-    new = np.multiply(u_curr.win, 2.0, out=u_next.win)
-    force = _laplacian(u_curr, u_next.mid, dx, lap)
-    if not massless:
-        for c, u, out in zip(params, u_curr.parts, tmp.parts):
-            np.multiply(u, c.nu2 / (1.0 + t) ** 2, out=out)
-        np.subtract(force, tmp.win, out=force)
-    np.add(force, rhs, out=force)
-    np.multiply(force, dt * dt, out=force)
-    lams = [0.5 * c.mu * dt / (1.0 + t) for c in params]
-    for lam, u, out in zip(lams, u_prev.parts, tmp.parts):
-        np.multiply(u, 1.0 - lam, out=out)
-    np.subtract(new, tmp.win, out=new)
-    np.add(new, force, out=new)
-    for lam, out in zip(lams, u_next.parts):
-        np.divide(out, 1.0 + lam, out=out)
-    return new
-
-
-def _taylor_start(
-    U0: np.ndarray, U1: np.ndarray, rhs0: np.ndarray, dt: float, dx: float,
-    params: ScaleInvariantParams,
-) -> np.ndarray:
-    """First level u^1 = u0 + dt u1 + dt^2/2 (u0'' - mu u1 - nu2 u0 + rhs(0))."""
-    n = len(U0)
-    lap = _laplacian(_views(U0, 0, n), _views(U0 * 2.0, 0, n).mid, dx, _views(np.empty(n), 0, n))
-    return U0 + dt * U1 + 0.5 * dt * dt * (lap - params.mu * U1 - params.nu2 * U0 + rhs0)
+    c = n // 2 * m
+    return _Views(
+        win, a[b:e], a[b - m : e - m], a[b + m : e + m], ends, parts,
+        a[c - m : c], a[c + m : c + 2 * m],
+    )
 
 
 class _Component(NamedTuple):
     """One field of a run: coefficients, Cauchy data and its right-hand side.
 
-    ``rhs(abs_ut_lag, t, w, out, tmp)`` maps the lagged |u_t| of every
-    component (in run order) and the time of the level to this component's
+    ``rhs(abs_ut_lag, t, w, out, tmp)`` maps the lagged |u_t| of component
+    ``src`` (in run order) and the time of the level to this component's
     forcing on the nodes of window ``w``, written to and returned as ``out``
     (``tmp`` is scratch); the arrays hold one value per node of the window
     (in a run, stride-m views of the interleaved buffers).  ``local``
@@ -287,7 +209,8 @@ class _Component(NamedTuple):
 
     params: ScaleInvariantParams
     data: CauchyProfile
-    rhs: Callable[[list[np.ndarray], float, slice, np.ndarray, np.ndarray], np.ndarray]
+    rhs: Callable[[np.ndarray, float, slice, np.ndarray, np.ndarray], np.ndarray]
+    src: int
     local: bool
     nonneg: bool
 
@@ -295,15 +218,35 @@ class _Component(NamedTuple):
 def _power_component(
     params: ScaleInvariantParams, data: CauchyProfile, src: int, p: float
 ) -> _Component:
-    """Component forced by |u_t|^p of component ``src``; |0|^p = +0.0 for p > 0."""
+    """Component forced by |u_t|^p of component ``src``; |0|^p = +0.0 for p > 0.
 
-    def rhs(abs_ut, t, w, out, tmp):
-        return _power(abs_ut[src], p, out, tmp)
+    The form of the power is chosen here, once: general fractional powers
+    dominate the step cost, so the common half-integer exponents go
+    through sqrt instead.
+    """
+    forms = {
+        1.5: lambda a, t, w, out, tmp: np.multiply(a, np.sqrt(a, tmp), out),
+        2.0: lambda a, t, w, out, tmp: np.multiply(a, a, out),
+        2.5: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, out), np.sqrt(a, tmp), out),
+        3.0: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, tmp), a, out),
+    }
+    rhs = forms.get(p, lambda a, t, w, out, tmp: np.positive(a**p, out))  # a**p into out
+    return _Component(params, data, rhs, src, local=p > 0, nonneg=True)
 
-    return _Component(params, data, rhs, local=p > 0, nonneg=True)
+
+def _taylor_start(
+    U0: np.ndarray, U1: np.ndarray, rhs0: np.ndarray, dt: float, dx: float,
+    params: ScaleInvariantParams,
+) -> np.ndarray:
+    """First level u^1 = u0 + dt u1 + dt^2/2 (u0'' - mu u1 - nu2 u0 + rhs(0)),
+    with u0'' = ((u0_{i+1} + u0_{i-1}) - 2 u0_i) / dx^2, and 0 at the grid ends."""
+    lap = np.zeros(len(U0))
+    lap[1:-1] = ((U0[2:] + U0[:-2]) - 2.0 * U0[1:-1]) / (dx * dx)
+    return U0 + dt * U1 + 0.5 * dt * dt * (lap - params.mu * U1 - params.nu2 * U0 + rhs0)
 
 
-_Rows = list[tuple[float, np.ndarray, np.ndarray]]
+#: Stored rows of component 0: times, u and u_t, one row per stored level.
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _sample(data: CauchyProfile, name: str, xs: np.ndarray) -> np.ndarray:
@@ -365,8 +308,9 @@ def _start(
     n = len(xs)
     u0 = [_sample(c.data, "u0", xs) for c in components]
     u1 = [_sample(c.data, "u1", xs) for c in components]
-    abs_u1 = [np.abs(v) for v in u1]
-    rhs0 = [c.rhs(abs_u1, 0.0, slice(0, n), np.empty(n), np.empty(n)) for c in components]
+    rhs0 = [
+        c.rhs(np.abs(u1[c.src]), 0.0, slice(0, n), np.empty(n), np.empty(n)) for c in components
+    ]
     taylor = [
         _taylor_start(a, b, f, dt, dx, c.params) for c, a, b, f in zip(components, u0, u1, rhs0)
     ]
@@ -381,99 +325,148 @@ def _run(
     grid: GridSpec,
     threshold: float | None = None,
     store_every: int | None = None,
-) -> tuple[bool, float, _Rows]:
+) -> tuple[bool, float, _Rows | None]:
     """Step all components to t_max (+ one level); returns (blow_up, T_est, rows).
 
     The run stops at the first level where any component turns non-finite
     or its max |u_t| exceeds ``threshold``.  With ``store_every``, rows
     (t, u, u_t) of component 0 are kept at every store_every-th level and
-    at the last one; without it, even data step x >= 0 only (see the module
-    docstring).
+    at the last one; without it, rows is None and even data step x >= 0
+    only (see the module docstring).
     """
     _check_run(components, grid, threshold, store_every)
     xs = grid.xs()
     n, m = len(xs), len(components)
-    dt, dx = grid.dt, grid.dx
+    dt, c = grid.dt, grid.cfl
     k_max = grid.n_steps()
-    rows: _Rows = []
+    rows: _Rows | None = None
+    kept = 0
+    if store_every is not None:
+        # levels 0, store_every, 2 store_every, ... and k_max; the pages of
+        # rows that a blow-up stops short of are never touched
+        count = 1 - (-k_max // store_every)
+        rows = (np.empty(count), np.empty((count, n)), np.empty((count, n)))
 
-    def store(k: int, t: float, u: np.ndarray, ut: np.ndarray) -> None:
-        if store_every is not None and (k % store_every == 0 or k == k_max):
-            rows.append((t, u[::m].copy(), ut[::m].copy()))
+    def store(k: int, t: float, u: np.ndarray, ut: np.ndarray) -> int:
+        """Keeps level k's row; returns the next level to keep."""
+        nonlocal kept
+        times, values, dvalues = rows
+        times[kept], values[kept], dvalues[kept] = t, u[::m], ut[::m]
+        kept += 1
+        return min(k + store_every, k_max)
+
+    def result(blow_up: bool, t_est: float) -> tuple[bool, float, _Rows | None]:
+        return blow_up, t_est, None if rows is None else tuple(a[:kept] for a in rows)
 
     # one coefficient group when every component shares (mu, nu2), else one
-    # group per component
-    params = [c.params for c in components]
+    # group per component; their per-level 1 - lam, 1 + lam and mass are 0-d
+    # arrays, as are the per-run constants
+    params = [comp.params for comp in components]
     if len(set(params)) == 1:
         params = params[:1]
-    massless = all(c.params.nu2 == 0.0 and c.nonneg for c in components)
+    massless = all(comp.params.nu2 == 0.0 and comp.nonneg for comp in components)
+    half_mu_dts = [0.5 * q.mu * dt for q in params]
+    nu2s = [q.nu2 for q in params]
+    lesses, mores, masses = ([np.empty(()) for _ in params] for _ in range(3))
+    c2, two_less_c2, dt2, two_dt = (
+        np.array(v) for v in (c * c, 2.0 * (1.0 - c * c), dt * dt, 2.0 * dt)
+    )
+    scaled = c != 1.0  # at c = 1 the c^2 product and the 2(1-c^2)u term are identities
+    if threshold is None:
+        threshold = math.inf
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    absolute, maximum = np.absolute, np.maximum.reduce
     # Overflow past the last finite peak is the blow-up the loop detects, and
     # data that overflow the Taylor start end the run at the first level, so
     # neither raises a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        u_prev, u_curr, ut, support, even = _start(components, xs, dt, dx)
-        store(0, 0.0, u_prev, ut)
+        u_prev, u_curr, ut, support, even = _start(components, xs, dt, grid.dx)
+        next_store = -1 if rows is None else store(0, 0.0, u_prev, ut)
         if not np.isfinite(u_curr).all():
-            return True, dt, rows
+            return result(True, dt)
         # scratch for the forcing and the step; u_t and |u_t| need one buffer
         # each: every forcing of a level reads the lagged |u_t| before the
         # level overwrites it
         u_next, abs_ut = np.zeros(n * m), np.abs(ut)
-        rhs, lap, tmp = np.empty(n * m), np.empty(n * m), np.empty(n * m)
+        rhs, tmp = np.empty(n * m), np.empty(n * m)
 
         # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
-        local = all(c.local for c in components)
+        centre = n // 2
+        local = all(comp.local for comp in components)
         lo, hi = support if local else (0, n)
+        if lo == hi:
+            # all +0.0: start at the centre node, so that no window is empty
+            lo, hi = centre, centre + 1
         # even data, |u_t|^p forcings (they keep parity) and no rows: step
         # x >= 0 only, with node centre - 1 a ghost of node centre + 1
-        centre = n // 2
-        ghost = slice((centre - 1) * m, centre * m)
-        mate = slice((centre + 1) * m, (centre + 2) * m)
-        mirror = store_every is None and local and even
+        mirror = rows is None and local and even
         if mirror:
-            u_curr[ghost] = u_curr[mate]
+            u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
         floor = centre if mirror else 0
         for first in range(1, k_max + 1, _BLOCK):
             levels = range(first, min(first + _BLOCK, k_max + 1))
             # one window for the block: the cone at its last level
-            if lo < hi:
-                lo, hi = max(lo - len(levels), floor), min(hi + len(levels), n)
+            lo, hi = max(lo - len(levels), floor), min(hi + len(levels), n)
             w = slice(lo, hi)
-            v_prev, v_curr, v_next, v_lap, v_tmp = (
-                _views(a, lo, hi, m, len(params)) for a in (u_prev, u_curr, u_next, lap, tmp)
+            prv, cur, nxt, scr = (
+                _views(a, lo, hi, m, len(params)) for a in (u_prev, u_curr, u_next, tmp)
             )
             v_ut, v_abs, v_rhs = (a[lo * m : hi * m] for a in (ut, abs_ut, rhs))
-            # each component's forcing reads the lagged |u_t| of every
+            # each component's forcing reads the lagged |u_t| of its source
             # component and writes its own stride-m view
-            v_abs_each = [v_abs[j::m] for j in range(m)]
-            forcings = [(c.rhs, v_rhs[j::m], v_tmp.win[j::m]) for j, c in enumerate(components)]
+            forcings = [
+                (comp.rhs, v_abs[comp.src :: m], v_rhs[j::m], scr.win[j::m])
+                for j, comp in enumerate(components)
+            ]
             for k in levels:
                 t_k = k * dt
-                for force, out, scratch in forcings:
-                    force(v_abs_each, t_k, w, out, scratch)
-                _advance(
-                    v_prev, v_curr, v_next, v_rhs, t_k, dt, dx, params, massless, v_lap, v_tmp
-                )
+                for force, abs_ut_lag, out, scratch in forcings:
+                    force(abs_ut_lag, t_k, w, out, scratch)
+                for half_mu_dt, less, more in zip(half_mu_dts, lesses, mores):
+                    lam = half_mu_dt / (1.0 + t_k)
+                    less.fill(1.0 - lam)
+                    more.fill(1.0 + lam)
+                # (1+lam) u^{k+1} = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u
+                #                   - (1-lam) u^{k-1} + dt^2 (rhs - mass u)
+                add(cur.right, cur.left, nxt.mid)
+                for end, out in zip(cur.ends, nxt.ends):
+                    add(end, end, out)
+                if scaled:
+                    multiply(nxt.win, c2, nxt.win)
+                    multiply(cur.win, two_less_c2, scr.win)
+                    add(nxt.win, scr.win, nxt.win)
+                if not massless:
+                    for nu2, mass, u, out in zip(nu2s, masses, cur.parts, scr.parts):
+                        mass.fill(nu2 / (1.0 + t_k) ** 2)
+                        multiply(u, mass, out)
+                    subtract(v_rhs, scr.win, v_rhs)
+                multiply(v_rhs, dt2, v_rhs)
+                for less, u, out in zip(lesses, prv.parts, scr.parts):
+                    multiply(u, less, out)
+                subtract(nxt.win, scr.win, nxt.win)
+                add(nxt.win, v_rhs, nxt.win)
+                for more, out in zip(mores, nxt.parts):
+                    divide(out, more, out)
                 if mirror:
-                    u_next[ghost] = u_next[mate]
+                    nxt.ghost[...] = nxt.mate
                 # u^{k-1} is finite, so a non-finite u^{k+1} makes the peak
                 # max |u_t| non-finite; only then is u^{k+1} itself scanned
-                np.subtract(v_next.win, v_prev.win, out=v_ut)
-                np.divide(v_ut, 2.0 * dt, out=v_ut)
-                peak = float(np.abs(v_ut, out=v_abs).max(initial=0.0))
-                if not math.isfinite(peak) and not np.isfinite(v_next.win).all():
-                    return True, t_k + dt, rows
-                store(k, t_k, u_curr, ut)
-                if threshold is not None and peak > threshold:
-                    return True, t_k, rows
+                subtract(nxt.win, prv.win, v_ut)
+                divide(v_ut, two_dt, v_ut)
+                peak = maximum(absolute(v_ut, v_abs))
+                if not peak < math.inf and not np.isfinite(nxt.win).all():
+                    return result(True, t_k + dt)
+                if k == next_store:
+                    next_store = store(k, t_k, u_curr, ut)
+                if peak > threshold:
+                    return result(True, t_k)
                 u_prev, u_curr, u_next = u_curr, u_next, u_prev
-                v_prev, v_curr, v_next = v_curr, v_next, v_prev
-    return False, math.inf, rows
+                prv, cur, nxt = cur, nxt, prv
+    return result(False, math.inf)
 
 
 def _field(grid: GridSpec, rows: _Rows) -> SpacetimeField:
-    times, values, dvalues = (np.array(column) for column in zip(*rows))
-    return SpacetimeField(grid=grid, times=times, values=values, dvalues=dvalues)
+    return SpacetimeField(grid, *rows)
 
 
 def _may_fork() -> bool:
@@ -604,13 +597,13 @@ def solve_linear_fd(
     """Linear mode (nonlinearity replaced by the source term f); full field."""
     xs = grid.xs()
 
-    def rhs(abs_ut, t, w, out, tmp):
+    def rhs(abs_ut_lag, t, w, out, tmp):
         out[:] = [src.f(t, float(x)) for x in xs[w]]
         return out
 
     # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
     # f may return -0.0, so the mass product stays even when nu2 == 0
-    source = _Component(params, data, rhs, local=False, nonneg=False)
+    source = _Component(params, data, rhs, 0, local=False, nonneg=False)
     _, _, rows = _run([source], grid, store_every=store_every)
     return _field(grid, rows)
 

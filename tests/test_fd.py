@@ -4,7 +4,9 @@ import functools
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,17 +151,33 @@ def test_spatial_mean_nondecreasing_with_nonnegative_data():
     assert np.min(diffs, initial=0.0) >= -1e-12
 
 
-def _full_grid_run(specs, grid, threshold=1e8):
+def _full_grid_run(specs, grid, threshold=1e8, laplacian=False):
     """Reference stepper: the same scheme, every node of every level, no
     buffers and always the mass product.  ``specs`` holds one (params, data,
     src, p) per component, forced by |u_t|^p of component ``src``; returns
-    (T_est, u rows, u_t rows), the rows as one array per component."""
-    xs, dt, dx = grid.xs(), grid.dt, grid.dx
+    (T_est, u rows, u_t rows), the rows as one array per component.
+
+    It steps (1+lam) u^{k+1} = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u
+    - (1-lam) u^{k-1} + dt^2 (rhs - mass u), with 2u for the neighbour sum
+    at the grid ends and the c^2 terms left out at c = cfl = 1, as the
+    stepper does.  With ``laplacian`` it steps the scheme's earlier form,
+    (2u - (1-lam) u^{k-1} + dt^2 (u_xx - mass u + rhs)) / (1+lam) with
+    u_xx = ((u_{i+1} - 2u) + u_{i-1}) / dx^2, which rounds differently and
+    is not exactly even; both take the Taylor start with their own u_xx."""
+    xs, dt, dx, c = grid.xs(), grid.dt, grid.dx, grid.cfl
 
     def lap(u):
         out = np.zeros_like(u)
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        if laplacian:
+            out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (dx * dx)
+        else:
+            out[1:-1] = ((u[2:] + u[:-2]) - 2.0 * u[1:-1]) / (dx * dx)
         return out
+
+    def neighbours(u):
+        out = 2.0 * u
+        out[1:-1] = u[2:] + u[:-2]
+        return c * c * out + 2.0 * (1.0 - c * c) * u if c != 1.0 else out
 
     def power(ut, p):
         a = np.abs(ut)
@@ -181,10 +199,12 @@ def _full_grid_run(specs, grid, threshold=1e8):
         for (par, _, src, p), uc, up in zip(specs, u, u_prev):
             lam = 0.5 * par.mu * dt / (1.0 + t)
             mass = par.nu2 / (1.0 + t) ** 2
-            u_next.append(
-                (2.0 * uc - (1.0 - lam) * up + dt * dt * (lap(uc) - mass * uc + power(ut[src], p)))
-                / (1.0 + lam)
-            )
+            force = power(ut[src], p)
+            if laplacian:
+                step = 2.0 * uc - (1.0 - lam) * up + dt * dt * (lap(uc) - mass * uc + force)
+            else:
+                step = neighbours(uc) - (1.0 - lam) * up + dt * dt * (force - mass * uc)
+            u_next.append(step / (1.0 + lam))
         ut = [(un - up) / (2.0 * dt) for un, up in zip(u_next, u_prev)]
         for rows, row in zip(us, u):
             rows.append(row)
@@ -202,6 +222,15 @@ def _full_grid_run(specs, grid, threshold=1e8):
 CROSS_SYSTEM = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
 
 
+#: Bound on the move of a stored row against the scheme's earlier Laplacian
+#: form, relative to the row's largest |value|.  Measured worst over the
+#: reference cases: 1.83e-11, on the last u_t row of the P1 (p = 2,
+#: cfl = 0.5) case, the level whose peak crosses the blow-up threshold;
+#: every other case stays under 1.2e-12.  The bound leaves a margin of
+#: about 5x.
+LAPLACIAN_FORM_RTOL = 1e-10
+
+
 @pytest.mark.parametrize(
     "params, p, cfl, prof",
     [
@@ -214,20 +243,24 @@ CROSS_SYSTEM = SystemParams(P2, ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0)
         # level 97 reaches the grid ends there, three levels before the cone
         # does; with a mass product and the general power
         (ScaleInvariantParams(4.0, 1.0), 1.8, 0.8, bump_profile(R=1.0, eps=0.4, amplitude=8.0)),
+        # cfl = 1 with a mass product, censored: the cone meets the grid ends
+        # at t_max, so the window of the last block holds the end nodes and
+        # steps them with 2u for the neighbour sum (they stay +0.0 here)
+        (ScaleInvariantParams(3.0, 0.75), 2.0, 1.0, bump_profile(R=1.0, eps=0.25, amplitude=8.0)),
     ],
 )
 def test_windowed_stepper_matches_full_grid_reference(params, p, cfl, prof):
     # the window reaches the grid ends before t_max at cfl < 1; every stored
     # bit of every component must equal the whole-grid update, on the
-    # massless step (nu2 = 0) and on the one with a mass product
+    # massless step (nu2 = 0) and on the one with a mass product, and stay
+    # within LAPLACIAN_FORM_RTOL of the scheme's earlier Laplacian form
     grid = GridSpec(dx=1.0 / 25, cfl=cfl, x_max=prof.R + 4.0, t_max=4.0)
     if isinstance(params, SystemParams):
         # u is massless and forced by |v_t|^p, v has a mass and is forced by
         # |u_t|^q; the stepper stores the rows of its first component, so
         # each component is run once in front
-        t_ref, u_ref, ut_ref = _full_grid_run(
-            [(params.comp1, prof, 1, params.p), (params.comp2, prof, 0, params.q)], grid
-        )
+        specs = [(params.comp1, prof, 1, params.p), (params.comp2, prof, 0, params.q)]
+        t_ref, u_ref, ut_ref = _full_grid_run(specs, grid)
         assert detect_lifespan_system(params, prof, prof, grid).T_est == t_ref
         u_first = [
             _power_component(params.comp1, prof, 1, params.p),
@@ -239,19 +272,23 @@ def test_windowed_stepper_matches_full_grid_reference(params, p, cfl, prof):
         ]
         runs = [_run(comps, grid, 1e8, store_every=1) for comps in (u_first, v_first)]
         assert [t_est for _, t_est, _ in runs] == [t_ref, t_ref]
-        fields = [
-            (np.array([row[1] for row in rows]), np.array([row[2] for row in rows]))
-            for _, _, rows in runs
-        ]
+        fields = [(values, dvalues) for _, _, (_, values, dvalues) in runs]
     else:
-        t_ref, u_ref, ut_ref = _full_grid_run([(params, prof, 0, p)], grid)
+        specs = [(params, prof, 0, p)]
+        t_ref, u_ref, ut_ref = _full_grid_run(specs, grid)
         field, record = solve_semilinear_field(params, prof, p, grid)
         assert record.T_est == t_ref
         fields = [(field.values, field.dvalues)]
-    assert len(fields) == len(u_ref)
-    for (values, dvalues), u_rows, ut_rows in zip(fields, u_ref, ut_ref):
+    t_lap, u_lap, ut_lap = _full_grid_run(specs, grid, laplacian=True)
+    assert t_lap == t_ref
+    assert len(fields) == len(u_ref) == len(u_lap)
+    for (values, dvalues), *refs in zip(fields, u_ref, ut_ref, u_lap, ut_lap):
+        u_rows, ut_rows, u_lap_rows, ut_lap_rows = refs
         assert values.tobytes() == u_rows.tobytes()
         assert dvalues.tobytes() == ut_rows.tobytes()
+        for rows, lap_rows in ((values, u_lap_rows), (dvalues, ut_lap_rows)):
+            move = np.max(np.abs(rows - lap_rows), axis=1)
+            assert np.all(move <= LAPLACIAN_FORM_RTOL * np.max(np.abs(lap_rows), axis=1))
 
 
 def test_window_covers_a_source_away_from_the_data():
@@ -279,10 +316,26 @@ def test_window_covers_a_source_away_from_the_data():
         assert np.all(field.dvalues[k][outside] == 0.0)
 
 
+@pytest.mark.parametrize("cfl", [1.0, 0.5])
+def test_grid_end_nodes_step_like_interior_nodes(cfl):
+    # zero data and f = 1 everywhere: the solution t^2/2 is the same at every
+    # node, so the grid ends, which take 2u for the neighbour sum, hold the
+    # interior's bits at every level (no run with local data ever moves them)
+    grid = GridSpec(dx=0.1, cfl=cfl, x_max=2.0, t_max=1.0)
+    src = SourceTerm(f=lambda t, x: 1.0, support=(0.0, math.inf, -2.0, 2.0))
+    field = solve_linear_fd(P0, ZERO_DATA, src, grid)
+    first = np.repeat(field.values[:, :1], len(field.xs), axis=1)
+    assert field.values.tobytes() == first.tobytes()
+    assert field.values[-1, 0] == pytest.approx(0.5 * field.times[-1] ** 2, rel=1e-12)
+
+
 def test_window_clipped_at_the_grid_ends():
     # at cfl = 0.9 the numerical cone (one node per step) outruns the light
     # cone and reaches the boundary nodes near t = 6.3, before the blow-up;
-    # values recorded with the stepper that updated the whole grid
+    # the hex values were recorded with the stepper that updated the whole
+    # grid in the scheme's earlier Laplacian form, which was not exactly
+    # even: the symmetric form stays within LAPLACIAN_FORM_RTOL of each value
+    # and is mirror-symmetric bit for bit
     grid = GridSpec(dx=1.0 / 50, cfl=0.9, x_max=8.0, t_max=6.9)
     prof = bump_profile(R=1.0, eps=0.34, amplitude=8.0)
     field, record = solve_semilinear_field(P2, prof, 1.5, grid, store_every=3)
@@ -290,11 +343,48 @@ def test_window_clipped_at_the_grid_ends():
     assert len(field.times) == 125
     last_u, last_ut = field.values[-1], field.dvalues[-1]
     assert last_u[0] == last_u[-1] == last_ut[0] == last_ut[-1] == 0.0
-    assert last_u[1] == float.fromhex("0x1.af4ebab26b054p-44")
-    assert last_u[-2] == float.fromhex("0x1.af4ebab26b05ap-44")
-    assert last_ut[2] == float.fromhex("0x1.590a630dd8630p-34")
-    assert last_ut[-3] == float.fromhex("0x1.590a630dd862dp-34")
-    assert last_u[400] == float.fromhex("0x1.23cded3ddf356p+0")
+    assert last_u[1] == last_u[-2]
+    assert last_ut[2] == last_ut[-3]
+    laplacian_form = [
+        (last_u[1], "0x1.af4ebab26b054p-44"),
+        (last_u[-2], "0x1.af4ebab26b05ap-44"),
+        (last_ut[2], "0x1.590a630dd8630p-34"),
+        (last_ut[-3], "0x1.590a630dd862dp-34"),
+        (last_u[400], "0x1.23cded3ddf356p+0"),
+    ]
+    for value, recorded in laplacian_form:
+        assert value == pytest.approx(float.fromhex(recorded), rel=LAPLACIAN_FORM_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+def test_full_window_run_of_even_data_is_exactly_even(cfl):
+    # the neighbour sum u_{i+1} + u_{i-1} of the step and of the Taylor start
+    # is the same sum at x and -x, and every other operation is per node, so
+    # a stored run (it steps the full window, into the grid ends at cfl =
+    # 0.9) of bump data is even bit for bit
+    grid = GridSpec(dx=1.0 / 50, cfl=cfl, x_max=8.0, t_max=6.9)
+    prof = bump_profile(R=1.0, eps=0.34, amplitude=8.0)
+    field, _ = solve_semilinear_field(P2, prof, 1.5, grid)
+    assert len(field.times) > 300
+    for rows in (field.values, field.dvalues):
+        assert rows.tobytes() == rows[:, ::-1].tobytes()
+
+
+def test_stored_rows_are_held_once():
+    # rows go straight into the field's arrays, so the traced peak of a
+    # stored run stays near the field's own size (a list of row copies
+    # stacked at the end would hold it twice)
+    grid = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=6.0, t_max=5.0)
+    prof = bump_profile(R=1.0, eps=0.05, amplitude=8.0)
+    tracemalloc.start()
+    try:
+        field, record = solve_semilinear_field(P2, prof, 1.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not record.blow_up and len(field.times) == grid.n_steps() + 1
+    size = field.times.nbytes + field.values.nbytes + field.dvalues.nbytes
+    assert peak <= 1.3 * size
 
 
 def test_block_size_leaves_every_bit(monkeypatch):
@@ -376,25 +466,33 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
     assert record == _serial_record(components, grid, threshold)
 
 
-def _window_edges(monkeypatch, grid):
+def _window_edges(monkeypatch, grid, components=None):
     """The lower edge, as a node index of ``grid``, of every window the
-    stepper advances in this process, one entry per step call.  A buffer
-    holds the m components of a node side by side, so its element offset
-    is m times the node index."""
+    stepper advances in this process, one entry per level: the window of
+    the level's peak max |u_t|, the one call that reads every component's
+    u_t.  A buffer holds the m components of a node side by side, so its
+    element offset is m times the node index; with ``components``, every
+    window must hold that many."""
     edges = []
-    advance = fd._advance
     n = len(grid.xs())
 
-    def spy(u_prev, u_curr, u_next, *args):
-        win = u_next.win
+    def peak(win):
         m, rest = divmod(win.base.size, n)
-        assert rest == 0 and m >= 1
+        assert rest == 0 and m >= 1 and m == (components or m)
         offset = (win.ctypes.data - win.base.ctypes.data) // win.itemsize
         assert offset % m == 0 and win.size % m == 0
         edges.append(offset // m)
-        return advance(u_prev, u_curr, u_next, *args)
+        return np.maximum.reduce(win)
 
-    monkeypatch.setattr(fd, "_advance", spy)
+    class Numpy:
+        """numpy as fd sees it, with the peak's reduction spied on."""
+
+        maximum = SimpleNamespace(reduce=peak)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(fd, "np", Numpy())
     return edges
 
 
@@ -420,10 +518,11 @@ def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
     ids=["cross-system", "shared-coefficients-censored"],
 )
 def test_system_steps_all_components_in_one_call_per_level(monkeypatch, system, prof, blow_up):
-    # the components share one interleaved buffer, so a level is one step
-    # of both, on both coefficient paths and with the mirror on or off
+    # the components share one interleaved buffer, so a level steps one
+    # window that holds both, on both coefficient paths and with the mirror
+    # on or off
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
-    edges = _window_edges(monkeypatch, grid)
+    edges = _window_edges(monkeypatch, grid, components=2)
     for data2 in (prof, ODD_DATA):
         edges.clear()
         record = detect_lifespan_system(system, prof, data2, grid)
@@ -467,9 +566,9 @@ def _full_window_record(system, eps, grid):
     + [f"cross-system-{k}" for k in range(3)],
 )
 def test_mirrored_lifespan_is_the_full_window_record(pair_forks, system, eps, grid):
-    # the mirrored run is the exactly even solution, the full window rounds
-    # (a-b)+c on one side and (c-b)+a on the other: no T_est, blow-up flag
-    # or Richardson pair of these sweeps may tell them apart
+    # the mirrored run and the full window are both the exactly even
+    # solution: no T_est, blow-up flag or Richardson pair of these sweeps may
+    # tell them apart
     forks, expected = pair_forks
     record = _sweep_record(system, eps, grid)
     assert len(forks) == expected
