@@ -29,14 +29,12 @@ symmetric form, for every cfl (u at level k unless marked):
 
 evaluated left to right, one ufunc call per operation; a grid-end node
 takes 2 u_i for the neighbour sum (u_xx = 0 there).  At c = 1 the c^2
-product is a product by 1 and 2 (1-c^2) u_i a zero, so the step leaves
-both out: six calls, where the earlier Laplacian form (2u - (1-lam) u^{k-1}
-+ dt^2 (u_xx - mass u + rhs)) / (1+lam) took ten.  The two forms round
-differently; fields moved by rounding only (the tests bound the move) and
-no pinned lifespan moved.  The first level is a Taylor start matching the
-PDE at t=0 to second order, with u0'' = ((u0_{i+1} + u0_{i-1}) - 2 u0_i)
-/ dx^2 (0 at the grid ends).  Numerical blow-up is declared when max |u_t|
-of any component crosses a threshold (or a non-finite value appears);
+product is a product by 1 and 2 (1-c^2) u_i a zero, so the step leaves both
+out: six calls, where the earlier Laplacian form took ten (the tests bound
+how far the two round apart).  The first level is a Taylor start matching
+the PDE at t=0 to second order, with u0'' = ((u0_{i+1} + u0_{i-1}) - 2
+u0_i) / dx^2 (0 at the grid ends).  Numerical blow-up is declared when max
+|u_t| of any component crosses a threshold (or a non-finite value appears);
 reaching t_max without crossing is reported as censored data (T >= t_max),
 never as a no-blow-up fact.
 
@@ -67,27 +65,27 @@ is element i*m + j), so a window of nodes [lo, hi) is the contiguous slice
 operation of a level is one 1-D ufunc call for every component.  Only the
 forcings (one stride-m view each), the lam and mass products when the
 components' (mu, nu2) differ (one strided call each) and the stored rows
-go per component.  2-D calls cost more: on an (m, n) stack a 10-node
-np.add took 1.96 against 0.88 us, and one call on the (nodes, m) view with
-an (m,) coefficient vector was slower than m strided calls.
+go per component: 2-D calls (an (m, n) stack, or the (nodes, m) view
+with an (m,) coefficient vector) measured slower.
 
-The level loop makes nothing but the scheme's ufunc calls.  Every view a
-level needs (windows, the interior and its one-node shifts, grid ends,
-the ghost and its mate) is sliced once per block and rotates with the
-buffers; the per-run constants (c^2, 2 (1-c^2), dt^2, 2 dt) and each
-level's 1-lam, 1+lam and mass are 0-d float64 arrays; outputs are
-positional; each forcing's form is chosen by its exponent when its
-component is built; and a run that stores no rows makes no store call.  A
-single equation at cfl = 1 makes twelve calls per level: two for |u_t|^p,
-six for the step, two for u_t, |u_t|, and np.maximum.reduce for the peak.
+The level loop makes nothing but the scheme's ufunc calls: the views a
+level needs (windows, interior, its one-node shifts, grid ends, ghost and
+mate) are sliced once per block and rotate with the buffers; the per-run
+c^2, 2 (1-c^2), dt^2, 2 dt and each level's 1-lam, 1+lam and mass are 0-d
+float64 arrays; outputs are positional; each forcing's form is chosen by
+its exponent when its component is built; a run without rows makes no
+store call.  A single equation at cfl = 1 makes twelve calls per level:
+two for |u_t|^p, six for the step, two for u_t, |u_t|, and
+np.maximum.reduce for the peak.
 No term is computed twice: |u_t| is taken once per level, for the peak and
 the next level's forcing; the finite test is folded into the peak
 (u^{k-1} is finite, so u^{k+1} is scanned only when max |u_t| is not
 finite); and a massless step (nu2 == 0) with a |.|^p forcing skips the
 mass product, whose +-0 subtracted from a forcing >= +0.0 (never -0.0)
 changes nothing -- a source term may return -0.0, so linear mode keeps it.
-Stored rows go straight into preallocated (rows, n) arrays that become
-the field, so a stored run holds its field once.
+Stored rows go straight into (rows, n) arrays that become the field, so a
+stored run holds its field once; the arrays grow in place past
+_ROW_RESERVE bytes and end cut to the rows kept.
 
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.  The two grids of a Richardson pair (refine=True)
@@ -137,6 +135,10 @@ RICHARDSON_RTOL = 0.05
 #: the plain level-by-level light-cone window.
 _BLOCK = 32
 
+#: Bytes of stored rows (u and u_t) reserved up front; past them the rows
+#: grow as they come, so a long run that blows up early holds little more.
+_ROW_RESERVE = 64 << 20
+
 
 @dataclass(frozen=True)
 class LifespanRecord:
@@ -180,13 +182,12 @@ class _Views(NamedTuple):
 
 def _views(a: np.ndarray, lo: int, hi: int, m: int, groups: int) -> _Views:
     n = len(a) // m
-    mlo = max(lo, 1)
-    mhi = max(min(hi, n - 1), mlo)
-    ends = tuple(a[e] for e, end in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if end)
+    b = max(lo, 1) * m  # the interior [b, e) in elements: a node is m elements
+    e = max(min(hi, n - 1) * m, b)
+    c = n // 2 * m
+    ends = tuple(a[ix] for ix, end in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if end)
     win = a[lo * m : hi * m]
     parts = (win,) if groups == 1 else tuple(win[j::m] for j in range(m))
-    b, e = mlo * m, mhi * m  # a node is m elements
-    c = n // 2 * m
     return _Views(
         win, a[b:e], a[b - m : e - m], a[b + m : e + m], ends, parts,
         a[c - m : c], a[c + m : c + 2 * m],
@@ -342,21 +343,29 @@ def _run(
     rows: _Rows | None = None
     kept = 0
     if store_every is not None:
-        # levels 0, store_every, 2 store_every, ... and k_max; the pages of
-        # rows that a blow-up stops short of are never touched
+        # levels 0, store_every, 2 store_every, ... and k_max; past
+        # _ROW_RESERVE bytes the arrays grow by an eighth at a time
         count = 1 - (-k_max // store_every)
-        rows = (np.empty(count), np.empty((count, n)), np.empty((count, n)))
+        size = min(count, max(1, _ROW_RESERVE // (16 * n)))
+        rows = (np.empty(size), np.empty((size, n)), np.empty((size, n)))
+
+    def fit(size: int) -> None:
+        for a in rows or ():  # a realloc; no view of a row array is alive
+            a.resize((size, *a.shape[1:]), refcheck=False)
 
     def store(k: int, t: float, u: np.ndarray, ut: np.ndarray) -> int:
         """Keeps level k's row; returns the next level to keep."""
         nonlocal kept
         times, values, dvalues = rows
+        if kept == len(times):
+            fit(min(kept + kept // 8 + 1, count))
         times[kept], values[kept], dvalues[kept] = t, u[::m], ut[::m]
         kept += 1
         return min(k + store_every, k_max)
 
     def result(blow_up: bool, t_est: float) -> tuple[bool, float, _Rows | None]:
-        return blow_up, t_est, None if rows is None else tuple(a[:kept] for a in rows)
+        fit(kept)
+        return blow_up, t_est, rows
 
     # one coefficient group when every component shares (mu, nu2), else one
     # group per component; their per-level 1 - lam, 1 + lam and mass are 0-d
@@ -372,8 +381,9 @@ def _run(
         np.array(v) for v in (c * c, 2.0 * (1.0 - c * c), dt * dt, 2.0 * dt)
     )
     scaled = c != 1.0  # at c = 1 the c^2 product and the 2(1-c^2)u term are identities
-    if threshold is None:
-        threshold = math.inf
+    threshold = math.inf if threshold is None else threshold
+    # bound from the module's np name at each run: tools/fd_level_cost.py
+    # and tests/test_fd.py record the level's calls by replacing it
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     absolute, maximum = np.absolute, np.maximum.reduce
     # Overflow past the last finite peak is the blow-up the loop detects, and
@@ -400,8 +410,6 @@ def _run(
         # even data, |u_t|^p forcings (they keep parity) and no rows: step
         # x >= 0 only, with node centre - 1 a ghost of node centre + 1
         mirror = rows is None and local and even
-        if mirror:
-            u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
         floor = centre if mirror else 0
         for first in range(1, k_max + 1, _BLOCK):
             levels = range(first, min(first + _BLOCK, k_max + 1))
@@ -411,6 +419,8 @@ def _run(
             prv, cur, nxt, scr = (
                 _views(a, lo, hi, m, len(params)) for a in (u_prev, u_curr, u_next, tmp)
             )
+            if mirror and first == 1:
+                cur.ghost[...] = cur.mate  # the Taylor level's ghost
             v_ut, v_abs, v_rhs = (a[lo * m : hi * m] for a in (ut, abs_ut, rhs))
             # each component's forcing reads the lagged |u_t| of its source
             # component and writes its own stride-m view
@@ -463,10 +473,6 @@ def _run(
                 u_prev, u_curr, u_next = u_curr, u_next, u_prev
                 prv, cur, nxt = cur, nxt, prv
     return result(False, math.inf)
-
-
-def _field(grid: GridSpec, rows: _Rows) -> SpacetimeField:
-    return SpacetimeField(grid, *rows)
 
 
 def _may_fork() -> bool:
@@ -605,7 +611,7 @@ def solve_linear_fd(
     # f may return -0.0, so the mass product stays even when nu2 == 0
     source = _Component(params, data, rhs, 0, local=False, nonneg=False)
     _, _, rows = _run([source], grid, store_every=store_every)
-    return _field(grid, rows)
+    return SpacetimeField(grid, *rows)
 
 
 def solve_semilinear_field(
@@ -625,7 +631,7 @@ def solve_semilinear_field(
         threshold_used=threshold,
         grid=grid,
     )
-    return _field(grid, rows), record
+    return SpacetimeField(grid, *rows), record
 
 
 def detect_lifespan(

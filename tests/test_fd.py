@@ -387,6 +387,25 @@ def test_stored_rows_are_held_once():
     assert peak <= 1.3 * size
 
 
+def test_early_blow_up_holds_only_the_rows_it_keeps(monkeypatch):
+    # 5001 levels of 10101 nodes would take 808 MB of rows; the run blows up
+    # at level 140, past the reservation (cut here to 1 MiB, six rows), so
+    # the rows grow as they come and end cut to the ones kept
+    monkeypatch.setattr(fd, "_ROW_RESERVE", 1 << 20)
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=202.0, t_max=200.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    tracemalloc.start()
+    try:
+        field, record = solve_semilinear_field(P2, prof, 1.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.blow_up and 40 < len(field.times) < 200
+    assert field.values.base is None and field.dvalues.base is None
+    size = field.times.nbytes + field.values.nbytes + field.dvalues.nbytes
+    assert peak <= 1.3 * size
+
+
 def test_block_size_leaves_every_bit(monkeypatch):
     # a block of one level steps the per-level light-cone window; a longer
     # block steps a wider window whose extra nodes hold a zero state and
@@ -466,28 +485,43 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
     assert record == _serial_record(components, grid, threshold)
 
 
-def _window_edges(monkeypatch, grid, components=None):
+def _offset(view):
+    """Element offset of a 1-D view into the buffer that owns it."""
+    return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
+
+
+def _window_edges(monkeypatch, grid, steps=None):
     """The lower edge, as a node index of ``grid``, of every window the
     stepper advances in this process, one entry per level: the window of
     the level's peak max |u_t|, the one call that reads every component's
     u_t.  A buffer holds the m components of a node side by side, so its
-    element offset is m times the node index; with ``components``, every
-    window must hold that many."""
+    element offset is m times the node index.
+
+    Every neighbour-sum call of the step, the np.add of two views of one
+    buffer, appends to ``steps`` the number of components it sums: half
+    the offset between its inputs, or 0 when a view is strided."""
     edges = []
     n = len(grid.xs())
 
     def peak(win):
         m, rest = divmod(win.base.size, n)
-        assert rest == 0 and m >= 1 and m == (components or m)
-        offset = (win.ctypes.data - win.base.ctypes.data) // win.itemsize
+        assert rest == 0 and m >= 1
+        offset = _offset(win)
         assert offset % m == 0 and win.size % m == 0
         edges.append(offset // m)
         return np.maximum.reduce(win)
 
+    def spy_add(a, b, *out):
+        if steps is not None and a is not b and a.base is not None and a.base is b.base:
+            contiguous = all(v.strides == (v.itemsize,) for v in (a, b, *out))
+            steps.append((_offset(a) - _offset(b)) // 2 if contiguous else 0)
+        return np.add(a, b, *out)
+
     class Numpy:
-        """numpy as fd sees it, with the peak's reduction spied on."""
+        """numpy as fd sees it, with the peak's reduction and np.add spied on."""
 
         maximum = SimpleNamespace(reduce=peak)
+        add = staticmethod(spy_add)
 
         def __getattr__(self, name):
             return getattr(np, name)
@@ -518,17 +552,20 @@ def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
     ids=["cross-system", "shared-coefficients-censored"],
 )
 def test_system_steps_all_components_in_one_call_per_level(monkeypatch, system, prof, blow_up):
-    # the components share one interleaved buffer, so a level steps one
-    # window that holds both, on both coefficient paths and with the mirror
-    # on or off
+    # the components share one interleaved buffer, so a level is one
+    # neighbour-sum call over a contiguous window of both components, on
+    # both coefficient paths and with the mirror on or off
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
-    edges = _window_edges(monkeypatch, grid, components=2)
+    steps = []
+    edges = _window_edges(monkeypatch, grid, steps)
     for data2 in (prof, ODD_DATA):
         edges.clear()
+        steps.clear()
         record = detect_lifespan_system(system, prof, data2, grid)
         assert record.blow_up == blow_up
         levels = round(record.T_est / grid.dt) if blow_up else grid.n_steps()
         assert len(edges) == levels
+        assert steps == [2] * levels
 
 
 #: the criterion-9 sweep at dx = 1/100, the seed-0 system_sweep benchmark

@@ -1,6 +1,6 @@
 """Cost of one level of the FD stepper, and of the bare ufunc calls it makes.
 
-    python3 tools/fd_level_cost.py [--out BENCH_fd_level.json] [--repeat 31]
+    python3 tools/fd_level_cost.py [--out BENCH_fd_level.json]
 
 Run from the root of a source checkout; siwave is imported from ./src.
 Uses numpy and the standard library only.
@@ -53,6 +53,7 @@ from siwave.profiles import CauchyProfile  # noqa: E402
 DX = 0.01
 FIRST, LAST = 100, 300  # the levels whose cost is measured
 WINDOWS = (400, 1000, 2500)
+REPEAT = 31  # rounds per figure
 P2 = ScaleInvariantParams(2.0, 0.0)
 SYSTEMS = {
     "shared": SystemParams(P2, P2, p=1.5, q=2.0),
@@ -124,11 +125,11 @@ def _replay(calls: list) -> None:
         call(*args, **kwargs)
 
 
-def _median_gap(first, last, repeat: int) -> float:
-    """Median over ``repeat`` rounds of the time of ``last`` minus that of
+def _median_gap(first, last) -> float:
+    """Median over REPEAT rounds of the time of ``last`` minus that of
     ``first``, the two timed back to back in alternating order."""
     gaps = []
-    for r in range(repeat):
+    for r in range(REPEAT):
         times = {}
         for f in (first, last) if r % 2 == 0 else (last, first):
             t0 = time.perf_counter()
@@ -138,17 +139,17 @@ def _median_gap(first, last, repeat: int) -> float:
     return statistics.median(gaps)
 
 
-def _case(m: int, coefficients: str, window: int, repeat: int) -> dict:
+def _case(m: int, coefficients: str, window: int) -> dict:
     # a mirrored block window spans R/dx + 1 nodes plus the levels up to
     # its block's last one: about 16 past the level on average
     R = (window - 1 - (FIRST + LAST) // 2 - fd._BLOCK // 2) * DX
     levels = LAST - FIRST
     gap = _median_gap(
-        lambda: _run(m, coefficients, R, FIRST), lambda: _run(m, coefficients, R, LAST), repeat
+        lambda: _run(m, coefficients, R, FIRST), lambda: _run(m, coefficients, R, LAST)
     )
     short, long = _recorded(m, coefficients, R, FIRST), _recorded(m, coefficients, R, LAST)
     with np.errstate(all="ignore"):
-        bare_gap = _median_gap(lambda: _replay(short), lambda: _replay(long), repeat)
+        bare_gap = _median_gap(lambda: _replay(short), lambda: _replay(long))
     return {
         "m": m,
         "coefficients": coefficients,
@@ -184,14 +185,11 @@ def _host() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", default=str(ROOT / "BENCH_fd_level.json"))
-    parser.add_argument("--repeat", type=int, default=31)
     args = parser.parse_args()
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     cases = []
     for m, coefficients in ((1, "shared"), (2, "shared"), (2, "unequal")):
         for window in WINDOWS:
-            case = _case(m, coefficients, window, args.repeat)
+            case = _case(m, coefficients, window)
             print(
                 f"m={m} {coefficients:<8} window {window:>5}: {case['us_per_level']:7.2f} us/level,"
                 f" bare ufunc calls {case['bare_ufunc_us_per_level']:7.2f} us"
@@ -203,7 +201,7 @@ def main() -> int:
         "metric": "fd.us_per_level",
         "unit": "us",
         "method": (
-            f"median over {args.repeat} rounds of the time of a run to level {LAST} minus that "
+            f"median over {REPEAT} rounds of the time of a run to level {LAST} minus that "
             f"of a run to level {FIRST}, the two back to back in alternating order, over "
             f"{LAST - FIRST} levels; cfl = 1, dx = {DX}, mirrored even data"
         ),
