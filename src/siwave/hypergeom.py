@@ -1,68 +1,60 @@
 """Gauss hypergeometric function F(a,b;c;z) on z in [0,1).
 
 The kernels of the closed-form linear solver need F(gamma,gamma;1;zeta) and
-F(gamma+1,gamma+1;2;zeta), where zeta lies in [0,1) on the light-cone
-domain and tends to 1 as t grows.  One series engine serves both
-:func:`hyp2f1` (a Python float) and :func:`hyp2f1_grid` (an array): every
-series it sums has the form
+F(gamma+1,gamma+1;2;zeta), zeta in [0,1) tending to 1 as t grows.  One engine
+serves :func:`hyp2f1` (a float) and :func:`hyp2f1_grid` (an array); each
+series it sums is w^p sum_k c_k x_k w^k, c_{k+1} = c_k (a'+k)(b'+k) /
+((c'+k)(1+k)), with x_k = 1, or x_k = ln(w) + h_k for a logarithmic series.
 
-    sum_k t_k x_k,   t_{k+1} = t_k (a'+k)(b'+k) / ((c'+k)(1+k)) * w,
-
-with x_k = 1, or x_k = ln(w) + h_k for the logarithmic series below.
-
-Which formula, by z:
-
-* z <= 1/2: the direct series, w = z, t_0 = 1.
-* z > 1/2: the z -> 1-z connection formula, so every series runs in powers
-  of w = 1-z < 1/2 and needs about 50 terms at tol = 1e-13, whatever z.
+* z <= 1/2: the direct series, w = z, c_0 = 1, p = 0.
+* z > 1/2: the z -> 1-z connection formula, in powers of w = 1-z < 1/2.
   With s = c-a-b not an integer this is A&S 15.3.6 (DLMF 15.8.4): two
-  series, F(a,b;1-s;w) and w^s F(c-a,c-b;1+s;w).  With s = m an integer
-  the Gamma factors of 15.3.6 have poles, and the limit is one of the
-  logarithmic cases A&S 15.3.10 (m = 0), 15.3.11 (m > 0) or 15.3.12
-  (m < 0): a finite sum of |m| terms plus one series whose bracket
-  ln(w) + psi(a'+k) + psi(b'+k) - psi(1+k) - psi(c'+k) is updated by the
-  psi recurrence.  The kernel calls are all logarithmic: (1/2,1/2;1) has
-  m = 0, (-1/2,-1/2;1) has m = 2 and (1/2,1/2;2) has m = 1.
+  series, F(a,b;1-s;w) and w^s F(c-a,c-b;1+s;w).  With s = m an integer it
+  is A&S 15.3.10 (m = 0), 15.3.11 (m > 0) or 15.3.12 (m < 0): |m| terms plus
+  one series with the bracket ln(w) + psi(a'+k) + psi(b'+k) - psi(1+k) -
+  psi(c'+k).  The kernels call (1/2,1/2;1), m = 0, (-1/2,-1/2;1), m = 2,
+  and (1/2,1/2;2), m = 1.
 
-The direct series stays in use at every z for a terminating series (a or b
-a non-positive integer), where it stops after its last nonzero term, and
-wherever the connection formula would lose more than ``tol`` to
-cancellation (next paragraph).  There, near z = 1, it needs about 1/(1-z)
-terms and raises :class:`ConvergenceError` beyond its term budget; it
-never truncates silently.
+The direct series also serves a terminating series (a or b a non-positive
+integer) and every z where the connection formula fails its rounding test;
+it needs about 1/(1-z) terms and raises ConvergenceError beyond its budget.
 
-Cancellation.  Each addend of the connection formula is a product of a few
-correctly rounded factors with Gamma and digamma values good to a few ulps,
-and its terms fall off at least geometrically in w <= 1/2, so the rounding
-error of the compensated sum is below ``CANCELLATION_ULPS`` * u * sum|addend|
-(u = 2^-53).  The arguments c-a-b, c-a, c-b, 1-(c-a-b), 1+(c-a-b), a+m,
-b+m, ... of the Gamma and digamma factors are themselves rounded; moving
-x by d changes ln|Gamma(x)| by about d |psi(x)|, so each rounded argument
-adds |x - fl(x)| |psi(fl(x))| to that relative bound (the residual
-x - fl(x) comes from math.fsum, once per parameter set).  The connection formula is used only where the
-resulting bound on its rounding error is within tol * max(1, |F|);
-elsewhere the direct series is.  This is the cutoff for a non-integer
-c-a-b close to an integer: the two terms of 15.3.6 then carry opposite
-poles of size about |F| / dist(c-a-b, Z), so sum|addend| grows like
-1 / dist until the bound fails.  Where that happens depends on z: at the
-default tol, F(1/2,1/2;2+d;z) takes the direct series from d = 0.03 down
-at z = 0.51, and from d = 0.003 down at z = 0.9.
+Truncation.  With S = a'+b'-c'-1 and N = a'b'-c', once a'+k, b'+k, c'+k > 0
+every later ratio r_j has |r_j| <= rho_k = 1 + |S| max(1, k/(c'+k)) / (1+k)
++ |N| / ((c'+k)(1+k)), and the tail after term k is below |c_k| w^(k+p) B
+q/(1-q), q = w rho_k < 1, B = 1 or, logarithmic, |ln w| + H with H >= |h_j|
+by |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0.  This
+bound grows with w (w^n times a factor growing in w, n > 0, or w^n
+(|ln w| + H), n >= 2, w <= 1/2), so it meets the series' share of tol up to
+some w_k, found once by bisection.  A point in [j, j+1) 2^-16 is summed to
+the first k with max(w_start, ..., w_k) >= (j+1) 2^-16, read from a table
+per cell (no k serves z >= 1 - 2^-16 on a direct series that does not
+terminate): its value depends on the point alone.
 
-Truncation.  Terms are accumulated with Kahan compensated summation, which
-keeps the exact lower bound F(a,a;c;z) >= 1 for c > 0 (every term of the
-direct series is a nonnegative square there) from being spoiled by
-rounding; a connection-formula value of such an F is clipped to 1 from
-below for the same reason.  Write the ratio as r_j = 1 + (S j + N) /
-((c'+j)(1+j)) with S = a'+b'-c'-1 and N = a'b'-c'.  Once a'+k, b'+k and
-c'+k are positive, every later ratio satisfies |r_j| <= rho_k =
-1 + |S| max(1, k/(c'+k)) / (1+k) + |N| / ((c'+k)(1+k)), and the tail after
-term k is below |t_k| B q / (1-q) with q = w rho_k < 1, where B = 1 for a
-plain series and B = |ln w| + H for a logarithmic one; H bounds every later
-|h_j| by |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0.  A
-series stops once that bound is below its share of ``tol``.  On an array
-the bound is largest at the largest w, because from that index on |t_k| B w
-is a constant times w^n, which grows on (0, 1), or times w^n (|ln w| + H)
-with n >= 2, which grows on (0, 1/2]; so only that point is tested.
+Summation.  The c_k and c_k h_k are exact rational products and sums of the
+parameters, kept in 256-bit integers and rounded once (then times the
+scale).  Horner's rule sums them in pieces of M = 32 terms, each scaled by
+w^(jM) and Kahan-added from the top; a logarithmic series adds ln(w) P to
+Q, the polynomials of c_k and c_k h_k.  An array is sorted by term count,
+so a Horner step is one multiply and one add on a suffix of a block.
+
+Cancellation.  Horner's rule errs by at most (2M-2) u times a piece's
+sum|addend| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+5.1; u = 2^-53); the pieces add 4u, the coefficients u and the split
+bracket u: (2M+4) u |F| for a direct series with one-signed c_k.  The Gamma
+scale, power and bracket of a connection-formula series add 20 ulps:
+``CANCELLATION_ULPS`` = 2M+24 ulps of sum |c_k| (|ln w| + |h_k|) w^k <=
+(|ln w| + H) |P|.  Where a point's c_k change sign, Higham's running bound
+mu = sum |s_i| w^i over the Horner partial sums s_i serves instead: the
+Horner error is below 2u mu and sum|addend| <= 2 mu bounds the rest, 8u mu
+for a direct series.  Each rounded Gamma or digamma argument (c-a-b, c-a,
+1-(c-a-b), a+m, ...) adds |x - fl(x)| |psi(fl(x))| (x - fl(x) by math.fsum)
+to the connection formula's bound.  A value is returned only where its
+bound is within tol * max(1, |F|): elsewhere the connection formula falls
+back to the direct series (so for c-a-b near an integer, where the terms of
+15.3.6 carry opposite poles of size |F| / dist(c-a-b, Z)), which raises
+:class:`ConvergenceError` with the bound in ``achieved``.  F(a,a;c;z) >= 1
+for c > 0, and a connection-formula value of it is clipped to 1 from below.
 """
 
 from __future__ import annotations
@@ -74,19 +66,20 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-__all__ = [
-    "ConvergenceError",
-    "hyp2f1",
-    "hyp2f1_grid",
-]
+__all__ = ["ConvergenceError", "hyp2f1", "hyp2f1_grid"]
 
 DEFAULT_TOL = 1e-13
 MAX_TERMS = 10**6
 
-#: Rounding-error bound of a connection-formula evaluation with exact
+_U = 2.0**-53
+_PIECE = 32  # terms per Horner piece (module docstring, "Summation")
+#: Rounding-error bound of a connection-formula series whose c_k keep one sign, with exact
 #: arguments, in units of u * sum|addend| (module docstring, "Cancellation").
-CANCELLATION_ULPS = 64.0
-_ROUNDING = CANCELLATION_ULPS * 2.0**-53
+CANCELLATION_ULPS = 2.0 * _PIECE + 24.0
+_DIRECT = (2.0 * _PIECE + 4.0) * _U  # the same for the direct series, absolute
+_BITS = 256  # bits kept by the exact coefficient recurrences
+_CELLS = 1 << 16  # cells per unit of w in which term counts are read
+_BLOCK = 8192  # points per block in hyp2f1_grid: the engine's arrays then stay in cache
 
 
 class ConvergenceError(RuntimeError):
@@ -97,35 +90,26 @@ class ConvergenceError(RuntimeError):
         self.achieved = achieved
 
 
-def _check_inputs(a: float, b: float, c: float, tol: float) -> None:
-    isfinite = math.isfinite
-    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(tol)):
+def _canonical(a: float, b: float, c: float, tol: float, max_terms: int) -> tuple[float, float, _Plan]:
+    """Checked parameters with a <= b, so that F(a,b;.) and F(b,a;.) run identical arithmetic."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(tol)):
         for name, value in (("a", a), ("b", b), ("c", c), ("tol", tol)):
-            if not isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
     if c <= 0 and c == math.floor(c):
         raise ValueError(f"series pole: c = {c} is zero or a negative integer")
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
-
-
-def _start_index(a: float, b: float, c: float) -> int:
-    """First index k with a+k, b+k, c+k > 0, from which the tail bound holds."""
-    return int(max(0.0, -a, -b, -c)) + 1
-
-
-def _ratio_bound(a: float, b: float, c: float, k: int) -> float:
-    """rho_k >= |r_j| for every j >= k >= _start_index (module docstring, "Truncation")."""
-    slope, const = a + b - c - 1.0, a * b - c
-    return 1.0 + abs(slope) * max(1.0, k / (c + k)) / (1.0 + k) + abs(const) / ((c + k) * (1.0 + k))
+    if not (type(max_terms) is int or isinstance(max_terms, np.integer)) or max_terms < 1:  # no bool
+        raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
+    return (a, b, _plan(a, b, c)) if a <= b else (b, a, _plan(b, a, c))
 
 
 def _digamma(x: float) -> float:
     """psi(x), x not a non-positive integer, by psi(x) = psi(x+1) - 1/x and the asymptotic series.
 
-    Shifting up to x >= 10 keeps full relative accuracy next to the poles
-    at the non-positive integers, where a reflection formula loses it; the
-    first omitted asymptotic term is below 5e-17 there.
+    Shifting up to x >= 10 keeps full relative accuracy next to the poles, where a reflection
+    formula loses it; the first omitted asymptotic term is below 5e-17 there.
     """
     if x < -50.0:
         return float(special.psi(x))
@@ -139,71 +123,195 @@ def _digamma(x: float) -> float:
     return shift + math.log(x) - 0.5 / x - series
 
 
-def _psi_shift_bound(x: float, d: float) -> float:
-    """Bound on |psi(x+d) - psi(x)|, valid while min(x, x+d) > 0."""
-    y = min(x, x + d)
-    return abs(d) * (1.0 / y + 1.0 / (y * y))
+class _Series:
+    """One series of the engine, w^power sum_k c_k x_k w^k with ratio parameters a, b, c, at w <= cap.
 
-
-#: The ratios, brackets and ratio bounds of the first ``start + _TABLE_TERMS``
-#: terms of a series (at most ``_TABLE_CAP``) are computed once per parameter set.
-_TABLE_TERMS = 100
-_TABLE_CAP = 256
-
-#: Points per engine call in :func:`hyp2f1_grid`: the engine's arrays then stay in cache.
-_BLOCK = 8192
-
-
-class _Series(NamedTuple):
-    """One series of the engine: t_0 = scale * w**power, ratio parameters a, b, c.
-
-    ``table[k]`` holds (r_k, h_k, rho_k): the ratio t_{k+1} / (t_k w), h_k of
-    the bracket ln(w) + h_k of a logarithmic series (0.0 otherwise), and
-    the bound rho_k on every later ratio (from ``start`` on).
+    The tail test holds from ``start`` on (a terminating series ends there, at its first zero
+    coefficient); ``rounding`` bounds its rounding error per unit of sum|addend| (module docstring,
+    "Cancellation").  The coefficients ``ck`` and ``chk`` (c_k h_k) and the tables fill on demand.
     """
 
-    a: float
-    b: float
-    c: float
-    scale: float
-    power: float
-    start: int
-    log: bool
-    h_bound: float  # bound on |h_k| for every k > ``start``
-    table: tuple[tuple[float, float, float], ...]
+    def __init__(self, a: float, b: float, c: float, scale: float = 1.0, power: float = 0.0,
+                 log: bool = False, cap: float = 1.0):
+        self.a, self.b, self.c, self.scale, self.power, self.log = a, b, c, float(scale), power, log
+        start = int(max(0.0, -a, -b, -c)) + 1  # first k with a+k, b+k, c+k > 0
+        zeros = [1 - int(x) for x in (a, b) if x <= 0 and x == math.floor(x)]
+        self.start, self.ends, self.cap, self.rounding = min([start, *zeros]), bool(zeros), cap, _DIRECT
+        self.h0 = self.h_bound = 0.0  # h_0, and a bound on |h_k| for every k > start
+        if log:  # |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0
+            self.h0 = _digamma(a) + _digamma(b) - _digamma(1.0) - _digamma(c)
+            for x, d in ((start + 2.0, a - 1.0), (c + (start + 1), b - c)):
+                self.h_bound += abs(d) * (1.0 / min(x, x + d) + 1.0 / min(x, x + d) ** 2)
+        self.ck, self.chk, self.tables, self.H = [], [], {}, self.h_bound  # H: with every |h_k|, k <= start
+        self.split, self.exact = math.inf, (1, 0, 0)  # the first k where c_k changes sign; see extend
+
+    def extend(self, n: int) -> _Series:
+        """Fill c_k and c_k h_k up to k = n, each rounded once from prod r_j = m 2^e and the psi steps
+        h_k - h_0 = h 2^-_BITS, carried to 2^-250 a step; ``split`` is the first k where c_k changes sign.
+        """
+        if len(self.ck) > n:
+            return self
+        (an, ad), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (self.a, self.b, self.c))
+        m, e, h = self.exact
+        for k in range(len(self.ck), n + 1):
+            self.ck.append(self.scale * (math.ldexp(m, e) if e + m.bit_length() < 1024 else math.inf * m))
+            if self.ck[-1] * self.ck[0] < 0.0:
+                self.split = min(self.split, k)
+            if self.log:
+                hk = self.h0 + h / (1 << _BITS)
+                self.chk.append(self.ck[-1] * hk)
+                self.H = max(self.H, abs(hk)) if k <= self.start else self.H
+            num, den = m * (an + k * ad) * (bn + k * bd) * cd, (cn + k * cd) * (k + 1) * ad * bd
+            shift = _BITS + den.bit_length() - num.bit_length() if num else 0
+            m, e = (num << shift) // den if shift >= 0 else (num >> -shift) // den, e - shift
+            if self.log:
+                h += ((ad << _BITS) // (an + k * ad) + (bd << _BITS) // (bn + k * bd)
+                      - (1 << _BITS) // (k + 1) - (cd << _BITS) // (cn + k * cd))
+        self.exact = (m, e, h)
+        return self
 
 
-def _coefficients(a: float, b: float, c: float, k: int, h: float, log: bool):
-    """(r_k, h_k, rho_k) from h_{k-1}: the psi recurrence psi(x+1) = psi(x) + 1/x."""
-    if log:
-        h += 1.0 / (a + k - 1) + 1.0 / (b + k - 1) - 1.0 / k - 1.0 / (c + k - 1)
-    rho = _ratio_bound(a, b, c, k) if c + k > 0.0 else math.inf
-    return (a + k) * (b + k) / ((c + k) * (k + 1.0)), h, rho
+def _table(s: _Series, tol: float, w_top: float, max_terms: int):
+    """(W, lut): running maxima W_k of the bisected w_k, k = start, ..., up to w_top or max_terms, and
+    per cell j the first k with W_k >= (j+1) / _CELLS.  A w_k depends on k alone, so extending W is safe.
+    """
+    W = s.tables[tol][0] if tol in s.tables else np.array([math.inf] if s.ends else [])
+    while not (W.size and W[-1] >= w_top) and s.start + W.size <= max_terms:
+        k = np.arange(s.start + W.size, min(s.start + 2 * W.size + 32, max_terms + 1))
+        lead = np.abs(s.extend(int(k[-1])).ck[k[0]:k[-1] + 1])
+        slope, const, ck = abs(s.a + s.b - s.c - 1.0), abs(s.a * s.b - s.c), s.c + k
+        rho = 1.0 + slope * np.maximum(1.0, k / ck) / (1.0 + k) + const / (ck * (1.0 + k))
+
+        def passes(w):  # the tail test of term k at w
+            tail = lead * w ** (k + s.power) * (w * (s.h_bound - np.log(w)) if s.log else w)
+            return tail * rho <= tol * (1.0 - w * rho)
+        lo, hi = np.zeros(k.size), np.full(k.size, s.cap)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            ok = passes(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        W = np.maximum.accumulate(np.concatenate((W, np.where(passes(np.full(k.size, s.cap)), s.cap, lo))))
+    lut = s.start + np.searchsorted(W, np.arange(1, _CELLS + 1) / _CELLS)
+    s.tables[tol] = W, lut.astype(np.uint8 if lut[-1] < 2**8 else np.uint16) if lut[-1] < 2**16 else lut
+    return s.tables[tol]
 
 
-def _series(a: float, b: float, c: float, scale: float = 1.0, power: float = 0.0,
-            log: bool = False) -> _Series:
-    start = _start_index(a, b, c)
-    h_bound = 0.0
-    h = 0.0
-    if log:
-        h = _digamma(a) + _digamma(b) - _digamma(1.0) - _digamma(c)
-        j = start + 1
-        h_bound = _psi_shift_bound(1.0 + j, a - 1.0) + _psi_shift_bound(c + j, b - c)
-    table = [(a * b / c, h, math.inf)]
-    for k in range(1, min(start + _TABLE_TERMS, _TABLE_CAP)):
-        table.append(_coefficients(a, b, c, k, table[-1][1], log))
-    return _Series(a, b, c, float(scale), power, start, log, h_bound, tuple(table))
+def _counts(s: _Series, tol: float, w, max_terms: int, w_top: float | None = None):
+    """Term counts of s at w (a float or an array, whose maximum w_top may be given); they never fall
+    as w grows."""
+    w_top = w if (scalar := isinstance(w, float)) else float(w.max()) if w_top is None else w_top
+    j_top = int(w_top * _CELLS)
+    W, lut = s.tables.get(tol, (None, None))
+    n_top = None if lut is None else int(lut[j_top])
+    if n_top is None or n_top >= s.start + W.size:  # the cell is not covered yet
+        W, lut = _table(s, tol, (j_top + 1) / _CELLS, max_terms)
+        n_top = int(lut[j_top])
+    if n_top > max_terms:
+        lead = abs(s.extend(max_terms).ck[max_terms]) * w_top ** (max_terms + s.power)
+        bound = w_top * (abs(math.log(w_top)) + s.h_bound) if s.log else w_top
+        raise ConvergenceError(f"series with ratio ({s.a}+k)({s.b}+k)/(({s.c}+k)(1+k)) in w <= {w_top} did "
+                               f"not reach tol={tol} within {max_terms} terms", lead * bound / (1.0 - w_top))
+    return n_top if scalar else lut[(w * _CELLS).astype(np.intp)]
+
+
+def _pow(w, e):
+    """w**e by numpy's ufunc for a float too: a point gets the same bits alone and in an array."""
+    return float(np.power(w, e)) if isinstance(w, float) else np.power(w, e)
+
+
+def _piece(s: _Series, k: int, w, lnw, p, q, rp=None, rq=None):
+    """A piece's value, sum |c_j| w^j (logarithmic) and running bound, each times w^k; float or array."""
+    value, mass = (lnw * p + q, abs(p)) if s.log else (p, 0.0)
+    run = 0.0 if rp is None else rp * -lnw + rq if s.log else rp
+    if k:
+        f = _pow(w, k)
+        value, mass, run = value * f, mass * f, run * f
+    return value, mass, run
+
+
+def _finish(s: _Series, w, lnw, total, mass, mu, signed: bool):
+    """(value, rounding bound where the c_k keep one sign, where they do not) from the piece sums:
+    sum|addend| is <= (|ln w| + H) sum |c_k| w^k (logarithmic) or = |value|, and mu costs
+    8u + 2 (rounding - _DIRECT) per unit."""
+    if s.power:
+        f = w if s.power == 1 else _pow(w, s.power)
+        total, mass, mu = total * f, mass * f, mu * f if signed else mu
+    same = s.rounding * (mass * (s.H - lnw) if s.log else abs(total))
+    return total, same, (8.0 * _U + 2.0 * (s.rounding - _DIRECT)) * mu if signed else None
+
+
+def _sum_point(s: _Series, w: float, lnw: float | None, n: int) -> tuple[float, float]:
+    """(value, rounding bound) of s at a float w summed to term n: one point of _sum_grid."""
+    c, ch, log, signed = (s if len(s.ck) > n else s.extend(n)).ck, s.chk, s.log, n >= s.split
+    total = None
+    for k0 in range(n - n % _PIECE, -1, -_PIECE):
+        p = q = rp = rq = 0.0
+        for k in range(min(n, k0 + _PIECE - 1), k0 - 1, -1):
+            p = p * w + c[k]
+            if log:
+                q = q * w + ch[k]
+            if signed:
+                rp, rq = rp * w + abs(p), rq * w + abs(q)
+        value, m, r = _piece(s, k0, w, lnw, p, q, *((rp, rq) if signed else ()))
+        if total is None:  # the top piece: Kahan-adding it to 0 would give it exactly
+            total, comp, mass, mu = value, 0.0, m, r
+        else:  # Kahan
+            y = value - comp
+            t = total + y
+            total, comp, mass, mu = t, (t - total) - y, mass + m, mu + r
+    total, same, run = _finish(s, w, lnw, total, mass, mu, signed)
+    return total, run if signed else same
+
+
+def _sum_grid(s: _Series, w: np.ndarray, lnw, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, rounding bound) of s at the points w, ordered so that their term counts n never fall.
+
+    Step k updates the suffix first[k]: of the points with n >= k, with the operations of
+    :func:`_sum_point`: rows P, Q of ``acc``, and their running bounds from sp on (signed c_k).
+    """
+    top, size, c, ch, log = int(n[-1]), w.size, s.extend(int(n[-1])).ck, s.chk, s.log
+    first = n.searchsorted(np.arange(top + _PIECE + 1)).tolist()
+    sp = first[min(s.split, top + 1)]
+    acc = np.zeros((4 if sp < size else 2, size))
+    p, q, total = acc[0], acc[1], None
+    for k in range(top, -1, -1):
+        i = first[k]
+        v, wi = p[i:], w[i:]
+        v *= wi
+        v += c[k]
+        if log:
+            v = q[i:]
+            v *= wi
+            v += ch[k]
+        if sp < size and (j := max(i, sp)) < size:
+            v = acc[2:, j:]
+            v *= w[j:]
+            v += np.abs(acc[:2, j:])
+        if k % _PIECE:
+            continue
+        value, m, r = _piece(s, k, w[i:], None if lnw is None else lnw[i:], p[i:], q[i:], *acc[2:, i:])
+        if total is None and not k:  # one piece for every point
+            total, mass, mu = value, m, r
+            break
+        if total is None:
+            total, comp, mass, mu = np.zeros((4, size))
+        h = first[k + _PIECE]  # points below h hold no higher piece
+        total[i:h] = value[:h - i]
+        y = value[h - i:] - comp[h:]
+        t = total[h:] + y
+        total[h:], comp[h:] = t, (t - total[h:]) - y
+        mass[i:] += m
+        mu[i:] += r
+        acc[:, i:] = 0.0
+    total, bound, run = _finish(s, w, lnw, total, mass, mu, sp < size)
+    if sp < size:
+        bound[sp:] = run[sp:]
+    return total, bound
 
 
 class _Plan(NamedTuple):
-    """How F(a,b;c;.) is evaluated: direct series, and the connection formula.
-
-    The connection formula is w**poly_power * sum_n poly[n] w^n plus the
-    listed series; ``connect`` is False where it is not used.  ``rounding``
-    bounds its rounding error relative to sum|addend| (module docstring,
-    "Cancellation").
-    """
+    """How F(a,b;c;.) is evaluated: the direct series, and (if ``connect``) the connection formula
+    w**poly_power * sum_n poly[n] w^n plus the listed series, whose ``rounding`` is per sum|addend|."""
 
     direct: _Series
     connect: bool = False
@@ -214,11 +322,8 @@ class _Plan(NamedTuple):
 
 
 def _argument_error(*arguments: tuple[float, ...]) -> float:
-    """sum |x - fl(x)| |psi(fl(x))| over rounded Gamma/digamma arguments.
-
-    Each argument is given as (fl(x), *terms) with x the exact sum of the
-    terms; math.fsum returns the residual x - fl(x) correctly rounded.
-    """
+    """sum |x - fl(x)| |psi(fl(x))| over rounded Gamma/digamma arguments (fl(x), *terms), x the
+    exact sum of the terms; math.fsum returns the residual x - fl(x) correctly rounded."""
     out = 0.0
     for rounded, *terms in arguments:
         shift = abs(math.fsum([*terms, -rounded]))
@@ -233,197 +338,133 @@ def _argument_error(*arguments: tuple[float, ...]) -> float:
 def _plan(a: float, b: float, c: float) -> _Plan:
     """Evaluation plan for canonical parameters a <= b."""
     a, b, c = float(a), float(b), float(c)
-    direct = _series(a, b, c)
+    direct = _Series(a, b, c)
     if any(x <= 0 and x == math.floor(x) for x in (a, b)):
         return _Plan(direct)  # terminating series
     s = c - a - b
     gc = special.gamma(c)
     if s != math.floor(s):  # A&S 15.3.6
-        series = (
-            _series(a, b, 1.0 - s, gc * special.gamma(s) * special.rgamma(c - a) * special.rgamma(c - b)),
-            _series(c - b, c - a, 1.0 + s, gc * special.gamma(-s) * special.rgamma(a) * special.rgamma(b), s),
-        )
-        poly: tuple[float, ...] = ()
-        poly_power = 0
+        scales = (gc * special.gamma(s) * special.rgamma(c - a) * special.rgamma(c - b),
+                  gc * special.gamma(-s) * special.rgamma(a) * special.rgamma(b))
+        series = (_Series(a, b, 1.0 - s, scales[0], cap=0.5),
+                  _Series(c - b, c - a, 1.0 + s, scales[1], s, cap=0.5))
+        poly, poly_power = (), 0
         arguments = ((s, c, -a, -b), (-s, -c, a, b), (1.0 - s, 1.0, -c, a, b),
                      (1.0 + s, 1.0, c, -a, -b), (c - a, c, -a), (c - b, c, -b))
     else:  # A&S 15.3.10 (m = 0), 15.3.11 (m > 0), 15.3.12 (m < 0)
-        m = int(s)
-        j = abs(m)
-        # series parameters a' = a + max(m, 0), b' = b + max(m, 0), c' = j + 1
-        a1, b1 = a + max(m, 0), b + max(m, 0)
+        m, j = int(s), abs(int(s))
+        a1, b1 = a + max(m, 0), b + max(m, 0)  # series parameters a', b'; c' = j + 1
         scale = -((-1.0) ** j) * gc * special.rgamma(a1 - j) * special.rgamma(b1 - j) / math.factorial(j)
-        series = (_series(a1, b1, j + 1.0, scale, max(m, 0), log=True),)
+        series = (_Series(a1, b1, j + 1.0, scale, max(m, 0), log=True, cap=0.5),)
         lead = special.gamma(j) * gc * special.rgamma(a1) * special.rgamma(b1) if j else 0.0
-        poly = tuple(
-            float(lead * special.poch(a1 - j, n) * special.poch(b1 - j, n)
-                  / (math.factorial(n) * special.poch(1.0 - j, n)))
-            for n in range(j)
-        )
+        poly = tuple(float(lead * special.poch(a1 - j, n) * special.poch(b1 - j, n)
+                           / (math.factorial(n) * special.poch(1.0 - j, n))) for n in range(j))
         poly_power = min(m, 0)
         arguments = ((a1, a, max(m, 0)), (b1, b, max(m, 0)), (a1 - j, a, max(m, 0) - j),
                      (b1 - j, b, max(m, 0) - j))
-    rounding = _ROUNDING + _argument_error(*arguments)
-    constants = [sr.scale for sr in series] + [sr.table[0][1] for sr in series] + list(poly)
-    if not all(math.isfinite(x) for x in constants + [rounding]):
+    rounding = CANCELLATION_ULPS * _U + _argument_error(*arguments)
+    if not all(math.isfinite(x) for x in [rounding, *poly, *(v for sr in series for v in (sr.scale, sr.h0))]):
         return _Plan(direct)  # Gamma overflow or a pole: the direct series serves every z
     series = tuple(sr for sr in series if sr.scale != 0.0)
+    for sr in series:
+        sr.rounding = rounding
     return _Plan(direct, True, poly, poly_power, series, rounding)
 
 
-def _accumulate(state, s: _Series, w, lnw, tol: float, max_terms: int, probe):
-    """Kahan-add sum_k t_k x_k of one series into ``state`` = (total, comp, mass).
-
-    ``w`` and ``lnw`` are a float or an array alike; ``probe`` is None for a
-    float and otherwise the index of the largest w, where the tail bound is
-    tested.  ``mass`` accumulates sum|addend| for the cancellation test; the
-    direct series passes None and skips it.  The augmented assignments
-    rebind a float and update an array in place; every array they update
-    is one this function or its caller created.
-    """
-    total, comp, mass = state
-    a, b, c, scale, power, start, log, h_bound, table = s
-    track = mass is not None
-    scalar = probe is None
-    w_max = w if scalar else float(w[probe])
-    bound = w_max
-    if log:
-        bound *= abs(lnw if scalar else float(lnw[probe])) + h_bound
-    # rho >= 1, so |t_k| <= limit is necessary for the tail test, and cheap to try first
-    limit = tol * (1.0 - w_max) / bound if bound > 0.0 else math.inf
-    term = scale * w**power if power else scale
-    n = len(table)
-    h = 0.0
-    r = 1.0
-    for k in range(max_terms + 1):
-        terminated = r == 0.0
-        r, h, rho = table[k] if k < n else _coefficients(a, b, c, k, h, log)
-        if log:
-            addend = lnw + h
-            addend *= term
-        else:
-            addend = term
-        y = addend - comp
-        t = total + y
-        comp = t - total
-        comp -= y
-        total = t
-        if track:
-            mass += abs(addend)
-        if terminated:
-            # t_k and every later term are exactly zero: adding t_k applied
-            # the last compensation, and later zeros would leave the sum as it is
-            return total, comp, mass
-        if k >= start:
-            lead = abs(term) if scalar else abs(float(term[probe]))
-            if lead <= limit and lead * bound * rho <= tol * (1.0 - w_max * rho):
-                return total, comp, mass
-        term *= r
-        term *= w
-    lead = abs(term) if scalar else abs(float(term[probe]))
-    raise ConvergenceError(
-        f"series with ratio ({a}+k)({b}+k)/(({c}+k)(1+k)) in w <= {w_max} "
-        f"did not reach tol={tol} within {max_terms} terms",
-        achieved=lead * bound / (1.0 - w_max),
-    )
+def _counted(plan: _Plan, x, tol: float, max_terms: int, connect: bool, top: float | None = None) -> list:
+    """Term counts at x = w of the connection formula's series, or at x = z of the direct series."""
+    series = plan.connection if connect else (plan.direct,)
+    return [_counts(s, tol / max(1, len(series)), x, max_terms, top) for s in series]
 
 
-def _direct(plan: _Plan, z, tol: float, max_terms: int, probe):
-    return _accumulate((0.0, 0.0, None), plan.direct, z, None, tol, max_terms, probe)[0]
+def _formula(plan: _Plan, x, lnw, counts: list, connect: bool):
+    """(value, rounding bound) there, at a float x or an array ordered by the counts."""
+    parts = [_sum_point(s, x, lnw, n) if isinstance(x, float) else _sum_grid(s, x, lnw, n)
+             for s, n in zip(plan.connection if connect else (plan.direct,), counts)]
+    if connect and plan.poly:
+        total, mass = plan.poly[-1], abs(plan.poly[-1])
+        for coef in reversed(plan.poly[:-1]):
+            total, mass = total * x + coef, mass * x + abs(coef)
+        if plan.poly_power:
+            scale = _pow(x, plan.poly_power)
+            total, mass = total * scale, mass * scale
+        parts.insert(0, (total, plan.rounding * mass))
+    value, bound = parts[0]
+    for v, e in parts[1:]:
+        value, bound = value + v, bound + e
+    return value, bound
 
 
-def _connection(plan: _Plan, w, lnw, tol: float, max_terms: int, probe):
-    """Connection-formula value at w = 1-z, and whether it passed the cancellation test."""
-    total = mass = 0.0
-    for coef in reversed(plan.poly):
-        total = total * w + coef
-        mass = mass * w + abs(coef)
-    if plan.poly_power:
-        scale = w**plan.poly_power
-        total = total * scale
-        mass = mass * scale
-    state = (total, 0.0, mass)
-    share = tol / max(1, len(plan.connection))
-    for s in plan.connection:
-        state = _accumulate(state, s, w, lnw, share, max_terms, probe)
-    total, _, mass = state
-    error = plan.rounding * mass
-    return total, (error <= tol) | (error <= tol * abs(total))
+def _cancelled(plan: _Plan, bound: float, tol: float) -> ConvergenceError:
+    return ConvergenceError(f"direct series of F({plan.direct.a}, {plan.direct.b}; {plan.direct.c}; z) "
+                            f"loses up to {bound:.3g} to cancellation, above tol={tol} * max(1, |F|)", bound)
 
 
-def _canonical(a: float, b: float, c: float, tol: float) -> tuple[float, float, _Plan]:
-    """Checked parameters with a <= b, so that F(a,b;.) and F(b,a;.) run identical arithmetic."""
-    _check_inputs(a, b, c, tol)
-    if b < a:
-        a, b = b, a
-    return a, b, _plan(a, b, c)
-
-
-def hyp2f1(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = MAX_TERMS,
-) -> float:
+def hyp2f1(a: float, b: float, c: float, z: float, tol: float = DEFAULT_TOL,
+           max_terms: int = MAX_TERMS) -> float:
     """Evaluate F(a,b;c;z) for z in [0,1) to absolute tolerance ``tol``."""
-    a, b, plan = _canonical(a, b, c, tol)
+    a, b, plan = _canonical(a, b, c, tol, max_terms)
     if not 0.0 <= z < 1.0:
         raise ValueError(f"argument z = {z} outside [0, 1)")
     if z == 0.0:
         return 1.0
+    z = float(z)
     if z > 0.5 and plan.connect:
         w = 1.0 - z
-        value, ok = _connection(plan, w, math.log(w), tol, max_terms, None)
-        if ok:
+        value, bound = _formula(plan, w, float(np.log(w)), _counted(plan, w, tol, max_terms, True), True)
+        if bound <= tol * max(1.0, abs(value)):
             return max(value, 1.0) if a == b and c > 0.0 else value
-    return _direct(plan, z, tol, max_terms, None)
+    value, bound = _sum_point(plan.direct, z, None, _counts(plan.direct, tol, z, max_terms))
+    if bound > tol * max(1.0, abs(value)):
+        raise _cancelled(plan, bound, tol)
+    return value
 
 
-def hyp2f1_grid(
-    a: float,
-    b: float,
-    c: float,
-    z: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = MAX_TERMS,
-) -> np.ndarray:
-    """Vectorized evaluation over an array of arguments in [0,1).
+def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAULT_TOL,
+                max_terms: int = MAX_TERMS) -> np.ndarray:
+    """Vectorized evaluation over an array of arguments in [0,1): :func:`hyp2f1` at each point.
 
-    The same engine as :func:`hyp2f1`.  The array is split once at z = 1/2;
-    each part is summed in blocks of ``_BLOCK`` points, each block until its
-    largest argument meets the tail bound, and points that fail the
-    cancellation test are summed by the direct series.
+    The array is split once at z = 1/2; points that fail the connection formula's rounding test are
+    summed by the direct series.  Each part is sorted by its tuple of term counts (every count grows
+    with w, so this sorts each one) and summed in blocks of ``_BLOCK`` points.
     """
-    a, b, plan = _canonical(a, b, c, tol)
+    a, b, plan = _canonical(a, b, c, tol, max_terms)
     z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
+    out = np.empty(z.shape)
     if not z.size:
         return out
-    lo, hi = float(np.min(z)), float(np.max(z))
+    lo, hi = float(z.min()), float(z.max())
     if not (0.0 <= lo and hi < 1.0):
         raise ValueError(f"argument array has values outside [0, 1): min {lo}, max {hi}")
-    upper = z > 0.5 if plan.connect else np.zeros(z.shape, dtype=bool)
-    clip = a == b and c > 0.0
-    for mask, near_one in ((upper, True), (~upper, False)):
-        part = z[mask]
-        values = np.empty_like(part)
-        for i in range(0, part.size, _BLOCK):
-            values[i:i + _BLOCK] = _block(plan, part[i:i + _BLOCK], tol, max_terms, near_one, clip)
-        out[mask] = values
+    zf, flat = z.ravel(), out.reshape(-1)
+    upper = zf > 0.5 if plan.connect and hi > 0.5 else None  # part None: every point, in order
+    parts = [(None, False)] if upper is None else [(upper.nonzero()[0], True), ((~upper).nonzero()[0], False)]
+    for part, connect in parts:  # a connection part appends its failing points as a direct part
+        x = zf if part is None else 1.0 - zf[part] if connect else zf[part]
+        if not x.size:
+            continue
+        counts = _counted(plan, x, tol, max_terms, connect, hi if part is None else None)
+        key = counts[0] if counts else np.zeros(x.size, dtype=np.uint8)  # small counts sort by radix
+        for n in counts[1:]:
+            key = key.astype(np.int64) * (int(n.max()) + 1) + n
+            key = key.astype(np.uint16) if key.max() < 2**16 else key
+        order = key.argsort(kind="stable")
+        x = x[order]  # one array at a time, each freeing the unsorted one
+        counts = [n[order] for n in counts]
+        part = order if part is None else part[order]
+        fails, worst = np.zeros(x.size, dtype=bool), 0.0
+        for i in range(0, x.size, _BLOCK):
+            block = slice(i, i + _BLOCK)
+            xs = x[block]
+            value, bound = _formula(plan, xs, np.log(xs) if connect else None, [n[block] for n in counts],
+                                    connect)
+            bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
+            if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any():
+                fails[block], worst = bad, max(worst, float(bound[bad].max()))
+            flat[block if part is None else part[block]] = (np.maximum(value, 1.0, out=value)
+                                                            if connect and a == b and c > 0.0 else value)
+        if connect:
+            parts.append((part[fails], False))
+        elif worst:
+            raise _cancelled(plan, worst, tol)
     return out
-
-
-def _block(plan: _Plan, z: np.ndarray, tol: float, max_terms: int, near_one: bool,
-           clip: bool) -> np.ndarray:
-    if not near_one:
-        return _direct(plan, z, tol, max_terms, int(np.argmax(z)))
-    w = 1.0 - z
-    value, ok = _connection(plan, w, np.log(w), tol, max_terms, int(np.argmax(w)))
-    if clip:
-        value = np.maximum(value, 1.0)
-    if not ok.all():
-        zf = z[~ok]
-        value[~ok] = _direct(plan, zf, tol, max_terms, int(np.argmax(zf)))
-    return value

@@ -226,8 +226,8 @@ def light_cone_sample(
     if not t_max > t_min:
         raise ValueError(f"need t_max > t_min, got t_min={t_min}, t_max={t_max}")
     for name, count in (("n_t", n_t), ("n_b", n_b), ("n_y", n_y)):
-        if not count >= 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
     ts = np.linspace(t_min, t_max, n_t + 1)[1:]
     if ts.size and ts.min() < 0.0:
         raise ValueError(f"point outside light-cone domain: t={ts.min()}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
+from siwave import hypergeom
 from siwave.hypergeom import DEFAULT_TOL, ConvergenceError, hyp2f1, hyp2f1_grid
 
 # frozen from the 50-digit brute-force series oracle (see oracle_2f1 below)
@@ -213,3 +214,76 @@ def test_slow_convergence_near_one_still_meets_tolerance():
     got = hyp2f1(2.0, 2.0, 1.0, 0.99)
     want = (1.0 + 0.99) / (1.0 - 0.99) ** 3  # closed form for F(2,2;1;z)
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 2.5, True, np.bool_(True), "3", None])
+def test_max_terms_must_be_a_positive_integer(bad):
+    with pytest.raises(ValueError, match="max_terms must be an integer >= 1"):
+        hyp2f1(0.5, 0.5, 1.0, 0.3, max_terms=bad)
+    with pytest.raises(ValueError, match="max_terms must be an integer >= 1"):
+        hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3]), max_terms=bad)
+
+
+def test_max_terms_accepts_numpy_integers():
+    want = hyp2f1(0.5, 0.5, 1.0, 0.3)
+    assert hyp2f1(0.5, 0.5, 1.0, 0.3, max_terms=np.int64(200)) == want
+    assert hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3]), max_terms=np.int32(200))[0] == want
+
+
+@pytest.mark.parametrize("a, b, z", [(-20.0, 0.5, 0.9), (-40.0, 0.5, 0.9), (-200.0, -0.5, 0.5)])
+def test_direct_series_cancellation_raises(a, b, z):
+    # alternating terms far larger than F: the rounding bound exceeds tol
+    # (-200, -0.5; 1; 0.5) used to return 9.18e14 for mpmath's 11.32
+    want = float(mp.hyp2f1(a, b, 1.0, z))
+    with pytest.raises(ConvergenceError) as info:
+        hyp2f1(a, b, 1.0, z)
+    assert info.value.achieved > DEFAULT_TOL * max(1.0, abs(want))
+    with pytest.raises(ConvergenceError):
+        hyp2f1_grid(a, b, 1.0, np.array([0.1, z]))
+
+
+@pytest.mark.parametrize("z", [0.3, 0.5, 0.9])
+def test_direct_series_with_mild_cancellation_returns(z):
+    want = float(mp.hyp2f1(-10.0, 0.5, 1.0, z))
+    assert abs(hyp2f1(-10.0, 0.5, 1.0, z) - want) <= DEFAULT_TOL * max(1.0, abs(want))
+    assert abs(hyp2f1_grid(-10.0, 0.5, 1.0, np.array([z]))[0] - want) <= DEFAULT_TOL * max(1.0, abs(want))
+
+
+# the kernel calls, and a 15.3.6 case with two series in the connection formula
+POINTWISE_PARAMS = [(0.5, 0.5, 1.0), (-0.5, -0.5, 1.0), (0.5, 0.5, 2.0), (0.3, 0.45, 1.25)]
+# three blocks of the grid engine, and a shuffle that mixes them
+POINTWISE_Z = np.random.default_rng(17).uniform(0.0, 0.9999, 20_000)
+
+
+@pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS)
+def test_grid_values_are_pointwise(a, b, c):
+    grid = hyp2f1_grid(a, b, c, POINTWISE_Z)
+    single = np.array([hyp2f1_grid(a, b, c, POINTWISE_Z[i:i + 1])[0] for i in range(POINTWISE_Z.size)])
+    assert grid.tobytes() == single.tobytes()
+    perm = np.random.default_rng(5).permutation(POINTWISE_Z.size)
+    assert hyp2f1_grid(a, b, c, POINTWISE_Z[perm]).tobytes() == grid[perm].tobytes()
+    square = POINTWISE_Z[:19_600].reshape(140, 140)
+    assert hyp2f1_grid(a, b, c, square).tobytes() == grid[:19_600].reshape(140, 140).tobytes()
+
+
+@pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS)
+def test_scalar_and_grid_use_the_same_term_counts(a, b, c):
+    _, _, plan = hypergeom._canonical(a, b, c, DEFAULT_TOL, hypergeom.MAX_TERMS)
+    grid = hyp2f1_grid(a, b, c, POINTWISE_Z)
+    upper = POINTWISE_Z > 0.5
+    for connect, x in ((True, 1.0 - POINTWISE_Z[upper]), (False, POINTWISE_Z[~upper])):
+        counts = hypergeom._counted(plan, x, DEFAULT_TOL, hypergeom.MAX_TERMS, connect)
+        for i in range(0, x.size, 97):
+            point = hypergeom._counted(plan, float(x[i]), DEFAULT_TOL, hypergeom.MAX_TERMS, connect)
+            assert point == [int(n[i]) for n in counts]
+    scalar = np.array([hyp2f1(a, b, c, float(z)) for z in POINTWISE_Z])
+    assert np.all(np.abs(scalar - grid) <= 2e-16 * np.maximum(1.0, np.abs(grid)))
+
+
+@pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS[:3])
+def test_kernel_parameters_match_mpmath_to_default_tol(a, b, c):
+    zs = np.concatenate([np.linspace(0.0, 1.0 - 1e-7, 800), 1.0 - np.logspace(-7.0, -0.31, 400)])
+    got = hyp2f1_grid(a, b, c, zs)
+    with mp.workdps(30):
+        want = np.array([float(mp.hyp2f1(a, b, c, z)) for z in zs])
+    assert np.all(np.abs(got - want) <= DEFAULT_TOL * np.maximum(1.0, np.abs(want)))

@@ -137,6 +137,17 @@ def test_K1_equals_E_at_b_zero_bitwise():
         assert k1.tobytes() == _E_at(params, t, 0.0, y).tobytes()
 
 
+def test_K1_of_a_whole_sample_equals_E_on_its_slices_bitwise():
+    # a kernel value is a function of its point alone: the same points give
+    # the same bits in one array pass and in three separate passes
+    sample = light_cone_sample(40.0, 30, 30, 30)
+    t, w = sample.t, sample.y - sample.x
+    for params in (P1, P3):
+        _, k1 = _data_kernels(params, t, w)
+        parts = [_E(params, t[s], 0.0, w[s]) for s in np.array_split(np.arange(t.size), 3)]
+        assert k1.tobytes() == np.concatenate(parts).tobytes()
+
+
 def test_K1_hypergeometric_point_value():
     _, k1 = _K0_K1(P1, 2.0, 0.0)
     assert abs(k1[0] - 0.25 * F_HALF_AT_QUARTER) <= 1e-13
@@ -271,3 +282,16 @@ def test_sample_rejects_non_finite_bounds(t_max, x):
     for t_min, t_hi in ((2.0, 1.0), (1.0, 1.0)):
         with pytest.raises(ValueError, match="t_max > t_min"):
             light_cone_sample(t_hi, 2, 2, 2, t_min=t_min)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, True, np.bool_(True), "3", None])
+def test_sample_counts_must_be_integers(count):
+    for counts, field in (((count, 2, 2), "n_t"), ((2, count, 2), "n_b"), ((2, 2, count), "n_y")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            light_cone_sample(5.0, *counts)
+
+
+def test_sample_accepts_numpy_integer_counts():
+    sample = light_cone_sample(5.0, np.int64(3), np.int32(2), np.uint8(2))
+    assert len(sample) == 12
+    assert np.array_equal(sample.y, light_cone_sample(5.0, 3, 2, 2).y)
