@@ -371,10 +371,10 @@ def _plan(a: float, b: float, c: float) -> _Plan:
     return _Plan(direct, True, poly, poly_power, series, rounding)
 
 
-def _counted(plan: _Plan, x, tol: float, max_terms: int, connect: bool, top: float | None = None) -> list:
+def _counted(plan: _Plan, x, tol: float, max_terms: int, connect: bool, w_top: float | None = None) -> list:
     """Term counts at x = w of the connection formula's series, or at x = z of the direct series."""
     series = plan.connection if connect else (plan.direct,)
-    return [_counts(s, tol / max(1, len(series)), x, max_terms, top) for s in series]
+    return [_counts(s, tol / max(1, len(series)), x, max_terms, w_top) for s in series]
 
 
 def _formula(plan: _Plan, x, lnw, counts: list, connect: bool):
