@@ -40,16 +40,16 @@ so a Horner step is one multiply and one add on a suffix of a block.
 
 Cancellation.  Horner's rule errs by at most (2M-2) u times a piece's
 sum|addend| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-5.1; u = 2^-53); the pieces add 4u, the coefficients u and the split
-bracket u: (2M+4) u |F| for a direct series with one-signed c_k.  The Gamma
-scale, power and bracket of a connection-formula series add 20 ulps:
-``CANCELLATION_ULPS`` = 2M+24 ulps of sum |c_k| (|ln w| + |h_k|) w^k <=
-(|ln w| + H) |P|.  Where a point's c_k change sign, Higham's running bound
-mu = sum |s_i| w^i over the Horner partial sums s_i serves instead: the
-Horner error is below 2u mu and sum|addend| <= 2 mu bounds the rest, 8u mu
-for a direct series.  Each rounded Gamma or digamma argument (c-a-b, c-a,
-1-(c-a-b), a+m, ...) adds |x - fl(x)| |psi(fl(x))| (x - fl(x) by math.fsum)
-to the connection formula's bound.  A value is returned only where its
+5.1; u = 2^-53); the pieces add 4u and the coefficients u: (2M+3) u |F| for
+a direct series with one-signed c_k.  A connection-formula series adds its
+split bracket, Gamma scale and power, 21 ulps: ``CANCELLATION_ULPS`` = 2M+24
+ulps of sum |c_k| (|ln w| + |h_k|) w^k <= (|ln w| + H) |P|.  Where a point's
+c_k change sign, Higham's running bound mu = sum |s_i| w^i over the Horner
+partial sums s_i serves instead: Horner and the pieces err by 6u mu, and
+sum|addend| <= 2 mu - |P| carries the rest, 8u mu for a direct series.
+Each rounded Gamma or digamma argument (c-a-b, c-a, 1-(c-a-b), a+m, ...)
+adds |x - fl(x)| |psi(fl(x))| (x - fl(x) by math.fsum) to the connection
+formula's bound.  A value is returned only where its
 bound is within tol * max(1, |F|): elsewhere the connection formula falls
 back to the direct series (so for c-a-b near an integer, where the terms of
 15.3.6 carry opposite poles of size |F| / dist(c-a-b, Z)), which raises
@@ -76,7 +76,7 @@ _PIECE = 32  # terms per Horner piece (module docstring, "Summation")
 #: Rounding-error bound of a connection-formula series whose c_k keep one sign, with exact
 #: arguments, in units of u * sum|addend| (module docstring, "Cancellation").
 CANCELLATION_ULPS = 2.0 * _PIECE + 24.0
-_DIRECT = (2.0 * _PIECE + 4.0) * _U  # the same for the direct series, absolute
+_DIRECT = (2.0 * _PIECE + 3.0) * _U  # the same for the direct series, absolute
 _BITS = 256  # bits kept by the exact coefficient recurrences
 _CELLS = 1 << 16  # cells per unit of w in which term counts are read
 _BLOCK = 8192  # points per block in hyp2f1_grid: the engine's arrays then stay in cache
@@ -231,13 +231,13 @@ def _piece(s: _Series, k: int, w, lnw, p, q, rp=None, rq=None):
 
 def _finish(s: _Series, w, lnw, total, mass, mu, signed: bool):
     """(value, rounding bound where the c_k keep one sign, where they do not) from the piece sums:
-    sum|addend| is <= (|ln w| + H) sum |c_k| w^k (logarithmic) or = |value|, and mu costs
-    8u + 2 (rounding - _DIRECT) per unit."""
+    sum|addend| is <= (|ln w| + H) sum |P_j| w^j (logarithmic) or = |value|, or <= 2 mu - m."""
     if s.power:
         f = w if s.power == 1 else _pow(w, s.power)
         total, mass, mu = total * f, mass * f, mu * f if signed else mu
-    same = s.rounding * (mass * (s.H - lnw) if s.log else abs(total))
-    return total, same, (8.0 * _U + 2.0 * (s.rounding - _DIRECT)) * mu if signed else None
+    run = (6.0 * _U * mu + (s.rounding - (2.0 * _PIECE + 2.0) * _U)  # m = |ln w| sum |P_j| w^j, or |P|
+           * (2.0 * mu - (mass * -lnw if s.log else abs(total)))) if signed else None
+    return total, s.rounding * (mass * (s.H - lnw) if s.log else abs(total)), run
 
 
 def _sum_point(s: _Series, w: float, lnw: float | None, n: int) -> tuple[float, float]:
