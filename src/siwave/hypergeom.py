@@ -1,9 +1,9 @@
 """Gauss hypergeometric function F(a,b;c;z) on z in [0,1).
 
 The kernels of the closed-form linear solver need F(gamma,gamma;1;zeta) and
-F(gamma+1,gamma+1;2;zeta), zeta in [0,1) tending to 1 as t grows.  One engine
-serves :func:`hyp2f1` (a float) and :func:`hyp2f1_grid` (an array); each
-series it sums is w^p sum_k c_k x_k w^k, c_{k+1} = c_k (a'+k)(b'+k) /
+F(gamma+1,gamma+1;2;zeta), zeta in [0,1) tending to 1 as t grows.
+:func:`hyp2f1_grid` evaluates an array and :func:`hyp2f1` is it at one point;
+each series summed is w^p sum_k c_k x_k w^k, c_{k+1} = c_k (a'+k)(b'+k) /
 ((c'+k)(1+k)), with x_k = 1, or x_k = ln(w) + h_k for a logarithmic series.
 
 * z <= 1/2: the direct series, w = z, c_0 = 1, p = 0.
@@ -29,14 +29,18 @@ bound grows with w (w^n times a factor growing in w, n > 0, or w^n
 some w_k, found once by bisection.  A point in [j, j+1) 2^-16 is summed to
 the first k with max(w_start, ..., w_k) >= (j+1) 2^-16, read from a table
 per cell (no k serves z >= 1 - 2^-16 on a direct series that does not
-terminate): its value depends on the point alone.
+terminate, which raises at once): its value depends on the point alone.
+Between calls a series keeps its coefficients and tables up to _KEEP terms
+past its start, for its last _TOLERANCES tolerances; a call that needs more
+computes them and drops them when it ends.
 
 Summation.  The c_k and c_k h_k are exact rational products and sums of the
 parameters, kept in 256-bit integers and rounded once (then times the
 scale).  Horner's rule sums them in pieces of M = 32 terms, each scaled by
 w^(jM) and Kahan-added from the top; a logarithmic series adds ln(w) P to
-Q, the polynomials of c_k and c_k h_k.  An array is sorted by term count,
-so a Horner step is one multiply and one add on a suffix of a block.
+Q, the polynomials of c_k and c_k h_k.  Each block of points is sorted by
+cell, which sorts every term count, so a Horner step is one multiply and one
+add on a suffix of the block.
 
 Cancellation.  Horner's rule errs by at most (2M-2) u times a piece's
 sum|addend| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -79,6 +83,8 @@ CANCELLATION_ULPS = 2.0 * _PIECE + 24.0
 _DIRECT = (2.0 * _PIECE + 3.0) * _U  # the same for the direct series, absolute
 _BITS = 256  # bits kept by the exact coefficient recurrences
 _CELLS = 1 << 16  # cells per unit of w in which term counts are read
+_KEEP = 256  # terms past start whose coefficients and tail-test maxima a series keeps between calls
+_TOLERANCES = 2  # tolerances whose tables a series keeps between calls
 _BLOCK = 8192  # points per block in hyp2f1_grid: the engine's arrays then stay in cache
 
 
@@ -128,7 +134,8 @@ class _Series:
 
     The tail test holds from ``start`` on (a terminating series ends there, at its first zero
     coefficient); ``rounding`` bounds its rounding error per unit of sum|addend| (module docstring,
-    "Cancellation").  The coefficients ``ck`` and ``chk`` (c_k h_k) and the tables fill on demand.
+    "Cancellation").  The coefficients ``ck`` and ``chk`` (c_k h_k) and the tables fill on demand,
+    and :meth:`trim` cuts them back to ``_KEEP`` terms past start.
     """
 
     def __init__(self, a: float, b: float, c: float, scale: float = 1.0, power: float = 0.0,
@@ -154,6 +161,8 @@ class _Series:
         (an, ad), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (self.a, self.b, self.c))
         m, e, h = self.exact
         for k in range(len(self.ck), n + 1):
+            if k == self.start + _KEEP:
+                self.kept = m, e, h
             self.ck.append(self.scale * (math.ldexp(m, e) if e + m.bit_length() < 1024 else math.inf * m))
             if self.ck[-1] * self.ck[0] < 0.0:
                 self.split = min(self.split, k)
@@ -169,6 +178,16 @@ class _Series:
                       - (1 << _BITS) // (k + 1) - (cd << _BITS) // (cn + k * cd))
         self.exact = (m, e, h)
         return self
+
+    def trim(self) -> None:
+        """Drop the coefficients and tail-test maxima past ``_KEEP`` terms from start."""
+        keep = self.start + _KEEP
+        if len(self.ck) > keep:
+            del self.ck[keep:], self.chk[keep:]
+            self.exact, self.split = self.kept, self.split if self.split < keep else math.inf
+        for tol, (W, _) in self.tables.items():
+            if W.size > _KEEP:
+                self.tables[tol] = W[:_KEEP].copy(), _lookup(self, W[:_KEEP])
 
 
 def _table(s: _Series, tol: float, w_top: float, max_terms: int):
@@ -191,40 +210,43 @@ def _table(s: _Series, tol: float, w_top: float, max_terms: int):
             ok = passes(mid)
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         W = np.maximum.accumulate(np.concatenate((W, np.where(passes(np.full(k.size, s.cap)), s.cap, lo))))
-    lut = s.start + np.searchsorted(W, np.arange(1, _CELLS + 1) / _CELLS)
-    s.tables[tol] = W, lut.astype(np.uint8 if lut[-1] < 2**8 else np.uint16) if lut[-1] < 2**16 else lut
+    if tol not in s.tables and len(s.tables) >= _TOLERANCES:
+        del s.tables[next(iter(s.tables))]  # the oldest
+    s.tables[tol] = W, _lookup(s, W)
     return s.tables[tol]
 
 
-def _counts(s: _Series, tol: float, w, max_terms: int, w_top: float | None = None):
-    """Term counts of s at w (a float or an array, whose maximum w_top may be given); they never fall
-    as w grows."""
-    w_top = w if (scalar := isinstance(w, float)) else float(w.max()) if w_top is None else w_top
-    j_top = int(w_top * _CELLS)
-    W, lut = s.tables.get(tol, (None, None))
-    n_top = None if lut is None else int(lut[j_top])
-    if n_top is None or n_top >= s.start + W.size:  # the cell is not covered yet
-        W, lut = _table(s, tol, (j_top + 1) / _CELLS, max_terms)
+def _lookup(s: _Series, W: np.ndarray) -> np.ndarray:
+    """Per cell j, the first k with W_k >= (j+1) / _CELLS, or start + W.size where no W_k is."""
+    lut = s.start + np.searchsorted(W, np.arange(1, _CELLS + 1) / _CELLS)
+    return lut.astype(np.min_scalar_type(int(lut[-1])))
+
+
+def _counts(s: _Series, tol: float, w: np.ndarray, cells: np.ndarray, max_terms: int) -> np.ndarray:
+    """Term counts of s at the points w, whose cells ``cells`` never fall: nor do the counts."""
+    j_top = int(cells[-1])
+    if j_top == _CELLS - 1 and not s.ends:  # the tail test fails at w = 1 for every k
+        n_top = math.inf
+    else:
+        W, lut = s.tables.get(tol, (None, None))
+        if lut is None or lut[j_top] >= s.start + W.size:  # the cell is not covered yet
+            W, lut = _table(s, tol, (j_top + 1) / _CELLS, max_terms)
         n_top = int(lut[j_top])
-    if n_top > max_terms:
-        lead = abs(s.extend(max_terms).ck[max_terms]) * w_top ** (max_terms + s.power)
+    if n_top > max_terms:  # report the tail after the last term computed within the budget
+        k, w_top = min(max(len(s.ck) - 1, 0), max_terms), float(w.max())
+        lead = abs(s.extend(k).ck[k]) * w_top ** (k + s.power)
         bound = w_top * (abs(math.log(w_top)) + s.h_bound) if s.log else w_top
         raise ConvergenceError(f"series with ratio ({s.a}+k)({s.b}+k)/(({s.c}+k)(1+k)) in w <= {w_top} did "
                                f"not reach tol={tol} within {max_terms} terms", lead * bound / (1.0 - w_top))
-    return n_top if scalar else lut[(w * _CELLS).astype(np.intp)]
-
-
-def _pow(w, e):
-    """w**e by numpy's ufunc for a float too: a point gets the same bits alone and in an array."""
-    return float(np.power(w, e)) if isinstance(w, float) else np.power(w, e)
+    return lut[cells]
 
 
 def _piece(s: _Series, k: int, w, lnw, p, q, rp=None, rq=None):
-    """A piece's value, sum |c_j| w^j (logarithmic) and running bound, each times w^k; float or array."""
+    """A piece's value, sum |c_j| w^j (logarithmic) and running bound, each times w^k."""
     value, mass = (lnw * p + q, abs(p)) if s.log else (p, 0.0)
     run = 0.0 if rp is None else rp * -lnw + rq if s.log else rp
     if k:
-        f = _pow(w, k)
+        f = np.power(w, k)
         value, mass, run = value * f, mass * f, run * f
     return value, mass, run
 
@@ -233,41 +255,18 @@ def _finish(s: _Series, w, lnw, total, mass, mu, signed: bool):
     """(value, rounding bound where the c_k keep one sign, where they do not) from the piece sums:
     sum|addend| is <= (|ln w| + H) sum |P_j| w^j (logarithmic) or = |value|, or <= 2 mu - m."""
     if s.power:
-        f = w if s.power == 1 else _pow(w, s.power)
+        f = w if s.power == 1 else np.power(w, s.power)
         total, mass, mu = total * f, mass * f, mu * f if signed else mu
     run = (6.0 * _U * mu + (s.rounding - (2.0 * _PIECE + 2.0) * _U)  # m = |ln w| sum |P_j| w^j, or |P|
            * (2.0 * mu - (mass * -lnw if s.log else abs(total)))) if signed else None
     return total, s.rounding * (mass * (s.H - lnw) if s.log else abs(total)), run
 
 
-def _sum_point(s: _Series, w: float, lnw: float | None, n: int) -> tuple[float, float]:
-    """(value, rounding bound) of s at a float w summed to term n: one point of _sum_grid."""
-    c, ch, log, signed = (s if len(s.ck) > n else s.extend(n)).ck, s.chk, s.log, n >= s.split
-    total = None
-    for k0 in range(n - n % _PIECE, -1, -_PIECE):
-        p = q = rp = rq = 0.0
-        for k in range(min(n, k0 + _PIECE - 1), k0 - 1, -1):
-            p = p * w + c[k]
-            if log:
-                q = q * w + ch[k]
-            if signed:
-                rp, rq = rp * w + abs(p), rq * w + abs(q)
-        value, m, r = _piece(s, k0, w, lnw, p, q, *((rp, rq) if signed else ()))
-        if total is None:  # the top piece: Kahan-adding it to 0 would give it exactly
-            total, comp, mass, mu = value, 0.0, m, r
-        else:  # Kahan
-            y = value - comp
-            t = total + y
-            total, comp, mass, mu = t, (t - total) - y, mass + m, mu + r
-    total, same, run = _finish(s, w, lnw, total, mass, mu, signed)
-    return total, run if signed else same
-
-
 def _sum_grid(s: _Series, w: np.ndarray, lnw, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(value, rounding bound) of s at the points w, ordered so that their term counts n never fall.
 
-    Step k updates the suffix first[k]: of the points with n >= k, with the operations of
-    :func:`_sum_point`: rows P, Q of ``acc``, and their running bounds from sp on (signed c_k).
+    Step k updates the suffix first[k]: (the points with n >= k) by Horner's rule: rows P, Q of ``acc``,
+    and their running bounds from sp on (signed c_k); every M-th step closes a piece.
     """
     top, size, c, ch, log = int(n[-1]), w.size, s.extend(int(n[-1])).ck, s.chk, s.log
     first = n.searchsorted(np.arange(top + _PIECE + 1)).tolist()
@@ -371,22 +370,25 @@ def _plan(a: float, b: float, c: float) -> _Plan:
     return _Plan(direct, True, poly, poly_power, series, rounding)
 
 
-def _counted(plan: _Plan, x, tol: float, max_terms: int, connect: bool, w_top: float | None = None) -> list:
-    """Term counts at x = w of the connection formula's series, or at x = z of the direct series."""
+def _sorted(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool) -> tuple:
+    """(order, x[order], term counts there of each series): x at w for the connection formula, else at
+    z, sorted by cell, which sorts every count."""
+    cells = (x * _CELLS).astype(np.uint16)
+    order = cells.argsort(kind="stable")  # a radix sort
+    x, cells = x[order], cells[order]
     series = plan.connection if connect else (plan.direct,)
-    return [_counts(s, tol / max(1, len(series)), x, max_terms, w_top) for s in series]
+    return order, x, [_counts(s, tol / max(1, len(series)), x, cells, max_terms) for s in series]
 
 
-def _formula(plan: _Plan, x, lnw, counts: list, connect: bool):
-    """(value, rounding bound) there, at a float x or an array ordered by the counts."""
-    parts = [_sum_point(s, x, lnw, n) if isinstance(x, float) else _sum_grid(s, x, lnw, n)
-             for s, n in zip(plan.connection if connect else (plan.direct,), counts)]
+def _formula(plan: _Plan, x: np.ndarray, lnw, counts: list, connect: bool):
+    """(value, rounding bound) at the points x sorted by cell."""
+    parts = [_sum_grid(s, x, lnw, n) for s, n in zip(plan.connection if connect else (plan.direct,), counts)]
     if connect and plan.poly:
         total, mass = plan.poly[-1], abs(plan.poly[-1])
         for coef in reversed(plan.poly[:-1]):
             total, mass = total * x + coef, mass * x + abs(coef)
         if plan.poly_power:
-            scale = _pow(x, plan.poly_power)
+            scale = np.power(x, plan.poly_power)
             total, mass = total * scale, mass * scale
         parts.insert(0, (total, plan.rounding * mass))
     value, bound = parts[0]
@@ -400,33 +402,40 @@ def _cancelled(plan: _Plan, bound: float, tol: float) -> ConvergenceError:
                             f"loses up to {bound:.3g} to cancellation, above tol={tol} * max(1, |F|)", bound)
 
 
+def _part(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool, out: np.ndarray):
+    """Write the values at x (w for the connection formula, else z) to ``out``, which may be x, block
+    by block; return where the connection formula fails its rounding test (the direct series raises)."""
+    fails, worst = np.zeros(x.size, dtype=bool), 0.0
+    for i in range(0, x.size, _BLOCK):
+        order, xs, counts = _sorted(plan, x[i:i + _BLOCK], tol, max_terms, connect)  # xs is a copy
+        value, bound = _formula(plan, xs, np.log(xs) if connect else None, counts, connect)
+        bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
+        if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any():
+            fails[i:i + _BLOCK][order[bad]], worst = True, max(worst, float(bound[bad].max()))
+        out[i:i + _BLOCK][order] = value
+    if worst and not connect:
+        raise _cancelled(plan, worst, tol)
+    return fails
+
+
 def hyp2f1(a: float, b: float, c: float, z: float, tol: float = DEFAULT_TOL,
            max_terms: int = MAX_TERMS) -> float:
-    """Evaluate F(a,b;c;z) for z in [0,1) to absolute tolerance ``tol``."""
-    a, b, plan = _canonical(a, b, c, tol, max_terms)
+    """Evaluate F(a,b;c;z) for z in [0,1) to absolute tolerance ``tol``: :func:`hyp2f1_grid` at z."""
+    _canonical(a, b, c, tol, max_terms)
     if not 0.0 <= z < 1.0:
         raise ValueError(f"argument z = {z} outside [0, 1)")
     if z == 0.0:
         return 1.0
-    z = float(z)
-    if z > 0.5 and plan.connect:
-        w = 1.0 - z
-        value, bound = _formula(plan, w, float(np.log(w)), _counted(plan, w, tol, max_terms, True), True)
-        if bound <= tol * max(1.0, abs(value)):
-            return max(value, 1.0) if a == b and c > 0.0 else value
-    value, bound = _sum_point(plan.direct, z, None, _counts(plan.direct, tol, z, max_terms))
-    if bound > tol * max(1.0, abs(value)):
-        raise _cancelled(plan, bound, tol)
-    return value
+    return float(hyp2f1_grid(a, b, c, np.array([z], dtype=float), tol, max_terms)[0])
 
 
 def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAULT_TOL,
                 max_terms: int = MAX_TERMS) -> np.ndarray:
-    """Vectorized evaluation over an array of arguments in [0,1): :func:`hyp2f1` at each point.
+    """Vectorized evaluation over an array of arguments in [0,1).
 
-    The array is split once at z = 1/2; points that fail the connection formula's rounding test are
-    summed by the direct series.  Each part is sorted by its tuple of term counts (every count grows
-    with w, so this sorts each one) and summed in blocks of ``_BLOCK`` points.
+    Points above 1/2 take the connection formula where it passes its rounding test; the rest, and
+    every point where the plan has no connection formula, take the direct series.  Each part is
+    summed in blocks of ``_BLOCK`` points.
     """
     a, b, plan = _canonical(a, b, c, tol, max_terms)
     z = np.asarray(z, dtype=float)
@@ -437,34 +446,20 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
     if not (0.0 <= lo and hi < 1.0):
         raise ValueError(f"argument array has values outside [0, 1): min {lo}, max {hi}")
     zf, flat = z.ravel(), out.reshape(-1)
-    upper = zf > 0.5 if plan.connect and hi > 0.5 else None  # part None: every point, in order
-    parts = [(None, False)] if upper is None else [(upper.nonzero()[0], True), ((~upper).nonzero()[0], False)]
-    for part, connect in parts:  # a connection part appends its failing points as a direct part
-        x = zf if part is None else 1.0 - zf[part] if connect else zf[part]
-        if not x.size:
-            continue
-        counts = _counted(plan, x, tol, max_terms, connect, hi if part is None else None)
-        key = counts[0] if counts else np.zeros(x.size, dtype=np.uint8)  # small counts sort by radix
-        for n in counts[1:]:
-            key = key.astype(np.int64) * (int(n.max()) + 1) + n
-            key = key.astype(np.uint16) if key.max() < 2**16 else key
-        order = key.argsort(kind="stable")
-        x = x[order]  # one array at a time, each freeing the unsorted one
-        counts = [n[order] for n in counts]
-        part = order if part is None else part[order]
-        fails, worst = np.zeros(x.size, dtype=bool), 0.0
-        for i in range(0, x.size, _BLOCK):
-            block = slice(i, i + _BLOCK)
-            xs = x[block]
-            value, bound = _formula(plan, xs, np.log(xs) if connect else None, [n[block] for n in counts],
-                                    connect)
-            bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
-            if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any():
-                fails[block], worst = bad, max(worst, float(bound[bad].max()))
-            flat[block if part is None else part[block]] = (np.maximum(value, 1.0, out=value)
-                                                            if connect and a == b and c > 0.0 else value)
-        if connect:
-            parts.append((part[fails], False))
-        elif worst:
-            raise _cancelled(plan, worst, tol)
-    return out
+    try:
+        if not (plan.connect and hi > 0.5):
+            _part(plan, zf, tol, max_terms, False, flat)
+            return out
+        upper = zf > 0.5
+        x = 1.0 - zf[upper]
+        fails = _part(plan, x, tol, max_terms, True, x)
+        flat[upper] = np.maximum(x, 1.0, out=x) if a == b and c > 0.0 else x
+        direct = ~upper
+        direct[upper] = fails
+        x = zf[direct]
+        _part(plan, x, tol, max_terms, False, x)
+        flat[direct] = x
+        return out
+    finally:
+        for s in (plan.direct, *plan.connection):
+            s.trim()

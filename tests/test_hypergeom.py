@@ -1,6 +1,7 @@
 """Hypergeometric series: exact values, oracle agreement, lower bound, symmetry."""
 
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -268,16 +269,49 @@ def test_grid_values_are_pointwise(a, b, c):
 
 @pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS)
 def test_scalar_and_grid_use_the_same_term_counts(a, b, c):
+    # hyp2f1 is hyp2f1_grid at one point, so every value matches the grid's bit for bit
+    zs = POINTWISE_Z[::10]
+    scalar = np.array([hyp2f1(a, b, c, float(z)) for z in zs])
+    assert scalar.tobytes() == hyp2f1_grid(a, b, c, zs).tobytes()
+
+
+def _kept_terms(a, b, c):
     _, _, plan = hypergeom._canonical(a, b, c, DEFAULT_TOL, hypergeom.MAX_TERMS)
-    grid = hyp2f1_grid(a, b, c, POINTWISE_Z)
-    upper = POINTWISE_Z > 0.5
-    for connect, x in ((True, 1.0 - POINTWISE_Z[upper]), (False, POINTWISE_Z[~upper])):
-        counts = hypergeom._counted(plan, x, DEFAULT_TOL, hypergeom.MAX_TERMS, connect)
-        for i in range(0, x.size, 97):
-            point = hypergeom._counted(plan, float(x[i]), DEFAULT_TOL, hypergeom.MAX_TERMS, connect)
-            assert point == [int(n[i]) for n in counts]
-    scalar = np.array([hyp2f1(a, b, c, float(z)) for z in POINTWISE_Z])
-    assert np.all(np.abs(scalar - grid) <= 2e-16 * np.maximum(1.0, np.abs(grid)))
+    series = (plan.direct, *plan.connection)
+    return [(len(s.ck) - s.start, max((W.size for W, _ in s.tables.values()), default=0)) for s in series]
+
+
+def test_series_beyond_any_cell_raises_at_once():
+    # no term count of a direct series that does not terminate covers z >= 1 - 2^-16: the call
+    # raises without summing toward max_terms, and keeps no more than _KEEP terms
+    a, b, c = 0.5, 0.5, 2.0 + 1e-9
+    started = time.perf_counter()
+    with pytest.raises(ConvergenceError) as info:
+        hyp2f1(a, b, c, 0.999999)
+    assert time.perf_counter() - started < 1.0
+    assert 0.0 < info.value.achieved < math.inf
+    for terms, table in _kept_terms(a, b, c):
+        assert terms <= hypergeom._KEEP and table <= hypergeom._KEEP
+
+
+def test_long_direct_series_keeps_a_bounded_cache():
+    # c-a-b within 1e-9 of 1: the direct series serves z = 0.999 with about 10^4 terms, which the
+    # call computes and then drops; a second call gives the same bits
+    a, b, c, z = 0.5, 0.5, 2.0 + 1e-9, 0.999
+    got = hyp2f1(a, b, c, z)
+    assert abs(got - float(mp.hyp2f1(a, b, c, z))) <= DEFAULT_TOL * got
+    for terms, table in _kept_terms(a, b, c):
+        assert terms <= hypergeom._KEEP and table <= hypergeom._KEEP
+    assert hyp2f1(a, b, c, z) == got
+    assert hyp2f1_grid(a, b, c, np.array([0.3, z]))[1] == got
+
+
+def test_series_keeps_tables_for_few_tolerances():
+    for tol in (1e-10, 1e-11, 1e-12, 1e-13):
+        hyp2f1_grid(0.3, 0.45, 1.25, np.array([0.2, 0.9]), tol=tol)
+    _, _, plan = hypergeom._canonical(0.3, 0.45, 1.25, DEFAULT_TOL, hypergeom.MAX_TERMS)
+    for s in (plan.direct, *plan.connection):
+        assert len(s.tables) <= hypergeom._TOLERANCES
 
 
 @pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS[:3])

@@ -17,10 +17,9 @@ Three figures, the per-layer hyp2f1 metrics of ROADMAP aim 1:
 With ``--baseline`` the hypergeom module of a second checkout is loaded
 into the same process, and each round times every case on both engines,
 the order alternating from round to round; each figure is the median
-over the rounds.  The term count is read from the engine: per point from
-its ``_counted`` table where it has one, otherwise, for the per-term
-engine that sums a block of points to the count of its largest argument,
-from the highest term index a block's loop reaches.
+over the rounds.  The term counts are read per point from the engine's
+tables; an engine without them (one that sums each block of points to
+the count of its largest argument) gets null.
 
 The result goes to the JSON file, with the host it ran on.
 """
@@ -64,39 +63,19 @@ def _arguments() -> dict:
     return {"zeta0": _zeta(t, w, _distance(t + 2.0, w)), "zeta": _zeta(t - b, w, _distance(t + b + 2.0, w))}
 
 
-def _terms(hg, params: tuple, z: np.ndarray) -> float:
-    """Mean series terms per point of one hyp2f1_grid call."""
+def _terms(hg, params: tuple, z: np.ndarray) -> float | None:
+    """Mean series terms per point of one hyp2f1_grid call, or None for an engine without per-point
+    term counts (one that sums each block to the count of its largest argument)."""
+    if not hasattr(hg, "_sorted"):
+        return None
     tol, budget = hg.DEFAULT_TOL, hg.MAX_TERMS
-    if hasattr(hg, "_counted"):
-        _, _, plan = hg._canonical(*params, tol, budget)
-        upper = z > 0.5 if plan.connect else np.zeros(z.shape, dtype=bool)
-        counts = hg._counted(plan, 1.0 - z[upper], tol, budget, True) if upper.any() else []
-        counts += hg._counted(plan, z[~upper], tol, budget, False) if (~upper).any() else []
-        return sum(float(np.sum(n + 1.0)) for n in counts) / z.size
-    total, reached = [0.0], []
-    accumulate, coefficients = hg._accumulate, hg._coefficients
-
-    class Recorder(tuple):
-        def __getitem__(self, k):
-            reached[-1] = max(reached[-1], k)
-            return tuple.__getitem__(self, k)
-
-    def counted_accumulate(state, s, w, *rest):
-        reached.append(0)
-        out = accumulate(state, s._replace(table=Recorder(s.table)), w, *rest)
-        total[0] += (reached.pop() + 1) * np.size(w)
-        return out
-
-    def counted_coefficients(a, b, c, k, *rest):
-        reached[-1] = max(reached[-1], k)
-        return coefficients(a, b, c, k, *rest)
-
-    hg._accumulate, hg._coefficients = counted_accumulate, counted_coefficients
-    try:
-        hg.hyp2f1_grid(*params, z)
-    finally:
-        hg._accumulate, hg._coefficients = accumulate, coefficients
-    return total[0] / z.size
+    _, _, plan = hg._canonical(*params, tol, budget)
+    upper = z > 0.5 if plan.connect else np.zeros(z.shape, dtype=bool)
+    total = 0.0
+    for connect, x in ((True, 1.0 - z[upper]), (False, z[~upper])):
+        if x.size:
+            total += sum(float(np.sum(n + 1.0)) for n in hg._sorted(plan, x, tol, budget, connect)[2])
+    return total / z.size
 
 
 def _seconds(f) -> float:
@@ -151,7 +130,7 @@ def main() -> int:
             "grid": [
                 {"params": list(params), "argument": name, "points": int(z.size),
                  "ns_per_point": round(statistics.median(grid[label][i]) * 1e9, 1),
-                 "mean_terms": round(_terms(hg, params, z), 2)}
+                 "mean_terms": None if (n := _terms(hg, params, z)) is None else round(n, 2)}
                 for i, (params, name, z) in enumerate(cases)
             ],
             "us_per_scalar_call": {f"z{z}": round(statistics.median(scalar[label][z]) * 1e6, 2)
@@ -159,7 +138,7 @@ def main() -> int:
         }
         for case in report[label]["grid"]:
             print(f"{label:>8} {tuple(case['params'])} {case['argument']:>5}: {case['ns_per_point']:6.1f}"
-                  f" ns/point, {case['mean_terms']:5.2f} terms/point", flush=True)
+                  f" ns/point, {case['mean_terms']} terms/point", flush=True)
         print(f"{label:>8} scalar us: {report[label]['us_per_scalar_call']}", flush=True)
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
     return 0
