@@ -27,9 +27,10 @@ by |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0.  This
 bound grows with w (w^n times a factor growing in w, n > 0, or w^n
 (|ln w| + H), n >= 2, w <= 1/2), so it meets the series' share of tol up to
 some w_k, found once by bisection.  A point in [j, j+1) 2^-16 is summed to
-the first k with max(w_start, ..., w_k) >= (j+1) 2^-16, read from a table
-per cell (no k serves z >= 1 - 2^-16 on a direct series that does not
-terminate, which raises at once): its value depends on the point alone.
+the first k with max(w_start, ..., w_k) >= (j+1) 2^-16, found in a table of
+these maxima per term (no k serves z >= 1 - 2^-16 on a direct series that
+does not terminate, which raises at once): its value depends on the point
+alone.
 Between calls a series keeps its coefficients and tables up to _KEEP terms
 past its start, for its last _TOLERANCES tolerances; a call that needs more
 computes them and drops them when it ends.
@@ -38,9 +39,9 @@ Summation.  The c_k and c_k h_k are exact rational products and sums of the
 parameters, kept in 256-bit integers and rounded once (then times the
 scale).  Horner's rule sums them in pieces of M = 32 terms, each scaled by
 w^(jM) and Kahan-added from the top; a logarithmic series adds ln(w) P to
-Q, the polynomials of c_k and c_k h_k.  Each block of points is sorted by
-cell, which sorts every term count, so a Horner step is one multiply and one
-add on a suffix of the block.
+Q, the polynomials of c_k and c_k h_k.  The points a formula serves in a
+chunk of an array are sorted by cell, which sorts every term count, so a
+Horner step is one multiply and one add on a suffix of them.
 
 Cancellation.  Horner's rule errs by at most (2M-2) u times a piece's
 sum|addend| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -85,7 +86,7 @@ _BITS = 256  # bits kept by the exact coefficient recurrences
 _CELLS = 1 << 16  # cells per unit of w in which term counts are read
 _KEEP = 256  # terms past start whose coefficients and tail-test maxima a series keeps between calls
 _TOLERANCES = 2  # tolerances whose tables a series keeps between calls
-_BLOCK = 8192  # points per block in hyp2f1_grid: the engine's arrays then stay in cache
+_CHUNK = 16384  # points per chunk in hyp2f1_grid, split at z = 1/2: the arrays then stay in cache
 
 
 class ConvergenceError(RuntimeError):
@@ -185,18 +186,17 @@ class _Series:
         if len(self.ck) > keep:
             del self.ck[keep:], self.chk[keep:]
             self.exact, self.split = self.kept, self.split if self.split < keep else math.inf
-        for tol, (W, _) in self.tables.items():
-            if W.size > _KEEP:
-                self.tables[tol] = W[:_KEEP].copy(), _lookup(self, W[:_KEEP])
+        for tol, F in self.tables.items():
+            if F.size > _KEEP:
+                self.tables[tol] = F[:_KEEP].copy()
 
 
-def _table(s: _Series, tol: float, w_top: float, max_terms: int):
-    """(W, lut): running maxima W_k of the bisected w_k, k = start, ..., up to w_top or max_terms, and
-    per cell j the first k with W_k >= (j+1) / _CELLS.  A w_k depends on k alone, so extending W is safe.
-    """
-    W = s.tables[tol][0] if tol in s.tables else np.array([math.inf] if s.ends else [])
-    while not (W.size and W[-1] >= w_top) and s.start + W.size <= max_terms:
-        k = np.arange(s.start + W.size, min(s.start + 2 * W.size + 32, max_terms + 1))
+def _table(s: _Series, tol: float, j_top: int, max_terms: int) -> np.ndarray:
+    """F_k = floor(_CELLS max(w_start, ..., w_k)) over the bisected w_k, k = start, ..., until
+    F_k > j_top or k = max_terms.  A w_k depends on k alone, so extending F is safe."""
+    F = s.tables.get(tol, np.array([_CELLS] if s.ends else [], dtype=np.int64))
+    while not (F.size and F[-1] > j_top) and s.start + F.size <= max_terms:
+        k = np.arange(s.start + F.size, min(s.start + 2 * F.size + 32, max_terms + 1))
         lead = np.abs(s.extend(int(k[-1])).ck[k[0]:k[-1] + 1])
         slope, const, ck = abs(s.a + s.b - s.c - 1.0), abs(s.a * s.b - s.c), s.c + k
         rho = 1.0 + slope * np.maximum(1.0, k / ck) / (1.0 + k) + const / (ck * (1.0 + k))
@@ -209,36 +209,32 @@ def _table(s: _Series, tol: float, w_top: float, max_terms: int):
             mid = 0.5 * (lo + hi)
             ok = passes(mid)
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        W = np.maximum.accumulate(np.concatenate((W, np.where(passes(np.full(k.size, s.cap)), s.cap, lo))))
+        w_k = np.where(passes(np.full(k.size, s.cap)), s.cap, lo)
+        F = np.maximum.accumulate(np.concatenate((F, np.floor(w_k * _CELLS).astype(np.int64))))
     if tol not in s.tables and len(s.tables) >= _TOLERANCES:
         del s.tables[next(iter(s.tables))]  # the oldest
-    s.tables[tol] = W, _lookup(s, W)
-    return s.tables[tol]
+    s.tables[tol] = F
+    return F
 
 
-def _lookup(s: _Series, W: np.ndarray) -> np.ndarray:
-    """Per cell j, the first k with W_k >= (j+1) / _CELLS, or start + W.size where no W_k is."""
-    lut = s.start + np.searchsorted(W, np.arange(1, _CELLS + 1) / _CELLS)
-    return lut.astype(np.min_scalar_type(int(lut[-1])))
-
-
-def _counts(s: _Series, tol: float, w: np.ndarray, cells: np.ndarray, max_terms: int) -> np.ndarray:
-    """Term counts of s at the points w, whose cells ``cells`` never fall: nor do the counts."""
+def _covered(s: _Series, tol: float, w: np.ndarray, cells: np.ndarray, max_terms: int) -> np.ndarray:
+    """The table F of s covering the points w, whose cells ``cells`` never fall: a point in cell j
+    is summed to term start + #{k: F_k <= j}, the first k with max(w_start, ..., w_k) >= (j+1) / _CELLS."""
     j_top = int(cells[-1])
     if j_top == _CELLS - 1 and not s.ends:  # the tail test fails at w = 1 for every k
         n_top = math.inf
     else:
-        W, lut = s.tables.get(tol, (None, None))
-        if lut is None or lut[j_top] >= s.start + W.size:  # the cell is not covered yet
-            W, lut = _table(s, tol, (j_top + 1) / _CELLS, max_terms)
-        n_top = int(lut[j_top])
+        F = s.tables.get(tol)
+        if F is None or not (F.size and F[-1] > j_top):  # the cell is not covered yet
+            F = _table(s, tol, j_top, max_terms)
+        n_top = s.start + int(F.searchsorted(j_top, "right"))
     if n_top > max_terms:  # report the tail after the last term computed within the budget
         k, w_top = min(max(len(s.ck) - 1, 0), max_terms), float(w.max())
         lead = abs(s.extend(k).ck[k]) * w_top ** (k + s.power)
         bound = w_top * (abs(math.log(w_top)) + s.h_bound) if s.log else w_top
         raise ConvergenceError(f"series with ratio ({s.a}+k)({s.b}+k)/(({s.c}+k)(1+k)) in w <= {w_top} did "
                                f"not reach tol={tol} within {max_terms} terms", lead * bound / (1.0 - w_top))
-    return lut[cells]
+    return F
 
 
 def _piece(s: _Series, k: int, w, lnw, p, q, rp=None, rq=None):
@@ -262,14 +258,16 @@ def _finish(s: _Series, w, lnw, total, mass, mu, signed: bool):
     return total, s.rounding * (mass * (s.H - lnw) if s.log else abs(total)), run
 
 
-def _sum_grid(s: _Series, w: np.ndarray, lnw, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, rounding bound) of s at the points w, ordered so that their term counts n never fall.
+def _sum_grid(s: _Series, w: np.ndarray, lnw, cells: np.ndarray, F: np.ndarray):
+    """(value, rounding bound) of s at the points w, whose cells never fall, to the counts of table F.
 
     Step k updates the suffix first[k]: (the points with n >= k) by Horner's rule: rows P, Q of ``acc``,
     and their running bounds from sp on (signed c_k); every M-th step closes a piece.
     """
-    top, size, c, ch, log = int(n[-1]), w.size, s.extend(int(n[-1])).ck, s.chk, s.log
-    first = n.searchsorted(np.arange(top + _PIECE + 1)).tolist()
+    top, size = s.start + int(F.searchsorted(cells[-1], "right")), w.size
+    c, ch, log = s.extend(top).ck, s.chk, s.log
+    first = [0] * (s.start + 1) + cells.searchsorted(F[:top - s.start + _PIECE]).tolist()  # F_(k-start-1) <= j
+    first += [size] * (top + _PIECE + 1 - len(first))
     sp = first[min(s.split, top + 1)]
     acc = np.zeros((4 if sp < size else 2, size))
     p, q, total = acc[0], acc[1], None
@@ -371,18 +369,19 @@ def _plan(a: float, b: float, c: float) -> _Plan:
 
 
 def _sorted(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool) -> tuple:
-    """(order, x[order], term counts there of each series): x at w for the connection formula, else at
-    z, sorted by cell, which sorts every count."""
+    """(order, x[order], their cells, each series' table covering them): x at w for the connection
+    formula, else at z, sorted by cell, which sorts every term count."""
     cells = (x * _CELLS).astype(np.uint16)
     order = cells.argsort(kind="stable")  # a radix sort
     x, cells = x[order], cells[order]
     series = plan.connection if connect else (plan.direct,)
-    return order, x, [_counts(s, tol / max(1, len(series)), x, cells, max_terms) for s in series]
+    return order, x, cells, [_covered(s, tol / max(1, len(series)), x, cells, max_terms) for s in series]
 
 
-def _formula(plan: _Plan, x: np.ndarray, lnw, counts: list, connect: bool):
-    """(value, rounding bound) at the points x sorted by cell."""
-    parts = [_sum_grid(s, x, lnw, n) for s, n in zip(plan.connection if connect else (plan.direct,), counts)]
+def _formula(plan: _Plan, x: np.ndarray, lnw, cells: np.ndarray, tables: list, connect: bool):
+    """(value, rounding bound) at the points x sorted by their cells."""
+    series = plan.connection if connect else (plan.direct,)
+    parts = [_sum_grid(s, x, lnw, cells, F) for s, F in zip(series, tables)]
     if connect and plan.poly:
         total, mass = plan.poly[-1], abs(plan.poly[-1])
         for coef in reversed(plan.poly[:-1]):
@@ -402,20 +401,30 @@ def _cancelled(plan: _Plan, bound: float, tol: float) -> ConvergenceError:
                             f"loses up to {bound:.3g} to cancellation, above tol={tol} * max(1, |F|)", bound)
 
 
-def _part(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool, out: np.ndarray):
-    """Write the values at x (w for the connection formula, else z) to ``out``, which may be x, block
-    by block; return where the connection formula fails its rounding test (the direct series raises)."""
-    fails, worst = np.zeros(x.size, dtype=bool), 0.0
-    for i in range(0, x.size, _BLOCK):
-        order, xs, counts = _sorted(plan, x[i:i + _BLOCK], tol, max_terms, connect)  # xs is a copy
-        value, bound = _formula(plan, xs, np.log(xs) if connect else None, counts, connect)
-        bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
-        if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any():
-            fails[i:i + _BLOCK][order[bad]], worst = True, max(worst, float(bound[bad].max()))
-        out[i:i + _BLOCK][order] = value
-    if worst and not connect:
-        raise _cancelled(plan, worst, tol)
-    return fails
+def _evaluate(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool):
+    """(value, bad) at x (w for the connection formula, else z): bad marks where the connection
+    formula fails its rounding test; the direct series raises there."""
+    order, xs, cells, tables = _sorted(plan, x, tol, max_terms, connect)
+    value, bound = _formula(plan, xs, np.log(xs) if connect else None, cells, tables, connect)
+    bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
+    if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any() and not connect:
+        raise _cancelled(plan, float(bound[bad].max()), tol)
+    out, fails = np.empty(x.size), np.empty(x.size, dtype=bool)
+    out[order], fails[order] = value, bad
+    return out, fails
+
+
+def _chunk(plan: _Plan, z: np.ndarray, tol: float, max_terms: int, clip: bool, out: np.ndarray) -> None:
+    """Write the values at one chunk of points to out, clipped to 1 from below on the connection
+    formula where ``clip`` (F(a,a;c;z) >= 1 for c > 0)."""
+    direct = slice(None)
+    if plan.connect and (upper := z > 0.5).any():
+        value, bad = _evaluate(plan, 1.0 - z[upper], tol, max_terms, True)
+        out[upper] = np.maximum(value, 1.0, out=value) if clip else value
+        upper[upper] = ~bad  # the points the connection formula served
+        direct = np.logical_not(upper, out=upper)
+    if (x := z[direct]).size:
+        out[direct] = _evaluate(plan, x, tol, max_terms, False)[0]
 
 
 def hyp2f1(a: float, b: float, c: float, z: float, tol: float = DEFAULT_TOL,
@@ -433,9 +442,9 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
                 max_terms: int = MAX_TERMS) -> np.ndarray:
     """Vectorized evaluation over an array of arguments in [0,1).
 
-    Points above 1/2 take the connection formula where it passes its rounding test; the rest, and
-    every point where the plan has no connection formula, take the direct series.  Each part is
-    summed in blocks of ``_BLOCK`` points.
+    The array is taken in chunks of ``_CHUNK`` points.  In a chunk, the points above 1/2 take the
+    connection formula where it passes its rounding test, and the rest, or every point where the
+    plan has no connection formula, take the direct series; each of the two groups is sorted by cell.
     """
     a, b, plan = _canonical(a, b, c, tol, max_terms)
     z = np.asarray(z, dtype=float)
@@ -445,20 +454,10 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
     lo, hi = float(z.min()), float(z.max())
     if not (0.0 <= lo and hi < 1.0):
         raise ValueError(f"argument array has values outside [0, 1): min {lo}, max {hi}")
-    zf, flat = z.ravel(), out.reshape(-1)
+    zf, flat, clip = z.ravel(), out.reshape(-1), a == b and c > 0.0
     try:
-        if not (plan.connect and hi > 0.5):
-            _part(plan, zf, tol, max_terms, False, flat)
-            return out
-        upper = zf > 0.5
-        x = 1.0 - zf[upper]
-        fails = _part(plan, x, tol, max_terms, True, x)
-        flat[upper] = np.maximum(x, 1.0, out=x) if a == b and c > 0.0 else x
-        direct = ~upper
-        direct[upper] = fails
-        x = zf[direct]
-        _part(plan, x, tol, max_terms, False, x)
-        flat[direct] = x
+        for i in range(0, zf.size, _CHUNK):
+            _chunk(plan, zf[i:i + _CHUNK], tol, max_terms, clip, flat[i:i + _CHUNK])
         return out
     finally:
         for s in (plan.direct, *plan.connection):

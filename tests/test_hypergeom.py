@@ -252,7 +252,7 @@ def test_direct_series_with_mild_cancellation_returns(z):
 
 # the kernel calls, and a 15.3.6 case with two series in the connection formula
 POINTWISE_PARAMS = [(0.5, 0.5, 1.0), (-0.5, -0.5, 1.0), (0.5, 0.5, 2.0), (0.3, 0.45, 1.25)]
-# three blocks of the grid engine, and a shuffle that mixes them
+# two chunks of the grid engine, and a shuffle that mixes them
 POINTWISE_Z = np.random.default_rng(17).uniform(0.0, 0.9999, 20_000)
 
 
@@ -278,7 +278,7 @@ def test_scalar_and_grid_use_the_same_term_counts(a, b, c):
 def _kept_terms(a, b, c):
     _, _, plan = hypergeom._canonical(a, b, c, DEFAULT_TOL, hypergeom.MAX_TERMS)
     series = (plan.direct, *plan.connection)
-    return [(len(s.ck) - s.start, max((W.size for W, _ in s.tables.values()), default=0)) for s in series]
+    return [(len(s.ck) - s.start, max((F.size for F in s.tables.values()), default=0)) for s in series]
 
 
 def test_series_beyond_any_cell_raises_at_once():

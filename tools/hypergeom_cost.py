@@ -74,7 +74,10 @@ def _terms(hg, params: tuple, z: np.ndarray) -> float | None:
     total = 0.0
     for connect, x in ((True, 1.0 - z[upper]), (False, z[~upper])):
         if x.size:
-            total += sum(float(np.sum(n + 1.0)) for n in hg._sorted(plan, x, tol, budget, connect)[2])
+            _, _, cells, tables = hg._sorted(plan, x, tol, budget, connect)
+            series = plan.connection if connect else (plan.direct,)
+            total += sum(x.size * (s.start + 1.0) + float(np.sum(F.searchsorted(cells, "right")))
+                         for s, F in zip(series, tables))
     return total / z.size
 
 
