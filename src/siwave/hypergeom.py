@@ -40,8 +40,9 @@ parameters, kept in 256-bit integers and rounded once (then times the
 scale).  Horner's rule sums them in pieces of M = 32 terms, each scaled by
 w^(jM) and Kahan-added from the top; a logarithmic series adds ln(w) P to
 Q, the polynomials of c_k and c_k h_k.  The points a formula serves in a
-chunk of an array are sorted by cell, which sorts every term count, so a
-Horner step is one multiply and one add on a suffix of them.
+chunk of an array are sorted by cell, which sorts every term count, and
+summed in blocks of them, so a Horner step is one multiply and one add on a
+suffix of a block; blocks of close arguments end their sums early.
 
 Cancellation.  Horner's rule errs by at most (2M-2) u times a piece's
 sum|addend| (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -86,7 +87,8 @@ _BITS = 256  # bits kept by the exact coefficient recurrences
 _CELLS = 1 << 16  # cells per unit of w in which term counts are read
 _KEEP = 256  # terms past start whose coefficients and tail-test maxima a series keeps between calls
 _TOLERANCES = 2  # tolerances whose tables a series keeps between calls
-_CHUNK = 16384  # points per chunk in hyp2f1_grid, split at z = 1/2: the arrays then stay in cache
+_CHUNK = 65536  # points per chunk in hyp2f1_grid, split at z = 1/2 and sorted by cell
+_BLOCK = 8192  # sorted points per Horner sum: the arrays then stay in cache
 
 
 class ConvergenceError(RuntimeError):
@@ -402,15 +404,17 @@ def _cancelled(plan: _Plan, bound: float, tol: float) -> ConvergenceError:
 
 
 def _evaluate(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool):
-    """(value, bad) at x (w for the connection formula, else z): bad marks where the connection
-    formula fails its rounding test; the direct series raises there."""
+    """(value, bad) at x (w for the connection formula, else z), summed in blocks of sorted points:
+    bad marks where the connection formula fails its rounding test; the direct series raises there."""
     order, xs, cells, tables = _sorted(plan, x, tol, max_terms, connect)
-    value, bound = _formula(plan, xs, np.log(xs) if connect else None, cells, tables, connect)
-    bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
-    if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any() and not connect:
-        raise _cancelled(plan, float(bound[bad].max()), tol)
     out, fails = np.empty(x.size), np.empty(x.size, dtype=bool)
-    out[order], fails[order] = value, bad
+    for i in range(0, x.size, _BLOCK):
+        block, xb = slice(i, i + _BLOCK), xs[i:i + _BLOCK]
+        value, bound = _formula(plan, xb, np.log(xb) if connect else None, cells[block], tables, connect)
+        bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
+        if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any() and not connect:
+            raise _cancelled(plan, float(bound[bad].max()), tol)
+        out[order[block]], fails[order[block]] = value, bad
     return out, fails
 
 
@@ -444,7 +448,8 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
 
     The array is taken in chunks of ``_CHUNK`` points.  In a chunk, the points above 1/2 take the
     connection formula where it passes its rounding test, and the rest, or every point where the
-    plan has no connection formula, take the direct series; each of the two groups is sorted by cell.
+    plan has no connection formula, take the direct series; each of the two groups is sorted by cell
+    and summed in blocks of ``_BLOCK`` points.
     """
     a, b, plan = _canonical(a, b, c, tol, max_terms)
     z = np.asarray(z, dtype=float)
