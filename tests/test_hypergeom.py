@@ -252,12 +252,12 @@ def test_direct_series_with_mild_cancellation_returns(z):
 
 # the kernel calls, and a 15.3.6 case with two series in the connection formula
 POINTWISE_PARAMS = [(0.5, 0.5, 1.0), (-0.5, -0.5, 1.0), (0.5, 0.5, 2.0), (0.3, 0.45, 1.25)]
-# two chunks of the grid engine, and a shuffle that mixes them
+# three blocks of the grid engine's sums, and a shuffle that mixes them
 POINTWISE_Z = np.random.default_rng(17).uniform(0.0, 0.9999, 20_000)
 
 
 @pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS)
-def test_grid_values_are_pointwise(a, b, c):
+def test_grid_values_are_pointwise(a, b, c, monkeypatch):
     grid = hyp2f1_grid(a, b, c, POINTWISE_Z)
     single = np.array([hyp2f1_grid(a, b, c, POINTWISE_Z[i:i + 1])[0] for i in range(POINTWISE_Z.size)])
     assert grid.tobytes() == single.tobytes()
@@ -265,6 +265,9 @@ def test_grid_values_are_pointwise(a, b, c):
     assert hyp2f1_grid(a, b, c, POINTWISE_Z[perm]).tobytes() == grid[perm].tobytes()
     square = POINTWISE_Z[:19_600].reshape(140, 140)
     assert hyp2f1_grid(a, b, c, square).tobytes() == grid[:19_600].reshape(140, 140).tobytes()
+    monkeypatch.setattr(hypergeom, "_CHUNK", 3001)  # many chunks, each with a short last block
+    monkeypatch.setattr(hypergeom, "_BLOCK", 700)
+    assert hyp2f1_grid(a, b, c, POINTWISE_Z).tobytes() == grid.tobytes()
 
 
 @pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS)
