@@ -115,7 +115,7 @@ import numpy as np
 
 from .grids import FLOAT_FMT, GridSpec, SpacetimeField
 from .params import ScaleInvariantParams, SystemParams
-from .profiles import CauchyProfile, SourceTerm
+from .profiles import CauchyProfile, SourceTerm, _node_sampler
 
 __all__ = [
     "LifespanRecord",
@@ -602,9 +602,10 @@ def solve_linear_fd(
 ) -> SpacetimeField:
     """Linear mode (nonlinearity replaced by the source term f); full field."""
     xs = grid.xs()
+    f = _node_sampler(src.f)  # decides once per run whether f takes arrays
 
     def rhs(abs_ut_lag, t, w, out, tmp):
-        out[:] = [src.f(t, float(x)) for x in xs[w]]
+        out[:] = f(t, xs[w])
         return out
 
     # SourceTerm.support is only a quadrature hint: f is sampled everywhere;

@@ -28,18 +28,23 @@ Each integral compares the N-node rule with the 2N-node rule, N = 8, 16,
 within its share of the budget qtol: qtol/4 for the data integral, and for
 the Duhamel integral qtol/4 plus qtol/(2(t+1)) per unit length of the b
 range (the outer and per-slice shares of nested quadrature).  A gap still
-above the budget at the cap raises :class:`QuadratureError`.  The kernels
-are evaluated on all nodes at once (module :mod:`siwave.kernels`, K0 from
-the analytic derivative expansion); the samplers u0, u1 and f are called
-once per node.
+above the budget at the cap raises :class:`QuadratureError`.
+
+One engine solves an array of points at once: :func:`solve_linear_point`
+is that engine at one point and :func:`solve_linear_field` the engine on
+every grid node.  At each rule size, the nodes of all points whose
+integral has not yet converged go through one kernel call (module
+:mod:`siwave.kernels`, K0 from the analytic derivative expansion) and one
+call of each sampler, in batches of about 65,536 nodes.  A sampler that
+takes arrays (see :mod:`siwave.profiles`) is called once per batch; a
+scalar-only one once per node.  Each point is summed on its own, in a
+fixed node order, so its value does not depend on the other points: the
+field equals the pointwise solves bit for bit.
 
 The rules are not adaptive, so u0 and u1 must be smooth on [-R, R] and f
 smooth on its support box (on the whole cone without a box).  A kink or a
 jump inside those ranges makes the N-vs-2N gap shrink only algebraically,
 and the solve raises :class:`QuadratureError` instead of converging.
-
-Point evaluations are pure and independent; field assembly just loops over
-grid nodes.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import numpy as np
 from .grids import GridSpec, SpacetimeField
 from .kernels import _data_kernels, _E
 from .params import ScaleInvariantParams
-from .profiles import CauchyProfile, SourceTerm
+from .profiles import CauchyProfile, SourceTerm, _node_sampler
 
 __all__ = ["QuadratureError", "solve_linear_point", "solve_linear_field"]
 
@@ -62,6 +67,9 @@ DEFAULT_QTOL = 1e-9
 FIRST_NODES = 8
 #: Largest rule: the last comparison is NODE_CAP/2 against NODE_CAP nodes.
 NODE_CAP = 128
+#: Nodes per sampler and kernel call: the open points of a level are taken
+#: in batches of about this many nodes, so the temporaries stay bounded.
+_BATCH = 65536
 
 
 class QuadratureError(RuntimeError):
@@ -78,43 +86,64 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _converge(rule, budget: float, what: str) -> float:
-    """rule(n) for n = FIRST_NODES, 2n, ... until two successive values are
-    within ``budget``; returns the finer one."""
-    n = FIRST_NODES
-    coarse = rule(n)
-    while True:
-        n *= 2
-        fine = rule(n)
-        gap = abs(fine - coarse)
-        if gap <= budget:
-            return fine
-        if n >= NODE_CAP:
-            raise QuadratureError(
-                f"{what}: {n}- and {n // 2}-node Gauss-Legendre rules differ by "
-                f"{gap:.3e} (budget {budget:.3e})",
-                achieved=gap,
-            )
-        coarse = fine
-
-
 def _check_qtol(qtol: float) -> None:
     if not (math.isfinite(qtol) and qtol > 0):
         raise ValueError(f"qtol must be finite and > 0, got {qtol}")
 
 
-def _data_rule(params, data: CauchyProfile, t: float, x: float, lo: float, hi: float):
-    """n-node rule for int_lo^hi eps*[u0*(K0 + mu*K1) + u1*K1] dy at (t, x)."""
+def _batches(sizes: np.ndarray):
+    """Slices of consecutive points whose node counts ``sizes`` add up to at
+    most _BATCH (or one point, if that alone is more)."""
+    start = total = 0
+    for k, size in enumerate(sizes.tolist()):
+        if total and total + size > _BATCH:
+            yield slice(start, k)
+            start, total = k, 0
+        total += size
+    yield slice(start, len(sizes))
+
+
+def _converge(rule, budget: np.ndarray) -> tuple[np.ndarray, list[tuple[int, float]]]:
+    """Per point, rule values for n = FIRST_NODES, 2n, ... until two successive
+    ones are within the point's ``budget``; each point takes the finer one.
+
+    ``rule(n, open)`` returns the n-node values of the points ``open`` (an
+    index array).  Returns the values and the (point, gap) of every point
+    whose NODE_CAP/2- and NODE_CAP-node values are still above its budget.
+    """
+    value = np.zeros(len(budget))
+    open_ = np.arange(len(budget))
+    n = FIRST_NODES
+    coarse = rule(n, open_)
+    while True:
+        n *= 2
+        fine = rule(n, open_)
+        gap = np.abs(fine - coarse)
+        done = gap <= budget[open_]
+        value[open_[done]] = fine[done]
+        open_, coarse, gap = open_[~done], fine[~done], gap[~done]
+        if n >= NODE_CAP or not open_.size:
+            return value, list(zip(open_.tolist(), gap.tolist()))
+
+
+def _data_rule(params, data: CauchyProfile, u0, u1, t, x, lo, hi):
+    """rule(n, open) for int_lo^hi eps*[u0*(K0 + mu*K1) + u1*K1] dy at the
+    points (t, x); u0 and u1 are node samplers."""
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
 
-    def rule(n: int) -> float:
+    def rule(n: int, open_: np.ndarray) -> np.ndarray:
         nodes, weights = _gauss_legendre(n)
-        ys = mid + half * nodes
-        points = ys.tolist()
-        u0 = np.array([data.u0(y) for y in points])
-        u1 = np.array([data.u1(y) for y in points])
-        mix, k1 = _data_kernels(params, t, ys - x)
-        return data.eps * half * float(np.dot(weights, u0 * mix + u1 * k1))
+        out = np.empty(len(open_))
+        for part in _batches(np.full(len(open_), n)):
+            k = open_[part]
+            ys = (mid[k, None] + half[k, None] * nodes).ravel()
+            mix, k1 = _data_kernels(params, np.repeat(t[k], n), ys - np.repeat(x[k], n))
+            g = u0(ys) * mix + u1(ys) * k1
+            out[part] = [
+                data.eps * h * float(np.dot(weights, g[i * n : (i + 1) * n]))
+                for i, h in enumerate(half[k].tolist())
+            ]
+        return out
 
     return rule
 
@@ -134,26 +163,99 @@ def _b_pieces(t: float, x: float, box) -> list[tuple[float, float]]:
     return list(zip(edges, edges[1:]))
 
 
-def _duhamel_rule(params, src: SourceTerm, t: float, x: float, pieces):
-    """n x n tensor rule per b piece for int int f(b,y)*E dy db at (t, x)."""
-    box = src.support
+def _duhamel_rule(params, f, box, t, x, c, d, owner):
+    """rule(n, open) for int int f(b,y)*E dy db at the points (t, x): an
+    n x n tensor rule on each b piece [c, d] of its point ``owner``, with y
+    over the slice clipped to the box; f is a node sampler."""
+    count = np.bincount(owner, minlength=len(t))
 
-    def rule(n: int) -> float:
+    def rule(n: int, open_: np.ndarray) -> np.ndarray:
         nodes, weights = _gauss_legendre(n)
-        bs, ys, ws = [], [], []
-        for c, d in pieces:
-            b = 0.5 * (d + c) + 0.5 * (d - c) * nodes
-            ylo, yhi = x - (t - b), x + (t - b)
+        out = np.empty(len(open_))
+        for part in _batches(count[open_] * (n * n)):
+            k = open_[part]
+            pieces = np.flatnonzero(np.isin(owner, k))
+            lo, hi = c[pieces], d[pieces]
+            tp, xp = t[owner[pieces], None], x[owner[pieces], None]
+            b = (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * nodes
+            ylo, yhi = xp - (tp - b), xp + (tp - b)
             if box is not None:
                 ylo, yhi = np.maximum(ylo, box[2]), np.minimum(yhi, box[3])
-            bs.append(np.repeat(b, n))
-            ys.append((0.5 * (yhi + ylo)[:, None] + 0.5 * (yhi - ylo)[:, None] * nodes).ravel())
-            ws.append(np.outer(0.5 * (d - c) * weights * 0.5 * (yhi - ylo), weights).ravel())
-        b, y, w = np.concatenate(bs), np.concatenate(ys), np.concatenate(ws)
-        f = np.array([src.f(bi, yi) for bi, yi in zip(b.tolist(), y.tolist())])
-        return float(np.dot(w, f * _E(params, t, b, y - x)))
+            y = (0.5 * (yhi + ylo)[..., None] + 0.5 * (yhi - ylo)[..., None] * nodes).ravel()
+            w = ((0.5 * (hi - lo))[:, None] * weights * 0.5 * (yhi - ylo))[..., None] * weights
+            w = w.ravel()
+            b, tp, xp = np.repeat(b, n), np.repeat(tp, n * n), np.repeat(xp, n * n)
+            g = f(b, y) * _E(params, tp, b, y - xp)
+            ends = np.cumsum(count[k] * (n * n)).tolist()
+            out[part] = [float(np.dot(w[s:e], g[s:e])) for s, e in zip([0, *ends], ends)]
+        return out
 
     return rule
+
+
+def _solve(params, data, src, t: np.ndarray, x: np.ndarray, qtol: float, where) -> np.ndarray:
+    """The representation formula at the points (t[k], x[k]), t >= 0.
+
+    A point's value does not depend on the other points.  If some rule
+    misses its budget, QuadratureError names the first such point (data
+    integral before Duhamel integral at a point), prefixed by where(k).
+    """
+    u0, u1 = _node_sampler(data.u0), _node_sampler(data.u1)
+    m = len(t)
+    edge = u0(np.concatenate((x + t, x - t)))
+    values = 0.5 * (1.0 + t) ** (-0.5 * params.mu) * data.eps * (edge[:m] + edge[m:])
+    live = np.flatnonzero(t > 0.0)
+    misses = []
+
+    # data integral over the cone base, clipped to the support of the data
+    lo, hi = np.maximum(x - t, -data.R), np.minimum(x + t, data.R)
+    data_term = np.zeros(m)
+    on = live[hi[live] > lo[live]]
+    if on.size:
+        found, missed = _converge(
+            _data_rule(params, data, u0, u1, t[on], x[on], lo[on], hi[on]),
+            np.full(on.size, 0.25 * qtol),
+        )
+        data_term[on] = found
+        for i, gap in missed:
+            k = int(on[i])
+            what = f"data integral on [{lo[k].item()}, {hi[k].item()}]"
+            misses.append((k, 0, what, gap, 0.25 * qtol))
+
+    duhamel = np.zeros(m)
+    if not src.is_zero:
+        on, spans, budgets, pieces = [], [], [], []
+        for k in live.tolist():
+            tk = t[k].item()
+            split = _b_pieces(tk, x[k].item(), src.support)
+            if split:
+                (blo, _), (_, bhi) = split[0], split[-1]
+                budgets.append(0.25 * qtol + qtol * (bhi - blo) / (2.0 * (tk + 1.0)))
+                spans.append((blo, bhi))
+                pieces += [(c, d, len(on)) for c, d in split]
+                on.append(k)
+        if on:
+            on = np.array(on)
+            c, d, owner = (np.array(column) for column in zip(*pieces))
+            found, missed = _converge(
+                _duhamel_rule(params, _node_sampler(src.f), src.support, t[on], x[on], c, d, owner),
+                np.array(budgets),
+            )
+            duhamel[on] = found
+            for i, gap in missed:
+                what = f"Duhamel integral over b in [{spans[i][0]}, {spans[i][1]}]"
+                misses.append((int(on[i]), 1, what, gap, budgets[i]))
+
+    if misses:
+        k, _, what, gap, budget = min(misses)
+        raise QuadratureError(
+            f"{where(k)}{what}: {NODE_CAP}- and {NODE_CAP // 2}-node Gauss-Legendre rules "
+            f"differ by {gap:.3e} (budget {budget:.3e})",
+            achieved=gap,
+        )
+    scale = 2.0 ** (-math.sqrt(params.delta))
+    values[live] = values[live] + scale * (data_term[live] + duhamel[live])
+    return values
 
 
 def solve_linear_point(
@@ -176,36 +278,8 @@ def solve_linear_point(
     _check_qtol(qtol)
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
-
-    mu = params.mu
-    eps = data.eps
-    boundary = 0.5 * (1.0 + t) ** (-0.5 * mu) * eps * (data.u0(x + t) + data.u0(x - t))
-    if t == 0.0:
-        return boundary
-
-    scale = 2.0 ** (-math.sqrt(params.delta))
-
-    # data integral over the cone base, clipped to the support of the data
-    lo = max(x - t, -data.R)
-    hi = min(x + t, data.R)
-    data_term = 0.0
-    if hi > lo:
-        data_term = _converge(
-            _data_rule(params, data, t, x, lo, hi), 0.25 * qtol, f"data integral on [{lo}, {hi}]"
-        )
-
-    duhamel = 0.0
-    if not src.is_zero:
-        pieces = _b_pieces(t, x, src.support)
-        if pieces:
-            length = pieces[-1][1] - pieces[0][0]
-            duhamel = _converge(
-                _duhamel_rule(params, src, t, x, pieces),
-                0.25 * qtol + qtol * length / (2.0 * (t + 1.0)),
-                f"Duhamel integral over b in [{pieces[0][0]}, {pieces[-1][1]}]",
-            )
-
-    return boundary + scale * (data_term + duhamel)
+    point = _solve(params, data, src, np.array([t], float), np.array([x], float), qtol, lambda k: "")
+    return float(point[0])
 
 
 def solve_linear_field(
@@ -217,8 +291,10 @@ def solve_linear_field(
 ) -> SpacetimeField:
     """Representation-formula solution sampled on every grid node.
 
-    u_t is populated by centered time differencing of the sampled rows
-    (second-order one-sided at the first and last row).
+    Each node takes the value :func:`solve_linear_point` gives it, bit for
+    bit; on a missed budget the error names the first failing node in
+    row-major order.  u_t is populated by centered time differencing of the
+    sampled rows (second-order one-sided at the first and last row).
     """
     _check_qtol(qtol)
     grid.validate_cone(data.R)
@@ -229,15 +305,10 @@ def solve_linear_field(
         raise ValueError("need at least two time steps for the u_t differencing")
     times = dt * np.arange(n_steps + 1)
 
-    values = np.empty((len(times), len(xs)))
-    for i, t in enumerate(times):
-        for j, x in enumerate(xs):
-            try:
-                values[i, j] = solve_linear_point(params, data, src, float(t), float(x), qtol)
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"at grid node (t={t}, x={x}): {exc}", achieved=exc.achieved
-                ) from exc
+    t, x = np.repeat(times, len(xs)), np.tile(xs, len(times))
+    values = _solve(
+        params, data, src, t, x, qtol, lambda k: f"at grid node (t={t[k]}, x={x[k]}): "
+    ).reshape(len(times), len(xs))
 
     dvalues = np.empty_like(values)
     dvalues[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)

@@ -6,6 +6,15 @@ The built-in family is the classic C^infinity bump
 A*exp(-1/(1-(x/R)^2)); experiments on the delta < 1 coefficient branch
 must use a zero initial-position profile (only the velocity component may
 be nonzero there for the positivity arguments to apply).
+
+Sampler contract: a sampler (u0, u1 or the source f) takes floats and
+returns a float.  It may also take float ndarrays (f: two arrays, or a
+float and an array) and return the float64 ndarray of their broadcast
+shape, element by element; the solvers then call it once per batch of
+nodes instead of once per node (:func:`_node_sampler`).  Any other answer
+to arrays (TypeError or ValueError raised, a scalar, a list, another
+shape or dtype) is taken to mean a scalar-only sampler, which keeps
+working, one call per node.  The bumps below take either.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 __all__ = [
     "CauchyProfile",
@@ -100,6 +111,37 @@ def zero_source() -> SourceTerm:
     return _ZeroSource(f=lambda t, x: 0.0, support=None)
 
 
+def _node_sampler(fn: Callable[..., float]) -> Callable[..., np.ndarray]:
+    """``fn`` on arrays of nodes: ``sample(*nodes)`` is fn at each node of the
+    broadcast ``nodes``, as a float64 array of their shape.
+
+    fn is first called once on the arrays themselves, and its result is kept
+    only if it is a float64 ndarray of exactly that shape.  Otherwise (the
+    call raised TypeError or ValueError, or returned anything else) fn is
+    called once per node on Python floats, and so is every later call of
+    this sampler: the array path is decided once.  One-node calls always
+    take the loop, where a scalar-only fn may not fail on its array.
+    """
+    arrays = True
+
+    def sample(*nodes):
+        nonlocal arrays
+        shape = np.broadcast_shapes(*(np.shape(a) for a in nodes))
+        size = math.prod(shape)
+        if arrays and size > 1:
+            try:
+                out = fn(*nodes)
+            except (TypeError, ValueError):
+                out = None
+            if isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape:
+                return out
+            arrays = False
+        columns = [np.broadcast_to(a, shape).ravel().tolist() for a in nodes]
+        return np.fromiter(map(fn, *columns), dtype=float, count=size).reshape(shape)
+
+    return sample
+
+
 def _check_bump(R: float, amplitude: float) -> None:
     if not (math.isfinite(R) and R > 0):
         raise ValueError(f"support radius must be finite and > 0, got {R}")
@@ -107,34 +149,56 @@ def _check_bump(R: float, amplitude: float) -> None:
         raise ValueError(f"bump amplitude must be finite, got {amplitude}")
 
 
+def _on_support(s, value: Callable) -> np.ndarray:
+    """value(s, np.exp) where |s| < 1 and 0.0 where |s| >= 1, on an array s;
+    NaN counts as inside, as on the scalar paths."""
+    s = np.asarray(s)
+    out = np.zeros(s.shape)
+    inside = ~(np.abs(s) >= 1.0)
+    out[inside] = value(s[inside], np.exp)
+    return out
+
+
 def smooth_bump(R: float, amplitude: float = 1.0) -> Sampler:
     """C^infinity bump A*exp(-1/(1-(x/R)^2)) on |x| < R, zero outside.
 
     R must be finite and > 0 and the amplitude finite (it may be zero or
-    negative).
+    negative).  On a float ndarray the bump is the array of its values,
+    exactly 0 where |x| >= R; numpy's exp there may differ from the scalar
+    path's math.exp by one ulp.
     """
     _check_bump(R, amplitude)
 
+    def value(s, exp):
+        return amplitude * exp(-1.0 / (1.0 - s * s))
+
     def sample(x: float) -> float:
+        if isinstance(x, np.ndarray):
+            return _on_support(x / R, value)
         s = x / R
         if abs(s) >= 1.0:
             return 0.0
-        return amplitude * math.exp(-1.0 / (1.0 - s * s))
+        return value(s, math.exp)
 
     return sample
 
 
 def smooth_bump_derivative(R: float, amplitude: float = 1.0) -> Sampler:
     """Derivative of :func:`smooth_bump` (also smooth, also supported in R);
-    R and the amplitude are checked as there."""
+    R, the amplitude and arrays are taken as there."""
     _check_bump(R, amplitude)
 
+    def value(s, exp):
+        g = 1.0 - s * s
+        return amplitude * exp(-1.0 / g) * (-2.0 * s / R) / (g * g)
+
     def sample(x: float) -> float:
+        if isinstance(x, np.ndarray):
+            return _on_support(x / R, value)
         s = x / R
         if abs(s) >= 1.0:
             return 0.0
-        g = 1.0 - s * s
-        return amplitude * math.exp(-1.0 / g) * (-2.0 * s / R) / (g * g)
+        return value(s, math.exp)
 
     return sample
 

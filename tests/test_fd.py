@@ -103,6 +103,34 @@ def test_linear_mode_converges_to_representation():
     assert 3.4 <= errs[0] / errs[1] <= 4.6
 
 
+def test_linear_mode_samples_the_source_once_per_level():
+    # a source of exact arithmetic only, so the array call and the per-node
+    # floats give the same bits; the scalar-only copy raises on arrays
+    def f(t, x):
+        return t * (1.0 - x * x) * (x * x < 1.0)
+
+    calls = {"array": [], "scalar": []}
+
+    def counted(fn, log):
+        def sample(t, x):
+            log.append(isinstance(x, np.ndarray))
+            return fn(t, x)
+
+        return sample
+
+    box = (0.0, math.inf, -1.0, 1.0)
+    grid = GridSpec(dx=0.05, cfl=0.5, x_max=2.0, t_max=1.0)
+    fast = solve_linear_fd(P1, ZERO_DATA, SourceTerm(counted(f, calls["array"]), box), grid)
+    slow = solve_linear_fd(
+        P1, ZERO_DATA, SourceTerm(counted(lambda t, x: f(float(t), float(x)), calls["scalar"]), box), grid
+    )
+    assert fast.values.tobytes() == slow.values.tobytes()
+    # the Taylor start and one call per level; the array path is tried once
+    assert calls["array"] == [True] * (grid.n_steps() + 1)
+    assert calls["scalar"].count(True) == 1
+    assert calls["scalar"].count(False) == (grid.n_steps() + 1) * len(grid.xs())
+
+
 def test_blow_up_detected_for_supercritical_data():
     grid = GridSpec(dx=1.0 / 100, cfl=1.0, x_max=12.0, t_max=10.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)

@@ -10,6 +10,7 @@ from siwave.grids import GridSpec, SpacetimeField
 from siwave.profiles import (
     CauchyProfile,
     SourceTerm,
+    _node_sampler,
     bump_profile,
     smooth_bump,
     smooth_bump_derivative,
@@ -200,3 +201,77 @@ def test_smooth_bump_derivative_matches_differences():
     for x in (-1.2, -0.4, 0.0, 0.7, 1.3):
         fd = (bump(x + h) - bump(x - h)) / (2 * h)
         assert abs(dbump(x) - fd) <= 1e-6 * (1.0 + abs(fd))
+
+
+@pytest.mark.parametrize("make", [smooth_bump, smooth_bump_derivative])
+@pytest.mark.parametrize("amplitude", [1.0, -2.5])
+def test_bumps_on_arrays_match_scalar_calls(make, amplitude):
+    R = 1.5
+    sample = make(R, amplitude)
+    rng = np.random.default_rng(7)
+    x = np.concatenate([rng.uniform(-2.0 * R, 2.0 * R, 4000), [-R, R, 3.0 * R, -1e300, 0.0, -0.0]])
+    for shape in ((len(x),), (2, len(x) // 2)):
+        values = sample(x.reshape(shape))
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert values.shape == shape
+    values = sample(x)
+    scalar = np.array([sample(float(v)) for v in x])
+    outside = np.abs(x) >= R
+    assert np.all(values[outside] == 0.0) and not np.signbit(values[outside]).any()
+    # not bit-exact: numpy's exp and math.exp differ by one ulp at about 2%
+    # of these points (numpy 2.4 on an AVX-512 Xeon), so the unit bump is
+    # within one ulp of its scalar value, and the amplitude and derivative
+    # factors round that ulp once more (up to 2.8 eps relative here)
+    bound = np.spacing(np.abs(scalar)) if (make, amplitude) == (smooth_bump, 1.0) else (
+        4.0 * np.finfo(float).eps * np.abs(scalar)
+    )
+    assert np.all(np.abs(values - scalar) <= bound)
+    assert sample(np.array(0.5)).shape == () and sample(np.array(0.5)) == pytest.approx(sample(0.5))
+    assert math.isnan(sample(np.array([math.nan, 0.0]))[0]) and math.isnan(sample(math.nan))
+
+
+def test_node_sampler_takes_arrays_when_the_sampler_does():
+    calls = []
+
+    def f(t, x):
+        calls.append(np.shape(x))
+        return np.exp(-t) * x
+
+    sample = _node_sampler(f)
+    t, x = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    assert sample(t, x).tolist() == (np.exp(-t) * x).tolist()
+    assert sample(0.5, x).shape == (3,) and calls == [(3,), (3,)]
+    # one node takes the per-node loop, and the array path stays open
+    assert sample(np.array([1.0]), np.array([2.0])).shape == (1,)
+    assert calls[2] == () and sample(t, x).shape == (3,) and calls[3] == (3,)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda t, x: math.exp(-t) * x,  # TypeError on arrays
+        lambda t, x: max(0.0, x - t),  # ValueError on arrays
+        lambda t, x: 1.0,  # a scalar
+        lambda t, x: (x + t).tolist(),  # a list
+        lambda t, x: (x + t).astype(np.float32),  # another dtype
+        lambda t, x: np.atleast_2d(x + t),  # another shape
+    ],
+    ids=["type-error", "value-error", "scalar", "list", "float32", "shape"],
+)
+def test_node_sampler_falls_back_to_one_call_per_node(fn):
+    calls = []
+
+    def counted(t, x):
+        calls.append(isinstance(x, np.ndarray))
+        if not calls[-1]:
+            return np.asarray(fn(np.float64(t), np.float64(x)), dtype=float).item()
+        return fn(t, x)
+
+    sample = _node_sampler(counted)
+    t, x = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.5, 3.0])
+    want = [counted(a, b) for a, b in zip(t.tolist(), x.tolist())]
+    calls.clear()
+    assert sample(t, x).tolist() == want
+    # the array path is decided once: later calls go straight to the loop
+    assert sample(t, x).tolist() == want
+    assert calls == [True] + [False] * 6

@@ -8,9 +8,9 @@ import pytest
 from helpers import dalembert, poly_profile, transformed_mu2
 
 from siwave.grids import GridSpec
-from siwave.linear import QuadratureError, solve_linear_field, solve_linear_point
+from siwave.linear import QuadratureError, _b_pieces, solve_linear_field, solve_linear_point
 from siwave.params import ScaleInvariantParams
-from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, zero_source
+from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump, zero_source
 
 P0 = ScaleInvariantParams(0.0, 0.0)
 P2 = ScaleInvariantParams(2.0, 0.0)
@@ -270,3 +270,152 @@ def test_non_finite_input_rejected(t, x, qtol, name):
         grid = GridSpec(dx=0.5, cfl=1.0, x_max=2.0, t_max=1.0)
         with pytest.raises(ValueError, match="^qtol must be finite"):
             solve_linear_field(P2, data, zero_source(), grid, qtol=qtol)
+
+
+# -- batched engine: the field is the pointwise solve, samplers on arrays --
+
+MU3 = ScaleInvariantParams(3.0, 0.0)
+BOX = (0.0, 1.0, -1.0, 1.0)
+
+
+def _bump_source():
+    # the kernel_routes source: array-capable through the bumps' ndarray path
+    space, time_ = smooth_bump(1.0), smooth_bump(0.5)
+    return SourceTerm(f=lambda t, x: space(x) * time_(t - 0.5), support=BOX)
+
+
+def _scalar_only(fn):
+    """fn behind float() conversions, so that it raises TypeError on arrays."""
+    return lambda *args: float(fn(*(float(a) for a in args)))
+
+
+def _counted(fn, calls):
+    """fn that appends the node count of each call to ``calls`` (0 on floats)."""
+
+    def sample(*args):
+        calls.append(max(a.size if isinstance(a, np.ndarray) else 0 for a in args))
+        return fn(*args)
+
+    return sample
+
+
+def _pointwise(params, data, src, grid, qtol=QTOL):
+    times = grid.dt * np.arange(grid.n_steps() + 1)
+    return np.array(
+        [[solve_linear_point(params, data, src, float(t), float(x), qtol) for x in grid.xs()]
+         for t in times]
+    )
+
+
+@pytest.mark.parametrize("params", [MU3, ScaleInvariantParams(1.0, 0.0)], ids=["mu=3", "mu=1"])
+def test_field_equals_pointwise_solve_bit_for_bit(params):
+    data = bump_profile(R=1.0, eps=0.5)
+    src = _bump_source()
+    grid = GridSpec(dx=0.25, cfl=1.0, x_max=3.0, t_max=1.5)
+    times = grid.dt * np.arange(grid.n_steps() + 1)
+    # the grid has the t = 0 row, nodes without Duhamel pieces and nodes
+    # whose b range splits into two and three pieces
+    pieces = {len(_b_pieces(float(t), float(x), BOX)) for t in times for x in grid.xs()}
+    assert times[0] == 0.0 and pieces == {0, 1, 2, 3}
+    field = solve_linear_field(params, data, src, grid, qtol=QTOL)
+    assert field.values.tobytes() == _pointwise(params, data, src, grid).tobytes()
+
+
+def test_array_and_scalar_only_samplers_agree():
+    data = bump_profile(R=1.0, eps=0.5)
+    src = _bump_source()
+    scalar_data = CauchyProfile(u0=_scalar_only(data.u0), u1=_scalar_only(data.u1), R=1.0, eps=0.5)
+    scalar_src = SourceTerm(f=_scalar_only(src.f), support=BOX)
+    grid = GridSpec(dx=0.25, cfl=1.0, x_max=3.0, t_max=1.5)
+    fast = solve_linear_field(MU3, data, src, grid, qtol=QTOL).values
+    slow = solve_linear_field(MU3, scalar_data, scalar_src, grid, qtol=QTOL).values
+    # the array samplers use numpy's exp, within one ulp of math.exp
+    assert np.all(np.abs(fast - slow) <= 1e-15 * np.abs(slow))
+
+
+def test_samplers_are_called_per_level_not_per_node():
+    base = bump_profile(R=1.0, eps=0.5)
+    calls = {"u0": [], "u1": [], "f": []}
+    data = CauchyProfile(
+        u0=_counted(base.u0, calls["u0"]), u1=_counted(base.u1, calls["u1"]), R=1.0, eps=0.5
+    )
+    src = SourceTerm(f=_counted(_bump_source().f, calls["f"]), support=BOX)
+    grid = GridSpec(dx=0.25, cfl=1.0, x_max=3.0, t_max=1.5)
+    for kinds in calls.values():
+        kinds.clear()  # the support probes of CauchyProfile
+    solve_linear_field(MU3, data, src, grid, qtol=QTOL)
+    # 175 nodes; the rules run at 8, 16, 32, 64 and 128 nodes at most, and
+    # each level is one call per batch of about 65,536 nodes: one for the
+    # data integral (u0 once more for the boundary term), while the Duhamel
+    # points with three b pieces take 49,152 nodes each at the top level
+    assert all(all(size > 1 for size in sizes) for sizes in calls.values())
+    assert 0 < len(calls["u0"]) <= 6 and 0 < len(calls["u1"]) <= 5
+    assert 0 < len(calls["f"]) <= 5 + 2 * sum(calls["f"]) / 65536
+    assert sum(calls["f"]) > 1000 * len(calls["f"])
+
+
+def test_scalar_only_source_still_works():
+    # the criterion-3 source: math.exp and max take floats only
+    data = CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=1.0, eps=1.0)
+    calls = []
+
+    def f(t, x):
+        return math.exp(-2.0 * t) * max(0.0, 1.0 - x * x) ** 4
+
+    def f_array(t, x):
+        return np.exp(-2.0 * t) * np.maximum(0.0, 1.0 - x * x) ** 4
+
+    box = (0.0, math.inf, -1.0, 1.0)
+    grid = GridSpec(dx=0.25, cfl=1.0, x_max=2.5, t_max=1.0)
+    params = ScaleInvariantParams(1.0, 0.0)
+    slow = solve_linear_field(params, data, SourceTerm(f=_counted(f, calls), support=box), grid)
+    fast = solve_linear_field(params, data, SourceTerm(f=f_array, support=box), grid)
+    # one failed call on arrays, then one call per node on floats
+    assert sum(size > 0 for size in calls) == 1 and calls.count(0) > 1000
+    assert np.all(np.abs(fast.values - slow.values) <= 1e-15 * np.abs(slow.values))
+    assert slow.values.tobytes() == _pointwise(params, data, SourceTerm(f=f, support=box), grid).tobytes()
+
+
+def _first_failure(params, data, src, grid, qtol):
+    """The node and error at which a row-major loop of point solves stops."""
+    for t in grid.dt * np.arange(grid.n_steps() + 1):
+        for x in grid.xs():
+            try:
+                solve_linear_point(params, data, src, float(t), float(x), qtol)
+            except QuadratureError as exc:
+                return t, x, exc
+    raise AssertionError("no node fails")
+
+
+def _hat_at(c):
+    return lambda y: max(0.0, 1.0 - abs(y - c))
+
+
+_ZERO = CauchyProfile(u0=lambda y: 0.0, u1=lambda y: 0.0, R=1.0, eps=1.0)
+_HAT_DATA = CauchyProfile(u0=lambda y: 0.0, u1=_hat_at(0.0), R=1.0, eps=1.0)
+
+
+@pytest.mark.parametrize(
+    "params, data, src, qtol, integral",
+    [
+        (MU3, bump_profile(R=1.0, eps=0.5), _bump_source(), 1e-17, "data"),
+        (P0, _HAT_DATA, zero_source(), QTOL, "data"),
+        (P0, _ZERO, SourceTerm(f=lambda b, y: _hat_at(0.0)(y), support=(0.0, 2.0, -2.0, 2.0)),
+         QTOL, "Duhamel"),
+        # the source fails at x = -2.5 on the first row, the data only at x = 0
+        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat_at(-2.0)(y), support=(0.0, 2.0, -3.0, -1.0)),
+         QTOL, "Duhamel"),
+        # both fail first at x = 0 on the first row: the data integral is named
+        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat_at(0.0)(y), support=(0.0, 2.0, -0.25, 0.25)),
+         QTOL, "data"),
+    ],
+    ids=["unreachable-qtol", "kinked-data", "kinked-source", "source-first", "both-at-one-node"],
+)
+def test_field_error_names_the_first_failing_node(params, data, src, qtol, integral):
+    grid = GridSpec(dx=0.5, cfl=1.0, x_max=3.0, t_max=1.0)
+    t, x, want = _first_failure(params, data, src, grid, qtol)
+    with pytest.raises(QuadratureError) as info:
+        solve_linear_field(params, data, src, grid, qtol=qtol)
+    assert str(info.value) == f"at grid node (t={t}, x={x}): {want}"
+    assert str(want).startswith(integral)
+    assert info.value.achieved == want.achieved > qtol
