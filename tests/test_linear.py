@@ -387,12 +387,8 @@ def _first_failure(params, data, src, grid, qtol):
     raise AssertionError("no node fails")
 
 
-def _hat_at(c):
-    return lambda y: max(0.0, 1.0 - abs(y - c))
-
-
 _ZERO = CauchyProfile(u0=lambda y: 0.0, u1=lambda y: 0.0, R=1.0, eps=1.0)
-_HAT_DATA = CauchyProfile(u0=lambda y: 0.0, u1=_hat_at(0.0), R=1.0, eps=1.0)
+_HAT_DATA = CauchyProfile(u0=lambda y: 0.0, u1=_hat, R=1.0, eps=1.0)
 
 
 @pytest.mark.parametrize(
@@ -400,13 +396,13 @@ _HAT_DATA = CauchyProfile(u0=lambda y: 0.0, u1=_hat_at(0.0), R=1.0, eps=1.0)
     [
         (MU3, bump_profile(R=1.0, eps=0.5), _bump_source(), 1e-17, "data"),
         (P0, _HAT_DATA, zero_source(), QTOL, "data"),
-        (P0, _ZERO, SourceTerm(f=lambda b, y: _hat_at(0.0)(y), support=(0.0, 2.0, -2.0, 2.0)),
+        (P0, _ZERO, SourceTerm(f=lambda b, y: _hat(y), support=(0.0, 2.0, -2.0, 2.0)),
          QTOL, "Duhamel"),
-        # the source fails at x = -2.5 on the first row, the data only at x = 0
-        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat_at(-2.0)(y), support=(0.0, 2.0, -3.0, -1.0)),
+        # the source fails at x = -2 on the first row, the data only at x = 0
+        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat(y + 2.0), support=(0.0, 2.0, -3.0, -1.0)),
          QTOL, "Duhamel"),
         # both fail first at x = 0 on the first row: the data integral is named
-        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat_at(0.0)(y), support=(0.0, 2.0, -0.25, 0.25)),
+        (P0, _HAT_DATA, SourceTerm(f=lambda b, y: _hat(y), support=(0.0, 2.0, -0.25, 0.25)),
          QTOL, "data"),
     ],
     ids=["unreachable-qtol", "kinked-data", "kinked-source", "source-first", "both-at-one-node"],
