@@ -35,7 +35,7 @@ is that engine at one point and :func:`solve_linear_field` the engine on
 every grid node.  At each rule size, the nodes of all points whose
 integral has not yet converged go through one kernel call (module
 :mod:`siwave.kernels`, K0 from the analytic derivative expansion) and one
-call of each sampler, in batches of about 65,536 nodes.  A sampler that
+call of each sampler, in batches of about 16,384 nodes.  A sampler that
 takes arrays (see :mod:`siwave.profiles`) is called once per batch; a
 scalar-only one once per node.  Each point is summed on its own, in a
 fixed node order, so its value does not depend on the other points: the
@@ -68,8 +68,12 @@ FIRST_NODES = 8
 #: Largest rule: the last comparison is NODE_CAP/2 against NODE_CAP nodes.
 NODE_CAP = 128
 #: Nodes per sampler and kernel call: the open points of a level are taken
-#: in batches of about this many nodes, so the temporaries stay bounded.
-_BATCH = 65536
+#: in batches of about this many nodes (a point is never split), so the
+#: temporaries stay bounded; larger batches are no faster.
+_BATCH = 16384
+#: Points per pass of the engine: their per-point arrays stay bounded, and
+#: the first rule size of the data integral fills one batch.
+_POINTS = _BATCH // FIRST_NODES
 
 
 class QuadratureError(RuntimeError):
@@ -199,8 +203,22 @@ def _solve(params, data, src, t: np.ndarray, x: np.ndarray, qtol: float, where) 
     A point's value does not depend on the other points.  If some rule
     misses its budget, QuadratureError names the first such point (data
     integral before Duhamel integral at a point), prefixed by where(k).
+    The points are taken _POINTS at a time, so the per-point state stays
+    bounded on large grids; the samplers are shared by all of them.
     """
-    u0, u1 = _node_sampler(data.u0), _node_sampler(data.u1)
+    samplers = _node_sampler(data.u0), _node_sampler(data.u1), _node_sampler(src.f)
+    values = np.empty(len(t))
+    for first in range(0, len(t), _POINTS):
+        part = slice(first, first + _POINTS)
+        values[part] = _solve_part(
+            params, data, src, samplers, t[part], x[part], qtol, lambda k: where(first + k)
+        )
+    return values
+
+
+def _solve_part(params, data, src, samplers, t, x, qtol, where) -> np.ndarray:
+    """_solve on one part of the points, with node samplers (u0, u1, f)."""
+    u0, u1, f = samplers
     m = len(t)
     edge = u0(np.concatenate((x + t, x - t)))
     values = 0.5 * (1.0 + t) ** (-0.5 * params.mu) * data.eps * (edge[:m] + edge[m:])
@@ -238,7 +256,7 @@ def _solve(params, data, src, t: np.ndarray, x: np.ndarray, qtol: float, where) 
             on = np.array(on)
             c, d, owner = (np.array(column) for column in zip(*pieces))
             found, missed = _converge(
-                _duhamel_rule(params, _node_sampler(src.f), src.support, t[on], x[on], c, d, owner),
+                _duhamel_rule(params, f, src.support, t[on], x[on], c, d, owner),
                 np.array(budgets),
             )
             duhamel[on] = found

@@ -8,6 +8,7 @@ import pytest
 from helpers import dalembert, poly_profile, transformed_mu2
 
 from siwave.grids import GridSpec
+from siwave import linear
 from siwave.linear import QuadratureError, _b_pieces, solve_linear_field, solve_linear_point
 from siwave.params import ScaleInvariantParams
 from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump, zero_source
@@ -345,12 +346,12 @@ def test_samplers_are_called_per_level_not_per_node():
         kinds.clear()  # the support probes of CauchyProfile
     solve_linear_field(MU3, data, src, grid, qtol=QTOL)
     # 175 nodes; the rules run at 8, 16, 32, 64 and 128 nodes at most, and
-    # each level is one call per batch of about 65,536 nodes: one for the
-    # data integral (u0 once more for the boundary term), while the Duhamel
-    # points with three b pieces take 49,152 nodes each at the top level
+    # each level is one call per batch of about _BATCH nodes: one for the
+    # data integral (u0 once more for the boundary term), while any two
+    # consecutive Duhamel batches of a level hold more than _BATCH nodes
     assert all(all(size > 1 for size in sizes) for sizes in calls.values())
     assert 0 < len(calls["u0"]) <= 6 and 0 < len(calls["u1"]) <= 5
-    assert 0 < len(calls["f"]) <= 5 + 2 * sum(calls["f"]) / 65536
+    assert 0 < len(calls["f"]) <= 5 + 2 * sum(calls["f"]) / linear._BATCH
     assert sum(calls["f"]) > 1000 * len(calls["f"])
 
 
