@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,12 @@ class KernelPoint:
             )
 
 
+def _exponents(params: ScaleInvariantParams, weight: float) -> tuple[float, float]:
+    """(e_t, e_b): the powers of (1+t) and (1+b) in the weighted E and K1."""
+    mu, gamma = params.mu, params.gamma
+    return -0.5 * mu + gamma + 0.5 * weight, 0.5 * mu + gamma - 0.5 * weight
+
+
 def _E(params: ScaleInvariantParams, t, b, w, weight: float = 0.0):
     """E(t, x; b, x + w) times (1+t)^(weight/2) (1+b)^(-weight/2), on arrays.
 
@@ -87,13 +94,10 @@ def _E(params: ScaleInvariantParams, t, b, w, weight: float = 0.0):
     sigma) come out exactly 1 instead of a product of nearly reciprocal
     powers.
     """
-    mu, gamma = params.mu, params.gamma
+    gamma = params.gamma
+    e_t, e_b = _exponents(params, weight)
     den = _distance(t + b + 2.0, w)
-    value = (
-        (1.0 + t) ** (-0.5 * mu + gamma + 0.5 * weight)
-        * (1.0 + b) ** (0.5 * mu + gamma - 0.5 * weight)
-        * den**-gamma
-    )
+    value = (1.0 + t) ** e_t * (1.0 + b) ** e_b * den**-gamma
     if gamma != 0.0:
         value = value * hyp2f1_grid(gamma, gamma, 1.0, _zeta(t - b, w, den))
     return value
@@ -116,7 +120,7 @@ def _data_kernels(params: ScaleInvariantParams, t, w, weight: float = 0.0, mixed
         f1 = hyp2f1_grid(gamma, gamma, 1.0, zeta0)
     else:
         f1 = np.ones_like(t)
-    prefactor = (1.0 + t) ** (-0.5 * mu + gamma + 0.5 * weight) * den0**-gamma
+    prefactor = (1.0 + t) ** _exponents(params, weight)[0] * den0**-gamma
     if not mixed:
         return None, prefactor * f1
     combo = (mu - (0.5 * mu + gamma)) * f1
@@ -166,15 +170,30 @@ def verify_kernel_lower_bounds(
     point.  The weights are folded into the power exponents (see
     :func:`_E`), so minima that are identically 1 (e.g. mu=2, nu2=0) come
     out exactly 1.
+
+    Only the distinct points of the sample are evaluated (see
+    :class:`LightConeSample`), and the weighted K1 and E, which depend on
+    the bundle only through gamma and the exponents (e_t, e_b), are
+    evaluated once per sample for each such triple; K0 + mu*K1 carries mu
+    itself and is always evaluated.  Every minimum equals the minimum over
+    all points, bit for bit.
     """
     if not sample:
         raise ValueError("empty kernel sample")
-    t, b, w = sample.t, sample.b, sample.y - sample.x
+    t, b, w = sample._distinct()
     sig = params.sigma
-    mix, k1 = _data_kernels(params, t, w, weight=sig, mixed=params.delta >= 1.0)
+    key = (params.gamma, *_exponents(params, sig))
+    minima = sample._minima.get(key)
+    mixed = params.delta >= 1.0
+    mix = None
+    if minima is None or mixed:
+        mix, k1 = _data_kernels(params, t, w, weight=sig, mixed=mixed)
+    if minima is None:
+        minima = float(np.min(k1)), float(np.min(_E(params, t, b, w, weight=sig)))
+        sample._minima[key] = minima
     return BoundReport(
-        c_K1=float(np.min(k1)),
-        c_E=float(np.min(_E(params, t, b, w, weight=sig))),
+        c_K1=minima[0],
+        c_E=minima[1],
         c_mix=None if mix is None else float(np.min(mix)),
         n_points=len(sample),
         mu=params.mu,
@@ -192,6 +211,13 @@ class LightConeSample:
     :class:`KernelPoint` records, built on demand.  The columns are
     read-only; equality and hashing are by identity (compare columns with
     ``np.array_equal``).
+
+    Kernel values are even in w = y - x, so when the columns are rows of L
+    points with one (t, b) each and w mirror-exact in every row (w[j] ==
+    -w[L-1-j] bit for bit, as :func:`light_cone_sample` builds them at
+    x = 0), the second half of each row holds every distinct kernel value.
+    The verdict is taken from the columns once per sample, and the sample
+    keeps the kernel minima it has reported (floats only, no arrays).
     """
 
     t: np.ndarray
@@ -210,6 +236,35 @@ class LightConeSample:
         for t, b, y in zip(self.t.tolist(), self.b.tolist(), self.y.tolist()):
             yield KernelPoint(t=t, x=self.x, b=b, y=y)
 
+    @cached_property
+    def _mirror_row(self) -> int:
+        """Row length L >= 2 if the columns are mirror-exact rows, else 0."""
+        t, b = self.t, self.b
+        if t.size < 2:
+            return 0
+        change = np.flatnonzero((t[1:] != t[:-1]) | (b[1:] != b[:-1]))
+        L = int(change[0]) + 1 if change.size else t.size
+        if L < 2 or t.size % L:
+            return 0
+        rows_t, rows_b = t.reshape(-1, L), b.reshape(-1, L)
+        w = (self.y - self.x).reshape(-1, L)
+        same = (rows_t == rows_t[:, :1]).all() and (rows_b == rows_b[:, :1]).all()
+        return L if same and np.array_equal(w, -w[:, ::-1]) else 0
+
+    @cached_property
+    def _minima(self) -> dict[tuple[float, float, float], tuple[float, float]]:
+        """(gamma, e_t, e_b) -> (c_K1, c_E), filled by the bound routine."""
+        return {}
+
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, b, w) at the points whose kernel values are distinct: the
+        second halves of mirror-exact rows (views), else every point."""
+        L = self._mirror_row
+        if not L:
+            return self.t, self.b, self.y - self.x
+        t, b, y = (column.reshape(-1, L)[:, L // 2:] for column in (self.t, self.b, self.y))
+        return t, b, y - self.x
+
 
 def light_cone_sample(
     t_max: float, n_t: int, n_b: int, n_y: int, t_min: float = 0.0, x: float = 0.0
@@ -219,7 +274,9 @@ def light_cone_sample(
     For each time t in (t_min, t_max], b runs over fractions of t and y
     over fractions of the remaining cone width t-b (interior fractions, so
     every point is strictly inside the domain).  The columns are ordered
-    t-major, then b, then y.
+    t-major, then b, then y.  The y fractions are mirror-exact: the lower
+    half is the negated upper half, and an odd n_y has the centre 0.0, so
+    at x = 0 each row's y - x values come in exact +- pairs.
     """
     if not (math.isfinite(t_min) and math.isfinite(t_max) and math.isfinite(x)):
         raise ValueError(f"sample bounds must be finite, got t_min={t_min}, t_max={t_max}, x={x}")
@@ -232,7 +289,8 @@ def light_cone_sample(
     if ts.size and ts.min() < 0.0:
         raise ValueError(f"point outside light-cone domain: t={ts.min()}")
     b_frac = np.linspace(0.0, 1.0, n_b + 2)[1:-1]
-    y_frac = np.linspace(-1.0, 1.0, n_y + 2)[1:-1]
+    upper = np.linspace(-1.0, 1.0, n_y + 2)[1:-1][(n_y + 1) // 2:]
+    y_frac = np.concatenate((-upper[::-1], np.zeros(n_y % 2), upper))
     b = b_frac[None, :] * ts[:, None]
     y = x + y_frac[None, None, :] * (ts[:, None] - b)[:, :, None]
     shape = y.shape

@@ -226,13 +226,21 @@ def test_E_monotone_z_dependence_enters_through_F():
     assert abs(value / base - hyp2f1(0.5, 0.5, 1.0, _zeta_at(t, b, w)[0])) <= 1e-13
 
 
+def _mirrored_fractions(n):
+    """Interior fractions of [-1, 1]: linspace's upper half, its negation
+    below, and 0.0 in the centre for odd n."""
+    upper = np.linspace(-1.0, 1.0, n + 2)[1:-1][(n + 1) // 2:].tolist()
+    return [-f for f in reversed(upper)] + [0.0] * (n % 2) + upper
+
+
 @pytest.mark.parametrize(
     "args",
     [
         dict(t_max=8.0, n_t=5, n_b=4, n_y=3),
+        dict(t_max=8.0, n_t=5, n_b=4, n_y=4),
         dict(t_max=80.0, n_t=7, n_b=6, n_y=5, t_min=0.31, x=-2.7),
     ],
-    ids=["origin", "shifted"],
+    ids=["origin", "origin-even", "shifted"],
 )
 def test_sample_columns_match_a_point_loop_bitwise(args):
     t_min, x = args.get("t_min", 0.0), args.get("x", 0.0)
@@ -240,7 +248,7 @@ def test_sample_columns_match_a_point_loop_bitwise(args):
     for t in np.linspace(t_min, args["t_max"], args["n_t"] + 1)[1:]:
         for fb in np.linspace(0.0, 1.0, args["n_b"] + 2)[1:-1]:
             b = fb * t
-            for fy in np.linspace(-1.0, 1.0, args["n_y"] + 2)[1:-1]:
+            for fy in _mirrored_fractions(args["n_y"]):
                 rows.append((t, b, x + fy * (t - b)))
     sample = light_cone_sample(**args)
     assert isinstance(sample, LightConeSample)
@@ -248,6 +256,86 @@ def test_sample_columns_match_a_point_loop_bitwise(args):
     want = np.array(rows)
     for k, name in enumerate(("t", "b", "y")):
         assert getattr(sample, name).tobytes() == want[:, k].tobytes(), name
+    if x == 0.0:
+        # each row's y - x values come in exact +- pairs
+        w = (sample.y - sample.x).reshape(-1, args["n_y"])
+        assert np.array_equal(w, -w[:, ::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 50, 51])
+def test_mirrored_fractions_stay_within_an_ulp_of_linspace(n):
+    old = np.linspace(-1.0, 1.0, n + 2)[1:-1]
+    new = np.array(_mirrored_fractions(n))
+    assert new[n // 2:].tolist() == ([0.0] if n % 2 else []) + old[(n + 1) // 2:].tolist()
+    assert np.abs(new - old).max() <= 2.2205e-16
+
+
+def _full_minima(params, sample):
+    """The weighted minima of every point of the sample, one array pass."""
+    t, b, w, sig = sample.t, sample.b, sample.y - sample.x, params.sigma
+    mix, k1 = _data_kernels(params, t, w, weight=sig)
+    c_mix = float(np.min(mix)) if params.delta >= 1.0 else None
+    return float(np.min(k1)), float(np.min(_E(params, t, b, w, weight=sig))), c_mix
+
+
+def _unmirrored_sample():
+    """Rows of four points with one (t, b) each, y - x not in +- pairs."""
+    t = np.repeat([2.0, 5.0, 9.0], 4)
+    b = np.repeat([0.5, 1.0, 4.0], 4)
+    w = np.tile([-0.9, -0.3, 0.3, 0.6], 3) * (t - b)
+    return LightConeSample(t=t, b=b, y=w, x=0.0)
+
+
+SAMPLES = {
+    "origin-even": (lambda: light_cone_sample(20.0, 10, 6, 6), 6),
+    "origin-odd": (lambda: light_cone_sample(20.0, 10, 6, 7), 7),
+    "shifted": (lambda: light_cone_sample(80.0, 7, 6, 5, t_min=0.31, x=-2.7), 0),
+    "one-y": (lambda: light_cone_sample(20.0, 10, 6, 1), 0),
+    "unmirrored": (_unmirrored_sample, 0),
+}
+BUNDLES = [P0, P1, P2, P3, ScaleInvariantParams(5.0, 4.0)]
+
+
+@pytest.mark.parametrize("name", list(SAMPLES))
+@pytest.mark.parametrize("params", BUNDLES, ids=lambda p: f"mu{p.mu:g}_nu2{p.nu2:g}")
+def test_bounds_equal_minima_over_every_point_bitwise(name, params):
+    build, row = SAMPLES[name]
+    sample = build()
+    report = verify_kernel_lower_bounds(params, sample)
+    # only mirror-exact rows are halved; other samples are evaluated in full
+    assert sample._mirror_row == row
+    assert (report.c_K1, report.c_E, report.c_mix) == _full_minima(params, build())
+    assert report.n_points == len(sample)
+
+
+@pytest.mark.parametrize(
+    "bundles",
+    [[(1.0, 0.0), (5.0, 4.0), (4.0, 2.25)], [(0.0, 0.0), (2.0, 0.0)]],
+    ids=["delta0", "delta1"],
+)
+def test_weighted_K1_and_E_depend_on_gamma_and_branch_only(bundles):
+    # fresh samples, so no minima are shared between the bundles
+    minima = set()
+    for mu, nu2 in bundles:
+        report = verify_kernel_lower_bounds(
+            ScaleInvariantParams(mu, nu2), light_cone_sample(30.0, 12, 8, 8)
+        )
+        minima.add((report.c_K1, report.c_E))
+    assert len(minima) == 1
+
+
+def test_remembered_minima_equal_fresh_ones_and_hold_no_arrays():
+    sample = light_cone_sample(30.0, 12, 8, 9)
+    for mu, nu2 in ((1.0, 0.0), (5.0, 4.0), (4.0, 2.25), (0.0, 0.0), (2.0, 0.0), (3.0, 0.0)):
+        params = ScaleInvariantParams(mu, nu2)
+        got = verify_kernel_lower_bounds(params, sample)
+        fresh = verify_kernel_lower_bounds(params, light_cone_sample(30.0, 12, 8, 9))
+        assert got == fresh
+    # one entry per (gamma, e_t, e_b): gamma = 1/2, 0 and -1/2
+    assert len(sample._minima) == 3
+    assert all(type(v) is float for pair in sample._minima.values() for v in pair)
+    kept = {k: v for k, v in vars(sample).items() if k not in ("t", "b", "y", "x")}
+    assert set(kept) == {"_mirror_row", "_minima"} and type(kept["_mirror_row"]) is int
 
 
 def test_sample_len_truthiness_and_iteration():
