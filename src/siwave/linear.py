@@ -162,7 +162,9 @@ def _b_pieces(t: float, x: float, box) -> list[tuple[float, float]]:
     blo, bhi = max(0.0, b0), min(t, b1, t - x + y1, t + x - y0)
     if not bhi > blo:
         return []
-    kinks = sorted(k for k in (t - x + y0, t + x - y1) if blo < k < bhi)
+    # both kinks coincide at the box centre; a repeated edge would make an
+    # empty piece
+    kinks = sorted({k for k in (t - x + y0, t + x - y1) if blo < k < bhi})
     edges = [blo, *kinks, bhi]
     return list(zip(edges, edges[1:]))
 

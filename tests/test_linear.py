@@ -308,6 +308,17 @@ def _pointwise(params, data, src, grid, qtol=QTOL):
     )
 
 
+def test_b_pieces_are_never_empty():
+    # at the box centre x = 0 both kinks fall on b = t - 1: one split, not
+    # an empty middle piece
+    assert _b_pieces(1.5, 0.0, BOX) == [(0.0, 0.5), (0.5, 1.0)]
+    for t in np.linspace(0.0, 3.0, 61):
+        for x in np.linspace(-3.0, 3.0, 121):
+            pieces = _b_pieces(float(t), float(x), BOX)
+            assert all(d > c for c, d in pieces), (t, x, pieces)
+            assert all(d0 == c1 for (_, d0), (c1, _) in zip(pieces, pieces[1:]))
+
+
 @pytest.mark.parametrize("params", [MU3, ScaleInvariantParams(1.0, 0.0)], ids=["mu=3", "mu=1"])
 def test_field_equals_pointwise_solve_bit_for_bit(params):
     data = bump_profile(R=1.0, eps=0.5)
