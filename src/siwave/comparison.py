@@ -165,7 +165,7 @@ def reduce_solution(
             zs = zs[mask]
     if len(zs) == 0:
         raise ValueError("field does not cover any characteristic points z >= R")
-    us = np.array([field.interpolate(float(z) + R, float(z)) for z in zs])
+    us = field.interpolate(zs + R, zs)
     return ReducedTrace(R=R, zs=zs, Us=(R + zs) ** (0.5 * params.sigma) * us, sigma=params.sigma)
 
 

@@ -98,20 +98,25 @@ class SpacetimeField:
     def xs(self) -> np.ndarray:
         return self._xs
 
-    def interpolate(self, t: float, x: float) -> float:
-        """Bilinear interpolation of u at an off-node point; an axis with one
-        node (one stored row, or a one-node grid) is taken at that node."""
+    def interpolate(self, t, x):
+        """Bilinear interpolation of u at off-node points (t, x), floats or
+        arrays that broadcast; a float call returns a float.  An axis with
+        one node (one stored row, or a one-node grid) is taken at that node."""
         times, xs, u = self.times, self.xs, self.values
-        if not (times[0] <= t <= times[-1]) or not (xs[0] <= x <= xs[-1]):
-            raise ValueError(f"point (t={t}, x={x}) outside stored field")
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(x, dtype=float))
+        inside = (times[0] <= t) & (t <= times[-1]) & (xs[0] <= x) & (x <= xs[-1])
+        if not inside.all():
+            k = np.unravel_index(np.argmin(inside), inside.shape)
+            raise ValueError(f"point (t={t[k]}, x={x[k]}) outside stored field")
         i, i1, ft = _bracket(times, t)
         j, j1, fx = _bracket(xs, x)
-        return float(
+        value = (
             (1 - ft) * (1 - fx) * u[i, j]
             + (1 - ft) * fx * u[i, j1]
             + ft * (1 - fx) * u[i1, j]
             + ft * fx * u[i1, j1]
         )
+        return float(value) if value.ndim == 0 else value
 
     def to_csv(self, path: str) -> None:
         """Write rows `t,x,u,ut`, one per node, 17 significant digits."""
@@ -129,9 +134,11 @@ class SpacetimeField:
                     )
 
 
-def _bracket(nodes: np.ndarray, v: float) -> tuple[int, int, float]:
-    """Nodes i, i+1 around v and the weight of node i+1; (0, 0, 0.0) for one node."""
+def _bracket(nodes: np.ndarray, v: np.ndarray):
+    """Nodes i, i+1 around each v and the weight of node i+1, clamped to the
+    first and last interval; i = i+1 = 0 with weight 0 for one node."""
     if len(nodes) == 1:
-        return 0, 0, 0.0
-    i = min(max(int(np.searchsorted(nodes, v, side="right")) - 1, 0), len(nodes) - 2)
+        zero = np.zeros(v.shape, dtype=np.intp)
+        return zero, zero, np.zeros(v.shape)
+    i = np.minimum(np.maximum(np.searchsorted(nodes, v, side="right") - 1, 0), len(nodes) - 2)
     return i, i + 1, (v - nodes[i]) / (nodes[i + 1] - nodes[i])

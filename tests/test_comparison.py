@@ -15,7 +15,7 @@ from siwave.comparison import (
     reduce_solution,
     verify_fundamental_inequality,
 )
-from siwave.fd import solve_semilinear_field
+from siwave.fd import detect_lifespan, solve_semilinear_field
 from siwave.grids import GridSpec, SpacetimeField
 from siwave.kernels import light_cone_sample, verify_kernel_lower_bounds
 from siwave.linear import solve_linear_field
@@ -80,6 +80,70 @@ def test_reduce_sigma_zero_is_plain_trace():
     trace = reduce_solution(field, params, R=1.0)
     for z, u in zip(trace.zs, trace.Us):
         assert u == field.interpolate(float(z) + 1.0, float(z))
+
+
+def _point_loop(field, ts, xs):
+    """u at each (t, x) on its own: bilinear weights from a bracket clamped
+    to the first and last interval of each axis, in float arithmetic."""
+
+    def bracket(nodes, v):
+        if len(nodes) == 1:
+            return 0, 0, 0.0
+        i = min(max(int(np.searchsorted(nodes, v, side="right")) - 1, 0), len(nodes) - 2)
+        return i, i + 1, (v - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+    u, out = field.values, []
+    for t, x in zip(ts.tolist(), xs.tolist()):
+        i, i1, ft = bracket(field.times, t)
+        j, j1, fx = bracket(field.xs, x)
+        out.append(float(
+            (1 - ft) * (1 - fx) * u[i, j] + (1 - ft) * fx * u[i, j1]
+            + ft * (1 - fx) * u[i1, j] + ft * fx * u[i1, j1]
+        ))
+    return np.array(out)
+
+
+def test_trace_of_the_chain_field_equals_the_point_loop_bitwise():
+    # the criterion-10 chain's stored field: mu = 2, p = 1.5, run to 0.9 T
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    probe = detect_lifespan(
+        P2, prof, 1.5, GridSpec(dx=1.0 / 200, cfl=1.0, x_max=8.0, t_max=6.9), threshold=1e8
+    )
+    t_run = 0.9 * probe.T_est
+    grid = GridSpec(dx=1.0 / 200, cfl=1.0, x_max=1.0 + t_run + 0.1, t_max=t_run)
+    field, _ = solve_semilinear_field(P2, prof, 1.5, grid, store_every=2)
+    trace = reduce_solution(field, P2, R=1.0)
+    assert len(trace.zs) > 400
+    us = _point_loop(field, trace.zs + 1.0, trace.zs)
+    assert trace.Us.tobytes() == ((1.0 + trace.zs) ** (0.5 * P2.sigma) * us).tobytes()
+
+
+def _fields():
+    grid = GridSpec(dx=0.5, cfl=1.0, x_max=1.0, t_max=1.0)
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(3, len(grid.xs())))
+    many = SpacetimeField(grid=grid, times=np.array([0.0, 0.4, 1.0]), values=values, dvalues=values)
+    one_row = SpacetimeField(grid=grid, times=np.array([0.4]), values=values[1:2], dvalues=values[1:2])
+    node = GridSpec(dx=1.0, cfl=1.0, x_max=0.4, t_max=1.0)  # the single node x = 0
+    one_node = SpacetimeField(grid=node, times=np.array([0.0, 1.0]), values=values[:2, :1],
+                              dvalues=values[:2, :1])
+    return {"rows": many, "one-row": one_row, "one-node": one_node}
+
+
+@pytest.mark.parametrize("name", ["rows", "one-row", "one-node"])
+def test_interpolate_on_arrays_equals_the_point_loop_bitwise(name):
+    field = _fields()[name]
+    times, xs = field.times, field.xs
+    # interior points, and points on the first and last row and node
+    ts = np.concatenate([np.linspace(times[0], times[-1], 7), [times[-1], times[-1], times[0]]])
+    x = np.concatenate([np.linspace(xs[0], xs[-1], 7), [xs[-1], xs[0], xs[-1]]])
+    got = field.interpolate(ts, x)
+    assert got.shape == ts.shape
+    assert got.tobytes() == _point_loop(field, ts, x).tobytes()
+    assert got.tolist() == [field.interpolate(t, v) for t, v in zip(ts.tolist(), x.tolist())]
+    assert type(field.interpolate(float(ts[0]), float(x[0]))) is float
+    with pytest.raises(ValueError, match=r"point \(t=2\.0, x="):
+        field.interpolate(np.append(ts, 2.0), np.append(x, xs[0]))
 
 
 def test_reduce_positive_for_positive_data_mu2():
