@@ -22,6 +22,22 @@ point sample (the hidden constants of the underlying estimates are never
 explicit, so empirical minima are the checkable surrogate).  The mixed
 bound has no positive constant at mu = 0: on delta = 1 the weighted
 K0 + mu*K1 is identically mu/2, which vanishes for the free wave.
+
+Two facts make a bound pass cheaper without moving a bit of its minima:
+
+* Every kernel is even in w = y - x (it enters through (r+w)(r-w) and
+  w*w).  :func:`light_cone_sample` is mirror-exact at x = 0: each row of
+  fixed (t, b) has its y - x values in exact +- pairs.  The minima are
+  taken over the distinct points, one half of each such row; whether a
+  sample has such rows is checked from its columns (any other sample is
+  evaluated whole).
+* The weighted K1 and E depend on (mu, nu2) only through gamma and the
+  exponents e_t = -mu/2 + gamma + sigma/2 of (1+t) and
+  e_b = mu/2 + gamma - sigma/2 of (1+b): on delta >= 1 (sigma = mu)
+  e_t = e_b = gamma, on delta < 1 (sigma = mu + 2 gamma) e_t = 2 gamma
+  and e_b = 0.  A sample keeps (c_K1, c_E) per computed (gamma, e_t, e_b),
+  so bundles on one branch with equal gamma, such as (1, 0) and (5, 4),
+  share them; K0 + mu*K1 carries mu itself and is always evaluated.
 """
 
 from __future__ import annotations
