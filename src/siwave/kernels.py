@@ -256,8 +256,6 @@ class LightConeSample:
     def _mirror_row(self) -> int:
         """Row length L >= 2 if the columns are mirror-exact rows, else 0."""
         t, b = self.t, self.b
-        if t.size < 2:
-            return 0
         change = np.flatnonzero((t[1:] != t[:-1]) | (b[1:] != b[:-1]))
         L = int(change[0]) + 1 if change.size else t.size
         if L < 2 or t.size % L:

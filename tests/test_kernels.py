@@ -263,11 +263,13 @@ def test_sample_columns_match_a_point_loop_bitwise(args):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 50, 51])
-def test_mirrored_fractions_stay_within_an_ulp_of_linspace(n):
+def test_y_fractions_are_mirror_exact_and_within_an_ulp_of_linspace(n):
+    # t = 2, b = 1: the row's y values are the fractions themselves
+    frac = light_cone_sample(2.0, 1, 1, n).y
     old = np.linspace(-1.0, 1.0, n + 2)[1:-1]
-    new = np.array(_mirrored_fractions(n))
-    assert new[n // 2:].tolist() == ([0.0] if n % 2 else []) + old[(n + 1) // 2:].tolist()
-    assert np.abs(new - old).max() <= 2.2205e-16
+    assert np.array_equal(frac, -frac[::-1]) and (n % 2 == 0 or frac[n // 2] == 0.0)
+    assert frac[(n + 1) // 2:].tobytes() == old[(n + 1) // 2:].tobytes()
+    assert np.abs(frac - old).max() <= 2.2205e-16
 
 
 def _full_minima(params, sample):
