@@ -299,6 +299,8 @@ def light_cone_sample(
     for name, count in (("n_t", n_t), ("n_b", n_b), ("n_y", n_y)):
         if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    # Python ints: a small numpy integer would wrap around in n + 2
+    n_t, n_b, n_y = int(n_t), int(n_b), int(n_y)
     ts = np.linspace(t_min, t_max, n_t + 1)[1:]
     if ts.size and ts.min() < 0.0:
         raise ValueError(f"point outside light-cone domain: t={ts.min()}")

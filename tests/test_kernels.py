@@ -385,3 +385,6 @@ def test_sample_accepts_numpy_integer_counts():
     sample = light_cone_sample(5.0, np.int64(3), np.int32(2), np.uint8(2))
     assert len(sample) == 12
     assert np.array_equal(sample.y, light_cone_sample(5.0, 3, 2, 2).y)
+    # counts near the top of a small integer type do not wrap around
+    for counts in ((np.uint8(255), 1, 1), (1, np.uint8(254), 1), (1, 1, np.uint8(255))):
+        assert len(light_cone_sample(5.0, *counts)) == int(np.prod(counts, dtype=int))
