@@ -22,7 +22,6 @@ records its constant provenance.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +118,10 @@ def empirical_frame(
           shrunken integration strip and (2R)^(1-p) the Jensen constant of
           the strip average.
     """
+    for name, value, bound, ok in (("R", R, "> 0", R > 0), ("p", p, "> 1", p > 1),
+                                   ("data_l1", data_l1, ">= 0", data_l1 >= 0)):
+        if not (math.isfinite(value) and ok):
+            raise ValueError(f"{name} must be finite and {bound}, got {value}")
     sig = params.sigma
     common = 2.0 ** (-math.sqrt(params.delta)) * ((2.0 * R) / (1.0 + 2.0 * R)) ** (0.5 * sig)
     kernel_floor = bounds.c_K1 if bounds.c_mix is None else min(bounds.c_K1, bounds.c_mix)
@@ -136,33 +139,16 @@ def empirical_frame(
     return ComparisonFrame(M=M, C=C, p=p, a=a, R=R, provenance=provenance)
 
 
-def reduce_solution(
-    field: SpacetimeField,
-    params: ScaleInvariantParams,
-    R: float,
-    zs: np.ndarray | None = None,
-) -> ReducedTrace:
+def reduce_solution(field: SpacetimeField, params: ScaleInvariantParams, R: float) -> ReducedTrace:
     """Sample U(z) = (R+z)^(sigma/2) u(z+R, z) by bilinear interpolation.
 
-    Default z nodes are the grid's x nodes with z >= R and z + R inside the
-    stored time range; an explicit ``zs`` reaching outside the field is
-    clipped with a warning (partial trace).
+    The z nodes are the grid's x nodes with z >= R and z + R inside the
+    stored time range.
     """
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"R must be finite and > 0, got {R}")
     xs = field.xs
-    t_hi = float(field.times[-1])
-    if zs is None:
-        mask = (xs >= R) & (xs + R <= t_hi)
-        zs = xs[mask]
-    else:
-        zs = np.asarray(zs, dtype=float)
-        mask = (zs >= R) & (zs + R <= t_hi) & (zs >= xs[0]) & (zs <= xs[-1])
-        if not mask.all():
-            warnings.warn(
-                f"{int((~mask).sum())} requested z nodes fall outside the stored "
-                "field; returning a partial trace",
-                stacklevel=2,
-            )
-            zs = zs[mask]
+    zs = xs[(xs >= R) & (xs + R <= float(field.times[-1]))]
     if len(zs) == 0:
         raise ValueError("field does not cover any characteristic points z >= R")
     us = field.interpolate(zs + R, zs)

@@ -288,8 +288,10 @@ def _check_run(
     components: list[_Component], grid: GridSpec, threshold: float | None,
     store_every: int | None = None,
 ) -> None:
-    if store_every is not None and store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    if store_every is not None and (
+        isinstance(store_every, bool) or not isinstance(store_every, (int, np.integer)) or store_every < 1
+    ):
+        raise ValueError(f"store_every must be >= 1 and an integer, got {store_every!r}")
     if threshold is not None and not threshold > 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     grid.validate_cone(max(c.data.R for c in components))
@@ -344,7 +346,9 @@ def _run(
     kept = 0
     if store_every is not None:
         # levels 0, store_every, 2 store_every, ... and k_max; past
-        # _ROW_RESERVE bytes the arrays grow by an eighth at a time
+        # _ROW_RESERVE bytes the arrays grow by an eighth at a time; a
+        # Python int, as a small numpy integer would wrap around in -k_max
+        store_every = int(store_every)
         count = 1 - (-k_max // store_every)
         size = min(count, max(1, _ROW_RESERVE // (16 * n)))
         rows = (np.empty(size), np.empty((size, n)), np.empty((size, n)))
@@ -659,18 +663,15 @@ def detect_lifespan_system(
     grid: GridSpec,
     threshold: float = DEFAULT_THRESHOLD,
     refine: bool = False,
-    cross_coupling: bool = True,
 ) -> LifespanRecord:
     """Numerical lifespan of the weakly coupled system (eps taken from data1).
 
-    ``refine`` works as in detect_lifespan.  With ``cross_coupling`` u is
-    forced by |v_t|^p and v by |u_t|^q; the self-coupled mode is a
-    diagnostic that must reproduce two independent single-equation runs.
+    u is forced by |v_t|^p and v by |u_t|^q; ``refine`` works as in
+    detect_lifespan.
     """
-    src1, src2 = (1, 0) if cross_coupling else (0, 1)
     components = [
-        _power_component(sys.comp1, data1, src1, sys.p),
-        _power_component(sys.comp2, data2, src2, sys.q),
+        _power_component(sys.comp1, data1, 1, sys.p),
+        _power_component(sys.comp2, data2, 0, sys.q),
     ]
     return _lifespan(components, grid, threshold, refine)
 

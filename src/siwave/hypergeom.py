@@ -25,15 +25,15 @@ every later ratio r_j has |r_j| <= rho_k = 1 + |S| max(1, k/(c'+k)) / (1+k)
 q/(1-q), q = w rho_k < 1, B = 1 or, logarithmic, |ln w| + H with H >= |h_j|
 by |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0.  This
 bound grows with w (w^n times a factor growing in w, n > 0, or w^n
-(|ln w| + H), n >= 2, w <= 1/2), so it meets the series' share of tol up to
-some w_k, found once by bisection.  A point in [j, j+1) 2^-16 is summed to
-the first k with max(w_start, ..., w_k) >= (j+1) 2^-16, found in a table of
-these maxima per term (no k serves z >= 1 - 2^-16 on a direct series that
-does not terminate, which raises at once): its value depends on the point
-alone.
-Between calls a series keeps its coefficients and tables up to _KEEP terms
-past its start, for its last _TOLERANCES tolerances; a call that needs more
-computes them and drops them when it ends.
+(|ln w| + H), n >= 2, w <= 1/2), so it meets the series' share of
+DEFAULT_TOL up to some w_k, found once by bisection.  A point in [j, j+1)
+2^-16 is summed to the first k with max(w_start, ..., w_k) >= (j+1) 2^-16,
+found in a table of these maxima per term (no k serves z >= 1 - 2^-16 on a
+direct series that does not terminate, which raises at once): its value
+depends on the point alone.
+Between calls a series keeps its coefficients and table up to _KEEP terms
+past its start; a call that needs more computes them and drops them when it
+ends.
 
 Summation.  The c_k and c_k h_k are exact rational products and sums of the
 parameters, kept in 256-bit integers and rounded once (then times the
@@ -55,10 +55,10 @@ partial sums s_i serves instead: Horner and the pieces err by 6u mu, and
 sum|addend| <= 2 mu - |P| carries the rest, 8u mu for a direct series.
 Each rounded Gamma or digamma argument (c-a-b, c-a, 1-(c-a-b), a+m, ...)
 adds |x - fl(x)| |psi(fl(x))| (x - fl(x) by math.fsum) to the connection
-formula's bound.  A value is returned only where its
-bound is within tol * max(1, |F|): elsewhere the connection formula falls
-back to the direct series (so for c-a-b near an integer, where the terms of
-15.3.6 carry opposite poles of size |F| / dist(c-a-b, Z)), which raises
+formula's bound.  A value is returned only where its bound is within
+DEFAULT_TOL * max(1, |F|): elsewhere the connection formula falls back to
+the direct series (so for c-a-b near an integer, where the terms of 15.3.6
+carry opposite poles of size |F| / dist(c-a-b, Z)), which raises
 :class:`ConvergenceError` with the bound in ``achieved``.  F(a,a;c;z) >= 1
 for c > 0, and a connection-formula value of it is clipped to 1 from below.
 """
@@ -86,31 +86,26 @@ _DIRECT = (2.0 * _PIECE + 3.0) * _U  # the same for the direct series, absolute
 _BITS = 256  # bits kept by the exact coefficient recurrences
 _CELLS = 1 << 16  # cells per unit of w in which term counts are read
 _KEEP = 256  # terms past start whose coefficients and tail-test maxima a series keeps between calls
-_TOLERANCES = 2  # tolerances whose tables a series keeps between calls
 _CHUNK = 65536  # points per chunk in hyp2f1_grid, split at z = 1/2 and sorted by cell
 _BLOCK = 8192  # sorted points per Horner sum: the arrays then stay in cache
 
 
 class ConvergenceError(RuntimeError):
-    """Series did not meet the requested tolerance within the term budget."""
+    """Series did not meet DEFAULT_TOL within MAX_TERMS terms."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
 
 
-def _canonical(a: float, b: float, c: float, tol: float, max_terms: int) -> tuple[float, float, _Plan]:
+def _canonical(a: float, b: float, c: float) -> tuple[float, float, _Plan]:
     """Checked parameters with a <= b, so that F(a,b;.) and F(b,a;.) run identical arithmetic."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(tol)):
-        for name, value in (("a", a), ("b", b), ("c", c), ("tol", tol)):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
     if c <= 0 and c == math.floor(c):
         raise ValueError(f"series pole: c = {c} is zero or a negative integer")
-    if tol <= 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    if not (type(max_terms) is int or isinstance(max_terms, np.integer)) or max_terms < 1:  # no bool
-        raise ValueError(f"max_terms must be an integer >= 1, got {max_terms!r}")
     return (a, b, _plan(a, b, c)) if a <= b else (b, a, _plan(b, a, c))
 
 
@@ -136,9 +131,10 @@ class _Series:
     """One series of the engine, w^power sum_k c_k x_k w^k with ratio parameters a, b, c, at w <= cap.
 
     The tail test holds from ``start`` on (a terminating series ends there, at its first zero
-    coefficient); ``rounding`` bounds its rounding error per unit of sum|addend| (module docstring,
-    "Cancellation").  The coefficients ``ck`` and ``chk`` (c_k h_k) and the tables fill on demand,
-    and :meth:`trim` cuts them back to ``_KEEP`` terms past start.
+    coefficient) and meets ``tol``, the series' share of DEFAULT_TOL; ``rounding`` bounds its
+    rounding error per unit of sum|addend| (module docstring, "Cancellation").  The coefficients
+    ``ck`` and ``chk`` (c_k h_k) and the ``table`` of :func:`_table` fill on demand, and
+    :meth:`trim` cuts them back to ``_KEEP`` terms past start.
     """
 
     def __init__(self, a: float, b: float, c: float, scale: float = 1.0, power: float = 0.0,
@@ -147,12 +143,13 @@ class _Series:
         start = int(max(0.0, -a, -b, -c)) + 1  # first k with a+k, b+k, c+k > 0
         zeros = [1 - int(x) for x in (a, b) if x <= 0 and x == math.floor(x)]
         self.start, self.ends, self.cap, self.rounding = min([start, *zeros]), bool(zeros), cap, _DIRECT
+        self.tol, self.table = DEFAULT_TOL, np.array([_CELLS] if zeros else [], dtype=np.int64)
         self.h0 = self.h_bound = 0.0  # h_0, and a bound on |h_k| for every k > start
         if log:  # |psi(x+d) - psi(x)| <= |d| (1/y + 1/y^2), y = min(x, x+d) > 0
             self.h0 = _digamma(a) + _digamma(b) - _digamma(1.0) - _digamma(c)
             for x, d in ((start + 2.0, a - 1.0), (c + (start + 1), b - c)):
                 self.h_bound += abs(d) * (1.0 / min(x, x + d) + 1.0 / min(x, x + d) ** 2)
-        self.ck, self.chk, self.tables, self.H = [], [], {}, self.h_bound  # H: with every |h_k|, k <= start
+        self.ck, self.chk, self.H = [], [], self.h_bound  # H: with every |h_k|, k <= start
         self.split, self.exact = math.inf, (1, 0, 0)  # the first k where c_k changes sign; see extend
 
     def extend(self, n: int) -> _Series:
@@ -188,24 +185,23 @@ class _Series:
         if len(self.ck) > keep:
             del self.ck[keep:], self.chk[keep:]
             self.exact, self.split = self.kept, self.split if self.split < keep else math.inf
-        for tol, F in self.tables.items():
-            if F.size > _KEEP:
-                self.tables[tol] = F[:_KEEP].copy()
+        if self.table.size > _KEEP:
+            self.table = self.table[:_KEEP].copy()
 
 
-def _table(s: _Series, tol: float, j_top: int, max_terms: int) -> np.ndarray:
-    """F_k = floor(_CELLS max(w_start, ..., w_k)) over the bisected w_k, k = start, ..., until
-    F_k > j_top or k = max_terms.  A w_k depends on k alone, so extending F is safe."""
-    F = s.tables.get(tol, np.array([_CELLS] if s.ends else [], dtype=np.int64))
-    while not (F.size and F[-1] > j_top) and s.start + F.size <= max_terms:
-        k = np.arange(s.start + F.size, min(s.start + 2 * F.size + 32, max_terms + 1))
+def _table(s: _Series, j_top: int) -> np.ndarray:
+    """s.table, F_k = floor(_CELLS max(w_start, ..., w_k)) over the bisected w_k, k = start, ...,
+    extended until F_k > j_top or k = MAX_TERMS.  A w_k depends on k alone, so extending F is safe."""
+    F = s.table
+    while not (F.size and F[-1] > j_top) and s.start + F.size <= MAX_TERMS:
+        k = np.arange(s.start + F.size, min(s.start + 2 * F.size + 32, MAX_TERMS + 1))
         lead = np.abs(s.extend(int(k[-1])).ck[k[0]:k[-1] + 1])
         slope, const, ck = abs(s.a + s.b - s.c - 1.0), abs(s.a * s.b - s.c), s.c + k
         rho = 1.0 + slope * np.maximum(1.0, k / ck) / (1.0 + k) + const / (ck * (1.0 + k))
 
         def passes(w):  # the tail test of term k at w
             tail = lead * w ** (k + s.power) * (w * (s.h_bound - np.log(w)) if s.log else w)
-            return tail * rho <= tol * (1.0 - w * rho)
+            return tail * rho <= s.tol * (1.0 - w * rho)
         lo, hi = np.zeros(k.size), np.full(k.size, s.cap)
         for _ in range(64):
             mid = 0.5 * (lo + hi)
@@ -213,29 +209,25 @@ def _table(s: _Series, tol: float, j_top: int, max_terms: int) -> np.ndarray:
             lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
         w_k = np.where(passes(np.full(k.size, s.cap)), s.cap, lo)
         F = np.maximum.accumulate(np.concatenate((F, np.floor(w_k * _CELLS).astype(np.int64))))
-    if tol not in s.tables and len(s.tables) >= _TOLERANCES:
-        del s.tables[next(iter(s.tables))]  # the oldest
-    s.tables[tol] = F
+    s.table = F
     return F
 
 
-def _covered(s: _Series, tol: float, w: np.ndarray, cells: np.ndarray, max_terms: int) -> np.ndarray:
+def _covered(s: _Series, w: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The table F of s covering the points w, whose cells ``cells`` never fall: a point in cell j
     is summed to term start + #{k: F_k <= j}, the first k with max(w_start, ..., w_k) >= (j+1) / _CELLS."""
     j_top = int(cells[-1])
     if j_top == _CELLS - 1 and not s.ends:  # the tail test fails at w = 1 for every k
         n_top = math.inf
     else:
-        F = s.tables.get(tol)
-        if F is None or not (F.size and F[-1] > j_top):  # the cell is not covered yet
-            F = _table(s, tol, j_top, max_terms)
+        F = _table(s, j_top)
         n_top = s.start + int(F.searchsorted(j_top, "right"))
-    if n_top > max_terms:  # report the tail after the last term computed within the budget
-        k, w_top = min(max(len(s.ck) - 1, 0), max_terms), float(w.max())
+    if n_top > MAX_TERMS:  # report the tail after the last term computed within the budget
+        k, w_top = min(max(len(s.ck) - 1, 0), MAX_TERMS), float(w.max())
         lead = abs(s.extend(k).ck[k]) * w_top ** (k + s.power)
         bound = w_top * (abs(math.log(w_top)) + s.h_bound) if s.log else w_top
         raise ConvergenceError(f"series with ratio ({s.a}+k)({s.b}+k)/(({s.c}+k)(1+k)) in w <= {w_top} did "
-                               f"not reach tol={tol} within {max_terms} terms", lead * bound / (1.0 - w_top))
+                               f"not reach tol={s.tol} within {MAX_TERMS} terms", lead * bound / (1.0 - w_top))
     return F
 
 
@@ -366,18 +358,18 @@ def _plan(a: float, b: float, c: float) -> _Plan:
         return _Plan(direct)  # Gamma overflow or a pole: the direct series serves every z
     series = tuple(sr for sr in series if sr.scale != 0.0)
     for sr in series:
-        sr.rounding = rounding
+        sr.rounding, sr.tol = rounding, DEFAULT_TOL / len(series)
     return _Plan(direct, True, poly, poly_power, series, rounding)
 
 
-def _sorted(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool) -> tuple:
+def _sorted(plan: _Plan, x: np.ndarray, connect: bool) -> tuple:
     """(order, x[order], their cells, each series' table covering them): x at w for the connection
     formula, else at z, sorted by cell, which sorts every term count."""
     cells = (x * _CELLS).astype(np.uint16)
     order = cells.argsort(kind="stable")  # a radix sort
     x, cells = x[order], cells[order]
     series = plan.connection if connect else (plan.direct,)
-    return order, x, cells, [_covered(s, tol / max(1, len(series)), x, cells, max_terms) for s in series]
+    return order, x, cells, [_covered(s, x, cells) for s in series]
 
 
 def _formula(plan: _Plan, x: np.ndarray, lnw, cells: np.ndarray, tables: list, connect: bool):
@@ -398,52 +390,51 @@ def _formula(plan: _Plan, x: np.ndarray, lnw, cells: np.ndarray, tables: list, c
     return value, bound
 
 
-def _cancelled(plan: _Plan, bound: float, tol: float) -> ConvergenceError:
+def _cancelled(plan: _Plan, bound: float) -> ConvergenceError:
     return ConvergenceError(f"direct series of F({plan.direct.a}, {plan.direct.b}; {plan.direct.c}; z) "
-                            f"loses up to {bound:.3g} to cancellation, above tol={tol} * max(1, |F|)", bound)
+                            f"loses up to {bound:.3g} to cancellation, above tol={DEFAULT_TOL} * max(1, |F|)",
+                            bound)
 
 
-def _evaluate(plan: _Plan, x: np.ndarray, tol: float, max_terms: int, connect: bool):
+def _evaluate(plan: _Plan, x: np.ndarray, connect: bool):
     """(value, bad) at x (w for the connection formula, else z), summed in blocks of sorted points:
     bad marks where the connection formula fails its rounding test; the direct series raises there."""
-    order, xs, cells, tables = _sorted(plan, x, tol, max_terms, connect)
+    order, xs, cells, tables = _sorted(plan, x, connect)
     out, fails = np.empty(x.size), np.empty(x.size, dtype=bool)
     for i in range(0, x.size, _BLOCK):
         block, xb = slice(i, i + _BLOCK), xs[i:i + _BLOCK]
         value, bound = _formula(plan, xb, np.log(xb) if connect else None, cells[block], tables, connect)
-        bad = bound > tol  # then bound > tol * max(1, |F|) where also bound > tol * |F|
-        if bad.any() and (bad := bad & (bound > tol * np.abs(value))).any() and not connect:
-            raise _cancelled(plan, float(bound[bad].max()), tol)
+        bad = bound > DEFAULT_TOL  # then bound > DEFAULT_TOL * max(1, |F|) where also > DEFAULT_TOL * |F|
+        if bad.any() and (bad := bad & (bound > DEFAULT_TOL * np.abs(value))).any() and not connect:
+            raise _cancelled(plan, float(bound[bad].max()))
         out[order[block]], fails[order[block]] = value, bad
     return out, fails
 
 
-def _chunk(plan: _Plan, z: np.ndarray, tol: float, max_terms: int, clip: bool, out: np.ndarray) -> None:
+def _chunk(plan: _Plan, z: np.ndarray, clip: bool, out: np.ndarray) -> None:
     """Write the values at one chunk of points to out, clipped to 1 from below on the connection
     formula where ``clip`` (F(a,a;c;z) >= 1 for c > 0)."""
     direct = slice(None)
     if plan.connect and (upper := z > 0.5).any():
-        value, bad = _evaluate(plan, 1.0 - z[upper], tol, max_terms, True)
+        value, bad = _evaluate(plan, 1.0 - z[upper], True)
         out[upper] = np.maximum(value, 1.0, out=value) if clip else value
         upper[upper] = ~bad  # the points the connection formula served
         direct = np.logical_not(upper, out=upper)
     if (x := z[direct]).size:
-        out[direct] = _evaluate(plan, x, tol, max_terms, False)[0]
+        out[direct] = _evaluate(plan, x, False)[0]
 
 
-def hyp2f1(a: float, b: float, c: float, z: float, tol: float = DEFAULT_TOL,
-           max_terms: int = MAX_TERMS) -> float:
-    """Evaluate F(a,b;c;z) for z in [0,1) to absolute tolerance ``tol``: :func:`hyp2f1_grid` at z."""
-    _canonical(a, b, c, tol, max_terms)
+def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+    """Evaluate F(a,b;c;z) for z in [0,1) to DEFAULT_TOL * max(1, |F|): :func:`hyp2f1_grid` at z."""
+    _canonical(a, b, c)
     if not 0.0 <= z < 1.0:
         raise ValueError(f"argument z = {z} outside [0, 1)")
     if z == 0.0:
         return 1.0
-    return float(hyp2f1_grid(a, b, c, np.array([z], dtype=float), tol, max_terms)[0])
+    return float(hyp2f1_grid(a, b, c, np.array([z], dtype=float))[0])
 
 
-def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAULT_TOL,
-                max_terms: int = MAX_TERMS) -> np.ndarray:
+def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
     """Vectorized evaluation over an array of arguments in [0,1).
 
     The array is taken in chunks of ``_CHUNK`` points.  In a chunk, the points above 1/2 take the
@@ -451,7 +442,7 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
     plan has no connection formula, take the direct series; each of the two groups is sorted by cell
     and summed in blocks of ``_BLOCK`` points.
     """
-    a, b, plan = _canonical(a, b, c, tol, max_terms)
+    a, b, plan = _canonical(a, b, c)
     z = np.asarray(z, dtype=float)
     out = np.empty(z.shape)
     if not z.size:
@@ -462,7 +453,7 @@ def hyp2f1_grid(a: float, b: float, c: float, z: np.ndarray, tol: float = DEFAUL
     zf, flat, clip = z.ravel(), out.reshape(-1), a == b and c > 0.0
     try:
         for i in range(0, zf.size, _CHUNK):
-            _chunk(plan, zf[i:i + _CHUNK], tol, max_terms, clip, flat[i:i + _CHUNK])
+            _chunk(plan, zf[i:i + _CHUNK], clip, flat[i:i + _CHUNK])
         return out
     finally:
         for s in (plan.direct, *plan.connection):

@@ -132,7 +132,7 @@ def _induction(
     for name, value in (("M", M), ("eps", eps), ("C", C), ("K", K)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value}")
-    if not isinstance(jmax, numbers.Integral) or jmax < 0:
+    if isinstance(jmax, bool) or not isinstance(jmax, numbers.Integral) or jmax < 0:
         raise ValueError(f"jmax must be an integer >= 0, got {jmax}")
     a, s, w, k0, k1 = row
     pq = p * q

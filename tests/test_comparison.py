@@ -17,7 +17,7 @@ from siwave.comparison import (
 )
 from siwave.fd import detect_lifespan, solve_semilinear_field
 from siwave.grids import GridSpec, SpacetimeField
-from siwave.kernels import light_cone_sample, verify_kernel_lower_bounds
+from siwave.kernels import BoundReport, light_cone_sample, verify_kernel_lower_bounds
 from siwave.linear import solve_linear_field
 from siwave.params import ScaleInvariantParams
 from siwave.profiles import bump_profile, zero_source
@@ -154,11 +154,40 @@ def test_reduce_positive_for_positive_data_mu2():
     assert np.all(trace.Us > 0.0)
 
 
-def test_reduce_partial_trace_warns():
-    field = _zero_field(t_max=3.0)
-    with pytest.warns(UserWarning, match="partial"):
-        trace = reduce_solution(field, P2, R=1.0, zs=np.array([1.0, 1.5, 2.0, 5.0]))
-    assert trace.zs[-1] == 2.0
+@pytest.mark.parametrize("R", [math.nan, math.inf, -1.0, 0.0])
+def test_reduce_rejects_bad_radius(R):
+    with pytest.raises(ValueError, match="R must be finite and > 0"):
+        reduce_solution(_zero_field(), P2, R=R)
+
+
+_BOUNDS = BoundReport(c_K1=0.5, c_E=0.25, c_mix=0.75, n_points=1, mu=2.0, nu2=0.0, sigma=2.0)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("R", 0.0, "R must be finite and > 0"),
+        ("R", -1.0, "R must be finite and > 0"),
+        ("R", math.nan, "R must be finite and > 0"),
+        ("R", math.inf, "R must be finite and > 0"),
+        ("p", math.nan, "p must be finite and > 1"),
+        ("p", math.inf, "p must be finite and > 1"),
+        ("p", 1.0, "p must be finite and > 1"),
+        ("p", 0.5, "p must be finite and > 1"),
+        ("data_l1", -1.0, "data_l1 must be finite and >= 0"),
+        ("data_l1", math.nan, "data_l1 must be finite and >= 0"),
+        ("data_l1", math.inf, "data_l1 must be finite and >= 0"),
+    ],
+)
+def test_empirical_frame_rejects_bad_input(name, value, message):
+    args = dict(p=1.5, R=1.0, data_l1=2.0) | {name: value}
+    with pytest.raises(ValueError, match=message):
+        empirical_frame(P2, bounds=_BOUNDS, **args)
+
+
+def test_empirical_frame_accepts_zero_data_mass():
+    frame = empirical_frame(P2, p=1.5, R=1.0, bounds=_BOUNDS, data_l1=0.0)
+    assert frame.M == 0.0 and frame.C > 0.0
 
 
 def test_trace_validation():

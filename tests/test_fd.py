@@ -27,7 +27,7 @@ from siwave.fd import (
 from siwave.grids import GridSpec
 from siwave.linear import solve_linear_point
 from siwave.params import ScaleInvariantParams, SystemParams
-from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump_derivative
+from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump_derivative, zero_source
 
 P0 = ScaleInvariantParams(0.0, 0.0)
 P1 = ScaleInvariantParams(1.0, 0.0)
@@ -167,6 +167,22 @@ def test_finite_propagation_at_grid_speed():
     for i, t in enumerate(field.times):
         outside = np.abs(field.xs) > prof.R + float(t) + 2.0 * grid.dx
         assert np.max(np.abs(field.values[i][outside]), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.5, math.nan, True, np.bool_(True), 0, -1])
+@pytest.mark.parametrize("solve", ["semilinear", "linear"])
+def test_store_every_must_be_an_integer_at_least_one(solve, bad):
+    grid = GridSpec(dx=0.25, cfl=1.0, x_max=4.0, t_max=1.0)
+    prof = bump_profile(R=1.0, eps=0.1, amplitude=1.0)
+    run = {
+        "semilinear": lambda every: solve_semilinear_field(P2, prof, 1.5, grid, store_every=every)[0],
+        "linear": lambda every: solve_linear_fd(P2, prof, zero_source(), grid, store_every=every),
+    }[solve]
+    with pytest.raises(ValueError, match="store_every"):
+        run(bad)
+    field, want = run(np.int64(2)), run(2)
+    assert field.times.tobytes() == want.times.tobytes()
+    assert field.values.tobytes() == want.values.tobytes()
 
 
 def test_spatial_mean_nondecreasing_with_nonnegative_data():
@@ -923,7 +939,11 @@ def test_decoupled_mode_matches_independent_runs():
     grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
     prof1 = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
     prof2 = bump_profile(R=1.0, eps=0.5, amplitude=6.0)
-    rec = detect_lifespan_system(sys, prof1, prof2, grid, cross_coupling=False)
+    components = [
+        _power_component(sys.comp1, prof1, 0, sys.p),
+        _power_component(sys.comp2, prof2, 1, sys.q),
+    ]
+    rec = fd._lifespan(components, grid, fd.DEFAULT_THRESHOLD, refine=False)
     t1 = detect_lifespan(P2, prof1, 1.5, grid).T_est
     t2 = detect_lifespan(ScaleInvariantParams(3.0, 0.0), prof2, 1.8, grid).T_est
     assert rec.blow_up

@@ -107,21 +107,25 @@ def test_argument_outside_domain_rejected():
 
 def test_nonconvergence_reported_with_estimate():
     # c-a-b = 1 + 1e-9 is no integer, but too close to one for the connection
-    # formula, so the direct series runs and exhausts its budget near z = 1
+    # formula, so the direct series runs and cannot meet DEFAULT_TOL near z = 1;
+    # the scalar and the grid paths both report the error they reached
     with pytest.raises(ConvergenceError) as info:
-        hyp2f1(0.5, 0.5, 2.0 + 1e-9, 0.999999, tol=1e-13, max_terms=2000)
+        hyp2f1(0.5, 0.5, 2.0 + 1e-9, 0.999999)
+    assert info.value.achieved > 0
+    with pytest.raises(ConvergenceError) as info:
+        hyp2f1_grid(0.5, 0.5, 2.0 + 1e-9, np.array([0.3, 0.999999]))
     assert info.value.achieved > 0
 
 
-@pytest.mark.parametrize("name", ["a", "b", "c", "tol"])
+@pytest.mark.parametrize("name", ["a", "b", "c"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_input_rejected(name, bad):
-    args = dict(a=0.5, b=0.5, c=1.0, tol=1e-13)
+    args = dict(a=0.5, b=0.5, c=1.0)
     args[name] = bad
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        hyp2f1(args["a"], args["b"], args["c"], 0.3, tol=args["tol"])
+        hyp2f1(args["a"], args["b"], args["c"], 0.3)
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        hyp2f1_grid(args["a"], args["b"], args["c"], np.array([0.3, 0.7]), tol=args["tol"])
+        hyp2f1_grid(args["a"], args["b"], args["c"], np.array([0.3, 0.7]))
 
 
 def test_term_ratio_slope_near_zero_converges():
@@ -176,12 +180,23 @@ def test_complete_elliptic_integral_identity():
     assert np.all(np.abs(hyp2f1_grid(0.5, 0.5, 1.0, zs) - want) <= 1e-13 * want)
 
 
+def _terms(s, x):
+    """The term count of series s at the point x (w on the connection formula, else z)."""
+    return s.start + int(s.table.searchsorted(int(x * hypergeom._CELLS), "right"))
+
+
 def test_cost_bounded_near_one():
-    # the direct series would need about 10^6 terms at this z
-    value = hyp2f1(0.5, 0.5, 1.0, 0.999999, max_terms=100)
+    # the direct series would need about 10^6 terms at this z; the connection
+    # formula serves it, and the direct series z = 0.3, within 100 terms
+    value = hyp2f1(0.5, 0.5, 1.0, 0.999999)
     assert abs(value - 2.0 / math.pi * ellipk(0.999999)) <= 1e-13 * value
-    grid = hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3, 0.999999]), max_terms=100)
+    grid = hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3, 0.999999]))
     assert abs(grid[1] - value) <= 1e-14 * value
+    _, _, plan = hypergeom._canonical(0.5, 0.5, 1.0)
+    assert plan.connection
+    for s in plan.connection:
+        assert _terms(s, 1.0 - 0.999999) <= 100
+    assert _terms(plan.direct, 0.3) <= 100
 
 
 def test_grid_evaluation_matches_scalar():
@@ -202,12 +217,16 @@ def test_terminating_series():
         ),
         (-1.0, -1.0): lambda z: 1.0 + z,
     }
+    # z = 0.999999 lies above 1 - 2^-16, where a series that did not
+    # terminate would raise at once
     zs = (0.3, 0.8, 0.999999)
     for (a, b), poly in polys.items():
         want = np.array([poly(z) for z in zs])
-        got = np.array([hyp2f1(a, b, 1.0, z, max_terms=10) for z in zs])
+        got = np.array([hyp2f1(a, b, 1.0, z) for z in zs])
         assert np.max(np.abs(got - want)) <= 1e-13
-        assert np.max(np.abs(hyp2f1_grid(a, b, 1.0, np.array(zs), max_terms=10) - want)) <= 1e-13
+        assert np.max(np.abs(hyp2f1_grid(a, b, 1.0, np.array(zs)) - want)) <= 1e-13
+        _, _, plan = hypergeom._canonical(a, b, 1.0)
+        assert len(plan.direct.ck) <= 10
 
 
 def test_slow_convergence_near_one_still_meets_tolerance():
@@ -215,20 +234,6 @@ def test_slow_convergence_near_one_still_meets_tolerance():
     got = hyp2f1(2.0, 2.0, 1.0, 0.99)
     want = (1.0 + 0.99) / (1.0 - 0.99) ** 3  # closed form for F(2,2;1;z)
     assert abs(got - want) <= 1e-12 * want
-
-
-@pytest.mark.parametrize("bad", [-1, 0, 2.5, True, np.bool_(True), "3", None])
-def test_max_terms_must_be_a_positive_integer(bad):
-    with pytest.raises(ValueError, match="max_terms must be an integer >= 1"):
-        hyp2f1(0.5, 0.5, 1.0, 0.3, max_terms=bad)
-    with pytest.raises(ValueError, match="max_terms must be an integer >= 1"):
-        hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3]), max_terms=bad)
-
-
-def test_max_terms_accepts_numpy_integers():
-    want = hyp2f1(0.5, 0.5, 1.0, 0.3)
-    assert hyp2f1(0.5, 0.5, 1.0, 0.3, max_terms=np.int64(200)) == want
-    assert hyp2f1_grid(0.5, 0.5, 1.0, np.array([0.3]), max_terms=np.int32(200))[0] == want
 
 
 @pytest.mark.parametrize("a, b, z", [(-20.0, 0.5, 0.9), (-40.0, 0.5, 0.9), (-200.0, -0.5, 0.5)])
@@ -279,14 +284,15 @@ def test_scalar_and_grid_use_the_same_term_counts(a, b, c):
 
 
 def _kept_terms(a, b, c):
-    _, _, plan = hypergeom._canonical(a, b, c, DEFAULT_TOL, hypergeom.MAX_TERMS)
-    series = (plan.direct, *plan.connection)
-    return [(len(s.ck) - s.start, max((F.size for F in s.tables.values()), default=0)) for s in series]
+    _, _, plan = hypergeom._canonical(a, b, c)
+    return [(len(s.ck) - s.start, s.table.size) for s in (plan.direct, *plan.connection)]
 
 
 def test_series_beyond_any_cell_raises_at_once():
-    # no term count of a direct series that does not terminate covers z >= 1 - 2^-16: the call
-    # raises without summing toward max_terms, and keeps no more than _KEEP terms
+    # c-a-b = 1 + 1e-9 is no integer, but too close to one for the connection formula, so the
+    # direct series runs; no term count of a direct series that does not terminate covers
+    # z >= 1 - 2^-16: the call raises with a finite estimate without summing toward MAX_TERMS,
+    # and keeps no more than _KEEP terms
     a, b, c = 0.5, 0.5, 2.0 + 1e-9
     started = time.perf_counter()
     with pytest.raises(ConvergenceError) as info:
@@ -307,14 +313,6 @@ def test_long_direct_series_keeps_a_bounded_cache():
         assert terms <= hypergeom._KEEP and table <= hypergeom._KEEP
     assert hyp2f1(a, b, c, z) == got
     assert hyp2f1_grid(a, b, c, np.array([0.3, z]))[1] == got
-
-
-def test_series_keeps_tables_for_few_tolerances():
-    for tol in (1e-10, 1e-11, 1e-12, 1e-13):
-        hyp2f1_grid(0.3, 0.45, 1.25, np.array([0.2, 0.9]), tol=tol)
-    _, _, plan = hypergeom._canonical(0.3, 0.45, 1.25, DEFAULT_TOL, hypergeom.MAX_TERMS)
-    for s in (plan.direct, *plan.connection):
-        assert len(s.tables) <= hypergeom._TOLERANCES
 
 
 @pytest.mark.parametrize("a, b, c", POINTWISE_PARAMS[:3])

@@ -282,7 +282,7 @@ BUILDERS = {
         ("M", 0.0), ("M", math.nan), ("M", math.inf),
         ("eps", -0.1), ("eps", math.nan), ("eps", math.inf),
         ("C", math.inf), ("C", math.nan), ("K", 0.0), ("K", math.nan),
-        ("jmax", -1), ("jmax", 2.5),
+        ("jmax", -1), ("jmax", 2.5), ("jmax", True), ("jmax", False), ("jmax", np.bool_(True)),
     ],
 )
 def test_sequences_validate_inputs(family, name, value):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import statistics
 import subprocess
@@ -68,13 +69,14 @@ def _terms(hg, params: tuple, z: np.ndarray) -> float | None:
     term counts (one that sums each block to the count of its largest argument)."""
     if not hasattr(hg, "_sorted"):
         return None
-    tol, budget = hg.DEFAULT_TOL, hg.MAX_TERMS
-    _, _, plan = hg._canonical(*params, tol, budget)
+    # an engine whose tolerance and term budget were options takes them after the parameters
+    budget = (hg.DEFAULT_TOL, hg.MAX_TERMS) if "tol" in inspect.signature(hg._canonical).parameters else ()
+    _, _, plan = hg._canonical(*params, *budget)
     upper = z > 0.5 if plan.connect else np.zeros(z.shape, dtype=bool)
     total = 0.0
     for connect, x in ((True, 1.0 - z[upper]), (False, z[~upper])):
         if x.size:
-            _, _, cells, tables = hg._sorted(plan, x, tol, budget, connect)
+            _, _, cells, tables = hg._sorted(plan, x, *budget, connect)
             series = plan.connection if connect else (plan.direct,)
             total += sum(x.size * (s.start + 1.0) + float(np.sum(F.searchsorted(cells, "right")))
                          for s, F in zip(series, tables))
