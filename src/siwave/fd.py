@@ -87,6 +87,17 @@ Stored rows go straight into (rows, n) arrays that become the field, so a
 stored run holds its field once; the arrays grow in place past
 _ROW_RESERVE bytes and end cut to the rows kept.
 
+A run whose every forcing is |u_t|^p with p in _KERNEL_POWERS steps its
+levels in C instead: siwave_fd_levels of _fdlevel.c, compiled on the first
+such run in the process (_kernel, never at import) and called once per
+block, returning early at a store level, a non-finite level or a threshold
+crossing.  It makes the numpy loop's IEEE operations on every element in
+the same order, so the two paths give the same bits; windows, mirror,
+stored rows, results and the Richardson fork stay here.  The numpy loop
+remains the reference the tests compare with, and the path of other
+exponents (numpy's power and libm's pow differ in the last bit), of a
+sampled source and of a process where the kernel does not build.
+
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state.  The two grids of a Richardson pair (refine=True)
 run side by side: a forked child runs the coarse grid and sends its
@@ -103,12 +114,19 @@ child's work (such as sampling the coarse data).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import pickle
+import shlex
 import signal
+import subprocess
+import sysconfig
+import tempfile
 import threading
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -205,7 +223,8 @@ class _Component(NamedTuple):
     says the forcing vanishes wherever every lagged u_t does, so it never
     reaches past the numerical light cone.
     ``nonneg`` says the forcing never holds a negative value or -0.0, which
-    lets a massless step skip its mass product bit-exactly.
+    lets a massless step skip its mass product bit-exactly.  ``power`` is
+    the p of a |u_t|^p forcing, None for a sampled source.
     """
 
     params: ScaleInvariantParams
@@ -214,6 +233,7 @@ class _Component(NamedTuple):
     src: int
     local: bool
     nonneg: bool
+    power: float | None
 
 
 def _power_component(
@@ -232,7 +252,7 @@ def _power_component(
         3.0: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, tmp), a, out),
     }
     rhs = forms.get(p, lambda a, t, w, out, tmp: np.positive(a**p, out))  # a**p into out
-    return _Component(params, data, rhs, src, local=p > 0, nonneg=True)
+    return _Component(params, data, rhs, src, local=p > 0, nonneg=True, power=p)
 
 
 def _taylor_start(
@@ -321,6 +341,77 @@ def _start(
         _interleave(u0), _interleave(taylor), _interleave(u1),
         _support(u0 + u1 + taylor), _even(u0 + u1),
     )
+
+
+#: Exponents of the forcings the compiled kernel steps; its form of a
+#: component is the exponent's index here.
+_KERNEL_POWERS = (1.5, 2.0, 2.5, 3.0)
+
+#: Portable flags that keep IEEE semantics: no fused multiply-add, and no
+#: -ffast-math or -march=native.
+_KERNEL_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+
+#: siwave_fd_levels' stop reasons: the block's end, a non-finite level, a
+#: store level and a peak past the threshold.
+_END, _NONFINITE, _STORE, _THRESHOLD = range(4)
+
+
+class _KernelComp(ctypes.Structure):
+    """struct fd_comp of _fdlevel.c."""
+
+    _fields_ = [
+        ("form", ctypes.c_long), ("src", ctypes.c_long),
+        ("half_mu_dt", ctypes.c_double), ("nu2", ctypes.c_double),
+    ]
+
+
+class _KernelRun(ctypes.Structure):
+    """struct fd_run of _fdlevel.c: a run's buffers and constants, the buffer
+    rotation, and the level a call stopped at."""
+
+    _fields_ = [
+        ("u", ctypes.c_void_p * 3),
+        *((name, ctypes.c_void_p) for name in ("ut", "abs_ut", "rhs")),
+        ("comp", ctypes.POINTER(_KernelComp)),
+        *((name, ctypes.c_long) for name in (
+            "n", "m", "mirror", "scaled", "shared", "rot", "level", "over",
+        )),
+        *((name, ctypes.c_double) for name in (
+            "dt", "c2", "two_less_c2", "dt2", "two_dt", "threshold",
+        )),
+    ]
+
+
+@functools.cache
+def _kernel() -> Callable[..., int] | None:
+    """siwave_fd_levels of _fdlevel.c, compiled on the first call with
+    Python's C compiler (sysconfig's CC, else cc) in a temporary directory
+    and loaded with ctypes; None, from then on, when it cannot be built or
+    loaded, and the numpy level loop serves."""
+    source = Path(__file__).with_name("_fdlevel.c")
+    compilers = [shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]]
+    for cc in filter(None, compilers):
+        try:
+            # a loaded library outlives its file
+            with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+                lib = os.path.join(tmp, "_fdlevel.so")
+                subprocess.run(
+                    [*cc, *_KERNEL_CFLAGS, str(source), "-o", lib, "-lm"],
+                    check=True, capture_output=True, timeout=120,
+                )
+                step = ctypes.CDLL(lib).siwave_fd_levels
+        except (OSError, subprocess.SubprocessError):
+            continue
+        step.argtypes = [ctypes.POINTER(_KernelRun), *[ctypes.c_long] * 5]
+        step.restype = ctypes.c_long
+        return step
+    return None
+
+
+def _kernel_for(components: list[_Component]) -> Callable[..., int] | None:
+    """The compiled level kernel when it has every component's forcing and
+    builds, else None."""
+    return _kernel() if all(comp.power in _KERNEL_POWERS for comp in components) else None
 
 
 def _run(
@@ -415,16 +506,50 @@ def _run(
         # x >= 0 only, with node centre - 1 a ghost of node centre + 1
         mirror = rows is None and local and even
         floor = centre if mirror else 0
+        if mirror:  # the Taylor level's ghost
+            u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
+        kernel = _kernel_for(components)
+        if kernel is not None:
+            # the compiled kernel steps each block; the struct holds the
+            # buffers' addresses, which stay alive with this frame
+            buffers = (u_prev, u_curr, u_next)
+            run = _KernelRun(
+                (ctypes.c_void_p * 3)(*(a.ctypes.data for a in buffers)),
+                ut.ctypes.data, abs_ut.ctypes.data, rhs.ctypes.data,
+                (_KernelComp * m)(*(
+                    (_KERNEL_POWERS.index(comp.power), comp.src, 0.5 * comp.params.mu * dt,
+                     comp.params.nu2)
+                    for comp in components
+                )),
+                n=n, m=m, mirror=centre if mirror else -1, scaled=scaled,
+                shared=len(params) == 1, dt=dt, c2=float(c2), two_less_c2=float(two_less_c2),
+                dt2=float(dt2), two_dt=float(two_dt), threshold=threshold,
+            )
         for first in range(1, k_max + 1, _BLOCK):
             levels = range(first, min(first + _BLOCK, k_max + 1))
             # one window for the block: the cone at its last level
             lo, hi = max(lo - len(levels), floor), min(hi + len(levels), n)
+            if kernel is not None:
+                k = first
+                while k <= levels[-1]:
+                    stop = kernel(run, lo, hi, k, levels[-1], next_store)
+                    k = run.level
+                    t_k = k * dt
+                    if stop == _NONFINITE:
+                        return result(True, t_k + dt)
+                    if stop == _THRESHOLD:
+                        return result(True, t_k)
+                    if stop == _STORE:
+                        next_store = store(k, t_k, buffers[(run.rot + 1) % 3], ut)
+                        if run.over:
+                            return result(True, t_k)
+                        run.rot = (run.rot + 1) % 3
+                        k += 1
+                continue
             w = slice(lo, hi)
             prv, cur, nxt, scr = (
                 _views(a, lo, hi, m, len(params)) for a in (u_prev, u_curr, u_next, tmp)
             )
-            if mirror and first == 1:
-                cur.ghost[...] = cur.mate  # the Taylor level's ghost
             v_ut, v_abs, v_rhs = (a[lo * m : hi * m] for a in (ut, abs_ut, rhs))
             # each component's forcing reads the lagged |u_t| of its source
             # component and writes its own stride-m view
@@ -575,6 +700,7 @@ def _lifespan(
         # validated here, not in a child: the fine grid shares the cone
         fine = replace(grid, dx=0.5 * grid.dx)
         _check_run(components, grid, threshold)
+        _kernel_for(components)  # built here, so that a forked child never compiles it
         (blow_coarse, t_coarse), (blow_up, t_est) = _pair(components, grid, fine, threshold)
         pair = (t_coarse, t_est)
         converged = blow_coarse and blow_up and abs(t_coarse - t_est) <= RICHARDSON_RTOL * t_est
@@ -614,7 +740,7 @@ def solve_linear_fd(
 
     # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
     # f may return -0.0, so the mass product stays even when nu2 == 0
-    source = _Component(params, data, rhs, 0, local=False, nonneg=False)
+    source = _Component(params, data, rhs, 0, local=False, nonneg=False, power=None)
     _, _, rows = _run([source], grid, store_every=store_every)
     return SpacetimeField(grid, *rows)
 

@@ -3,6 +3,8 @@
 import functools
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -456,6 +458,7 @@ def test_block_size_leaves_every_bit(monkeypatch):
     # update to +0.0
     params, prof = ScaleInvariantParams(4.0, 1.0), bump_profile(R=1.0, eps=0.4, amplitude=8.0)
     grid = GridSpec(dx=1.0 / 25, cfl=0.8, x_max=5.0, t_max=4.0)
+    _numpy_levels(monkeypatch)
     fields = []
     for block in (1, 7, fd._BLOCK):
         monkeypatch.setattr(fd, "_BLOCK", block)
@@ -529,6 +532,12 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
     assert record == _serial_record(components, grid, threshold)
 
 
+def _numpy_levels(monkeypatch):
+    """Steps every level with the numpy level loop, as where the compiled
+    kernel cannot be built: the loop whose calls the tests record."""
+    monkeypatch.setattr(fd, "_kernel", lambda: None)
+
+
 def _offset(view):
     """Element offset of a 1-D view into the buffer that owns it."""
     return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
@@ -571,6 +580,7 @@ def _window_edges(monkeypatch, grid, steps=None):
             return getattr(np, name)
 
     monkeypatch.setattr(fd, "np", Numpy())
+    _numpy_levels(monkeypatch)
     return edges
 
 
@@ -997,3 +1007,175 @@ def test_lifespan_csv_schema(tmp_path):
     assert first[1] == "inf" and first[2] == "false" and first[6] == "na"
     second = lines[2].split(",")
     assert second[2] == "true" and second[6] in ("true", "false")
+
+
+# -- the compiled level kernel -------------------------------------------
+
+#: (components, grid) of the kernel checks: the full-grid reference matrix
+#: with its general exponents 1.7 and 1.8 turned into 2.5 and 3, so that it
+#: holds all four forms of the kernel, cfl < 1 into the grid ends and the
+#: mass products; the shared-coefficient system; and odd data, whose runs
+#: step the full window
+KERNEL_CASES = [
+    ([_power_component(P2, bump_profile(R=1.0, eps=0.5, amplitude=8.0), 0, 1.5)],
+     GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)),
+    ([_power_component(
+        ScaleInvariantParams(3.0, 0.5), bump_profile(R=1.5, eps=0.3, amplitude=4.0), 0, 2.5)],
+     GridSpec(dx=1.0 / 25, cfl=0.9, x_max=5.5, t_max=4.0)),
+    ([_power_component(P1, bump_profile(R=1.0, eps=0.5, amplitude=8.0, u0_zero=True), 0, 2.0)],
+     GridSpec(dx=1.0 / 25, cfl=0.5, x_max=5.0, t_max=4.0)),
+    ([_power_component(
+        ScaleInvariantParams(4.0, 1.0), bump_profile(R=1.0, eps=0.4, amplitude=8.0), 0, 3.0)],
+     GridSpec(dx=1.0 / 25, cfl=0.8, x_max=5.0, t_max=4.0)),
+    ([_power_component(
+        ScaleInvariantParams(3.0, 0.75), bump_profile(R=1.0, eps=0.25, amplitude=8.0), 0, 2.0)],
+     GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)),
+    ([_power_component(CROSS_SYSTEM.comp1, bump_profile(R=1.0, eps=0.6, amplitude=8.0), 1, 1.5),
+      _power_component(CROSS_SYSTEM.comp2, bump_profile(R=1.0, eps=0.6, amplitude=8.0), 0, 2.0)],
+     GridSpec(dx=1.0 / 25, cfl=0.9, x_max=5.0, t_max=4.0)),
+    ([_power_component(P2, bump_profile(R=1.0, eps=0.25, amplitude=8.0), 1, 1.5),
+      _power_component(P2, bump_profile(R=1.0, eps=0.25, amplitude=8.0), 0, 2.0)],
+     GridSpec(dx=1.0 / 25, cfl=1.0, x_max=9.0, t_max=8.0)),
+    ([_power_component(P2, ODD_DATA, 0, 2.0)],
+     GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)),
+    # data cut off at |x| = R = x_max and one level (t_max is inside the
+    # cone check's rounding slack): the only way a |u_t|^p forcing steps a
+    # nonzero grid-end node
+    ([_power_component(ScaleInvariantParams(3.0, 0.5), CauchyProfile(
+        u0=lambda x: 1.0 + x if abs(x) <= 1.0 else 0.0,
+        u1=lambda x: 2.0 - x if abs(x) <= 1.0 else 0.0, R=1.0, eps=1.0), 0, 2.0)],
+     GridSpec(dx=0.1, cfl=0.5, x_max=1.0, t_max=5e-13)),
+]
+KERNEL_IDS = [
+    "p1.5", "p2.5-cfl0.9-mass", "p2-cfl0.5", "p3-cfl0.8-mass-censored", "p2-mass-grid-ends",
+    "cross-system", "shared-system", "odd-data", "data-at-grid-ends",
+]
+
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel; a host without a working C compiler has only the
+    numpy level loop, and then there is nothing to compare."""
+    if fd._kernel() is None:
+        pytest.skip("the level kernel cannot be built on this host")
+
+
+def _outputs(components, grid, threshold):
+    """What a run gives its callers: the records and rows of stored runs at
+    store_every 1, 2 and 7 (their bytes), and the refined lifespan record."""
+    runs = []
+    for store_every in (None, 1, 2, 7):
+        blow_up, t_est, rows = _run(components, grid, threshold, store_every)
+        runs.append((blow_up, t_est, rows and [a.tobytes() for a in rows]))
+    return runs, fd._lifespan(components, grid, threshold, refine=True)
+
+
+def _both_paths(monkeypatch, components, grid, threshold):
+    """_outputs through the compiled kernel and through the numpy loop."""
+    assert fd._kernel_for(components) is not None
+    compiled = _outputs(components, grid, threshold)
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        return compiled, _outputs(components, grid, threshold)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("components, grid", KERNEL_CASES, ids=KERNEL_IDS)
+def test_kernel_gives_the_numpy_loops_bits(kernel, monkeypatch, components, grid):
+    compiled, numpy_loop = _both_paths(monkeypatch, components, grid, 1e8)
+    assert compiled == numpy_loop
+    assert compiled[0][1][2] is not None  # rows were stored and compared
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p", fd._KERNEL_POWERS)
+@pytest.mark.parametrize("threshold", [1e8, math.inf], ids=["threshold", "non-finite"])
+@pytest.mark.parametrize("edge", ["last", "first"])
+def test_kernel_stops_on_block_edges_as_the_numpy_loop(
+    kernel, monkeypatch, p, threshold, edge
+):
+    # the stop level of the numpy loop, made the last level of the first
+    # block or the first level of the second one
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=12.0, t_max=10.0)
+    components = [_power_component(P2, bump_profile(R=1.0, eps=0.5, amplitude=8.0), 0, p)]
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        blow_up, t_est, _ = _run(components, grid, threshold)
+    assert blow_up
+    stop = round(t_est / grid.dt) - (threshold == math.inf)  # T_est is t_k + dt there
+    monkeypatch.setattr(fd, "_BLOCK", stop if edge == "last" else stop - 1)
+    compiled, numpy_loop = _both_paths(monkeypatch, components, grid, threshold)
+    assert compiled == numpy_loop
+    assert compiled[0][0][1] == t_est
+
+
+@pytest.fixture
+def rebuilt_kernel():
+    """Forgets the built kernel before and after the test, so that the test
+    sees the first build and later tests build their own."""
+    fd._kernel.cache_clear()
+    yield
+    fd._kernel.cache_clear()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("failure", ["compile error", "no compiler", "timeout", "no library"])
+def test_failed_kernel_build_falls_back_to_the_numpy_loop(rebuilt_kernel, monkeypatch, failure):
+    components, grid = KERNEL_CASES[5]
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        reference = _outputs(components, grid, 1e8)
+    calls = []
+
+    def failing_compiler(cmd, **kwargs):
+        calls.append(cmd)
+        if failure == "compile error":
+            raise subprocess.CalledProcessError(1, cmd)
+        if failure == "no compiler":
+            raise FileNotFoundError(cmd[0])
+        if failure == "timeout":
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+        # "no library": the compiler wrote nothing, so loading it fails
+
+    monkeypatch.setattr(fd.subprocess, "run", failing_compiler)
+    assert _outputs(components, grid, 1e8) == reference
+    assert fd._kernel() is None
+    tried = len(calls)
+    assert tried >= 1
+    assert _outputs(components, grid, 1e8) == reference
+    assert len(calls) == tried  # the failure is remembered
+
+
+def test_import_neither_starts_a_process_nor_builds_the_kernel():
+    code = "\n".join([
+        "import os, subprocess",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('a process was started')",
+        "subprocess.Popen = os.fork = os.posix_spawn = os.posix_spawnp = refuse",
+        "import siwave",
+        "from siwave import fd",
+        "assert fd._kernel.cache_info().misses == 0",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_refined_lifespan_builds_the_kernel_before_it_forks(
+    rebuilt_kernel, pair_forks, monkeypatch
+):
+    forks, expected = pair_forks
+    built_at_fork = []
+    fork = os.fork
+
+    def fork_after_build():
+        built_at_fork.append(fd._kernel.cache_info().currsize)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_after_build)
+    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    assert detect_lifespan(P2, prof, 1.5, grid, refine=True).blow_up
+    assert len(forks) == expected
+    assert built_at_fork == [1] * expected
+    assert fd._kernel.cache_info().misses == 1

@@ -1,4 +1,5 @@
-"""Cost of one level of the FD stepper, and of the bare ufunc calls it makes.
+"""Cost of one level of the FD stepper on its two paths, and of the bare
+ufunc calls the numpy path makes.
 
     python3 tools/fd_level_cost.py [--out BENCH_fd_level.json]
 
@@ -18,12 +19,21 @@ Each round times the two runs back to back, in alternating order; the
 figure is the median over the rounds of that difference, which a slow
 spell of a shared host moves less than a difference of two best times.
 
-The bare figure replays, in the same process, the ufunc calls that the
-two runs made (numpy ufuncs and ufunc.reduce, recorded with their
-arguments through a stand-in for the ``np`` name of siwave.fd) and takes
-the same difference: it is what the level costs without the Python code
-around those calls.  Array methods (such as ndarray.max) and slice
-assignments are not ufunc calls, so they count on the stepper's side only.
+Each case has three figures, one per path:
+
+  kernel_us_per_level  the compiled level kernel (fd._kernel), which steps
+                       these runs wherever it builds (null where it cannot);
+  numpy_us_per_level   the numpy level loop, the path of general exponents,
+                       linear mode and hosts without a C compiler, run here
+                       by standing in None for the kernel;
+  bare_ufunc_us_per_level  the ufunc calls of that numpy loop, replayed in
+                       the same process (numpy ufuncs and ufunc.reduce,
+                       recorded with their arguments through a stand-in for
+                       the ``np`` name of siwave.fd) with the same
+                       difference taken: the numpy level without the Python
+                       code around its calls.  Array methods (such as
+                       ndarray.max) and slice assignments are not ufunc
+                       calls, so they count on the loop's side only.
 
 The result goes to the JSON file, with the host it ran on.
 """
@@ -110,11 +120,24 @@ class _RecordedUfunc:
         return reduce
 
 
+def _numpy_path(run):
+    """``run`` with the numpy level loop: None stands in for the kernel."""
+
+    def on_numpy(*args):
+        kernel, fd._kernel = fd._kernel, lambda: None
+        try:
+            return run(*args)
+        finally:
+            fd._kernel = kernel
+
+    return on_numpy
+
+
 def _recorded(m: int, coefficients: str, R: float, levels: int) -> list:
     calls: list = []
     fd.np = _Recorder(calls)
     try:
-        _run(m, coefficients, R, levels)
+        _numpy_path(_run)(m, coefficients, R, levels)
     finally:
         fd.np = np
     return calls
@@ -144,9 +167,13 @@ def _case(m: int, coefficients: str, window: int) -> dict:
     # its block's last one: about 16 past the level on average
     R = (window - 1 - (FIRST + LAST) // 2 - fd._BLOCK // 2) * DX
     levels = LAST - FIRST
-    gap = _median_gap(
-        lambda: _run(m, coefficients, R, FIRST), lambda: _run(m, coefficients, R, LAST)
-    )
+
+    def per_level(run) -> float:
+        gap = _median_gap(
+            lambda: run(m, coefficients, R, FIRST), lambda: run(m, coefficients, R, LAST)
+        )
+        return round(gap / levels * 1e6, 2)
+
     short, long = _recorded(m, coefficients, R, FIRST), _recorded(m, coefficients, R, LAST)
     with np.errstate(all="ignore"):
         bare_gap = _median_gap(lambda: _replay(short), lambda: _replay(long))
@@ -154,7 +181,8 @@ def _case(m: int, coefficients: str, window: int) -> dict:
         "m": m,
         "coefficients": coefficients,
         "window_nodes": window,
-        "us_per_level": round(gap / levels * 1e6, 2),
+        "kernel_us_per_level": per_level(_run) if fd._kernel() is not None else None,
+        "numpy_us_per_level": per_level(_numpy_path(_run)),
         "bare_ufunc_us_per_level": round(bare_gap / levels * 1e6, 2),
         "ufunc_calls_per_level": round((len(long) - len(short)) / levels, 2),
     }
@@ -190,9 +218,12 @@ def main() -> int:
     for m, coefficients in ((1, "shared"), (2, "shared"), (2, "unequal")):
         for window in WINDOWS:
             case = _case(m, coefficients, window)
+            kernel = case["kernel_us_per_level"]
             print(
-                f"m={m} {coefficients:<8} window {window:>5}: {case['us_per_level']:7.2f} us/level,"
-                f" bare ufunc calls {case['bare_ufunc_us_per_level']:7.2f} us"
+                f"m={m} {coefficients:<8} window {window:>5}: kernel "
+                + ("   none" if kernel is None else f"{kernel:7.2f}")
+                + f" us/level, numpy loop {case['numpy_us_per_level']:7.2f} us,"
+                f" its bare ufunc calls {case['bare_ufunc_us_per_level']:7.2f} us"
                 f" ({case['ufunc_calls_per_level']:g} calls)",
                 flush=True,
             )
@@ -203,7 +234,10 @@ def main() -> int:
         "method": (
             f"median over {REPEAT} rounds of the time of a run to level {LAST} minus that "
             f"of a run to level {FIRST}, the two back to back in alternating order, over "
-            f"{LAST - FIRST} levels; cfl = 1, dx = {DX}, mirrored even data"
+            f"{LAST - FIRST} levels; cfl = 1, dx = {DX}, mirrored even data; "
+            "kernel_us_per_level: the compiled level kernel (null where it does not build), "
+            "numpy_us_per_level: the numpy level loop, bare_ufunc_us_per_level: that loop's "
+            "recorded ufunc calls replayed"
         ),
         "host": _host(),
         "cases": cases,
