@@ -1,7 +1,7 @@
 /* One block of levels of the FD stepper of siwave.fd, compiled.
 
    siwave.fd builds this file on first use (fd._kernel) with
-       -O3 -fPIC -shared -ffp-contract=off -fno-math-errno
+       -O3 -fPIC -shared -pthread -ffp-contract=off -fno-math-errno
    and loads it with ctypes.  siwave_fd_levels steps the levels of one
    block of fd._run on the block's window and makes, on every element, the
    IEEE operations of _run's numpy level loop in the same order: no fused
@@ -10,12 +10,26 @@
    sqrt is correctly rounded in both, and the mass coefficient's
    (1 + t)^2 is libm's pow, which is what Python's float power calls.
 
+   siwave_fd_split steps one block on two threads, the caller and a helper
+   that siwave_fd_helper_start starts and siwave_fd_helper_stop joins.  The
+   window [lo, hi) is cut at mid.  The lower half steps in place on nodes
+   [lo, mid + (last - k)) at level k, the upper half on private copies of
+   the buffers on nodes [mid - (last - k), hi): each computes the halo it
+   needs again (overlapped tiling), so the halves share no state while they
+   step, and every element gets the operations of siwave_fd_levels in the
+   same order, with the same bits.
+
    The layouts of struct fd_comp and struct fd_run are those of
    fd._KernelComp and fd._KernelRun; the forms are the indices of
    fd._KERNEL_POWERS.
 */
 
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stdatomic.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* One component: its forcing |u_t|^p of component src, p = 1.5, 2, 2.5 or 3
    for form 0, 1, 2 or 3; and its 0.5 mu dt and nu2. */
@@ -41,6 +55,8 @@ struct fd_run {
     double dt, c2, two_less_c2, dt2, two_dt, threshold;
 };
 
+/* The stop reasons; a level asks about them in this order, so where the
+   halves of a split block stop at the same level, the smaller one holds. */
 enum { FD_END, FD_NONFINITE, FD_STORE, FD_THRESHOLD };
 
 /* The forcing of every component on nodes [lo, hi), from the lagged |u_t|. */
@@ -148,24 +164,26 @@ static void level(const struct fd_run *r, long lo, long hi, long k, double *over
             nxt[(r->mirror - 1) * m + j] = nxt[(r->mirror + 1) * m + j];
 }
 
-/* Steps levels first..last on nodes [lo, hi) and stops, without rotating the
-   buffers past the level, at the first level that turns non-finite, that is
-   next_store (r->over tells whether it also crossed the threshold), or whose
-   max |u_t| exceeds the threshold; the level goes to r->level and the
-   reason is returned. */
-long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last,
-                      long next_store)
+/* Steps levels first..last, level k on nodes [lo - grow_lo (last - k),
+   hi + grow_hi (last - k)), and stops, without rotating the buffers past
+   the level, at the first level that turns non-finite, that is next_store
+   (r->over tells whether it also crossed the threshold), or whose max |u_t|
+   exceeds the threshold; the level goes to r->level and the reason is
+   returned. */
+static long steps(struct fd_run *r, long lo, long hi, long grow_lo, long grow_hi, long first,
+                  long last, long next_store)
 {
     const long m = r->m;
     for (long k = first; k <= last; k++) {
+        const long a = lo - grow_lo * (last - k), b = hi + grow_hi * (last - k);
         double over = 0.0, bad = 0.0;
-        level(r, lo, hi, k, &over, &bad);
+        level(r, a, b, k, &over, &bad);
         r->level = k;
         /* u^{k-1} is finite, so a NaN |u_t| comes from a NaN u^{k+1}: the
            peak is NaN only where this returns */
         if (bad != 0.0) {
             const double *nxt = r->u[(r->rot + 2) % 3];
-            for (long e = lo * m; e < hi * m; e++)
+            for (long e = a * m; e < b * m; e++)
                 if (!isfinite(nxt[e]))
                     return FD_NONFINITE;
         }
@@ -179,4 +197,190 @@ long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last,
     }
     r->level = last + 1;
     return FD_END;
+}
+
+/* Steps levels first..last on nodes [lo, hi); see steps. */
+long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last,
+                      long next_store)
+{
+    return steps(r, lo, hi, 0, 0, first, last, next_store);
+}
+
+/* A helper thread and the upper half of the block it was last posted: the
+   half's run on private full-width buffers, its nodes and levels, its stop
+   reason and the caller's run it copies from and back to.  claimed goes
+   to 1 when a thread takes the posted half, done when it is stepped. */
+struct fd_helper {
+    struct fd_run upper, *run;
+    double *own;
+    long mid, hi, first, last, next_store, stop;
+    pthread_t thread;
+    int started;
+    pthread_mutex_t lock;
+    pthread_cond_t posted_cond, done_cond;
+    atomic_long posted, quit, claimed, done;
+};
+
+/* Copies nodes [from, to) of u[i] and u[i + 1] (mod 3), of |u_t| and, with
+   ut, of u_t from run src to run dst. */
+static void copy_nodes(struct fd_run *dst, const struct fd_run *src, long i, int ut, long from,
+                       long to)
+{
+    if (from >= to)
+        return;
+    const long off = from * src->m;
+    const size_t size = (size_t)((to - from) * src->m) * sizeof(double);
+    memcpy(dst->u[i % 3] + off, src->u[i % 3] + off, size);
+    memcpy(dst->u[(i + 1) % 3] + off, src->u[(i + 1) % 3] + off, size);
+    memcpy(dst->abs_ut + off, src->abs_ut + off, size);
+    if (ut)
+        memcpy(dst->ut + off, src->ut + off, size);
+}
+
+/* The two levels a block leaves for the next: u^{last} and u^{last + 1} at
+   its end, u^k and u^{k + 1} at a store level k. */
+static long latest(const struct fd_run *r, long stop)
+{
+    return stop == FD_STORE ? r->rot + 1 : r->rot;
+}
+
+/* Steps the posted upper half.  The lower half reads and writes no node
+   from edge = mid + (last - first + 1) up, so those nodes are copied in
+   and, at the block's end or a store level, back out here, beside it. */
+static void step_upper(struct fd_helper *h)
+{
+    struct fd_run *up = &h->upper;
+    const long edge = h->mid + (h->last - h->first + 1);
+    copy_nodes(up, h->run, up->rot, 0, edge, h->hi);
+    h->stop = steps(up, h->mid, h->hi, 1, 0, h->first, h->last, h->next_store);
+    if (h->stop == FD_END || h->stop == FD_STORE)
+        copy_nodes(h->run, up, latest(up, h->stop), 1, edge, h->hi);
+}
+
+/* Sleeps while *value is was and quit is not set.  No thread spins: where
+   the host gives the second CPU no time of its own, a spinning thread
+   would take it from the other. */
+static void sleep_while(struct fd_helper *h, atomic_long *value, long was, pthread_cond_t *cond)
+{
+    pthread_mutex_lock(&h->lock);
+    while (atomic_load(value) == was && !atomic_load(&h->quit))
+        pthread_cond_wait(cond, &h->lock);
+    pthread_mutex_unlock(&h->lock);
+}
+
+static void *helper_main(void *arg)
+{
+    struct fd_helper *h = arg;
+    long seen = 0;
+    for (;;) {
+        sleep_while(h, &h->posted, seen, &h->posted_cond);
+        if (atomic_load(&h->quit))
+            return NULL;
+        seen = atomic_load(&h->posted);
+        if (atomic_exchange(&h->claimed, 1) == 0) {
+            step_upper(h);
+            pthread_mutex_lock(&h->lock);
+            atomic_store(&h->done, 1);
+            pthread_cond_signal(&h->done_cond);
+            pthread_mutex_unlock(&h->lock);
+        }
+    }
+}
+
+/* A helper for the blocks of run r, with private buffers of r's size, or
+   NULL when they cannot be allocated.  Where no thread can be started the
+   helper has none, and the caller steps both halves of every block. */
+struct fd_helper *siwave_fd_helper_start(const struct fd_run *r)
+{
+    struct fd_helper *h = calloc(1, sizeof *h);
+    if (h == NULL)
+        return NULL;
+    h->own = calloc((size_t)(6 * r->n * r->m), sizeof(double));
+    if (h->own == NULL) {
+        free(h);
+        return NULL;
+    }
+    pthread_mutex_init(&h->lock, NULL);
+    pthread_cond_init(&h->posted_cond, NULL);
+    pthread_cond_init(&h->done_cond, NULL);
+    atomic_init(&h->posted, 0);
+    atomic_init(&h->quit, 0);
+    atomic_init(&h->claimed, 1);
+    atomic_init(&h->done, 0);
+    /* the thread blocks every signal, so that they reach the caller's */
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    h->started = pthread_create(&h->thread, NULL, helper_main, h) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    return h;
+}
+
+/* Joins the helper's thread and frees it. */
+void siwave_fd_helper_stop(struct fd_helper *h)
+{
+    if (h->started) {
+        pthread_mutex_lock(&h->lock);
+        atomic_store(&h->quit, 1);
+        pthread_cond_signal(&h->posted_cond);
+        pthread_mutex_unlock(&h->lock);
+        pthread_join(h->thread, NULL);
+    }
+    pthread_cond_destroy(&h->done_cond);
+    pthread_cond_destroy(&h->posted_cond);
+    pthread_mutex_destroy(&h->lock);
+    free(h->own);
+    free(h);
+}
+
+/* Steps levels first..last on nodes [lo, hi) as siwave_fd_levels does, the
+   lower half [lo, mid) in the caller and the upper half [mid, hi) in the
+   helper, or in the caller too where the helper has not taken it by the
+   time the lower half is done.  Each half must hold more nodes than the
+   block has levels.  The block stops at the lower of the halves' stop
+   levels, and where they stop at the same level, for the smaller reason.
+   At the block's end or a store level the upper half's two latest levels,
+   u_t and |u_t| are copied back; at any other stop the run ends and
+   nothing reads the buffers again. */
+long siwave_fd_split(struct fd_run *r, struct fd_helper *h, long lo, long mid, long hi,
+                     long first, long last, long next_store)
+{
+    const long span = last - first + 1, size = r->n * r->m;
+    struct fd_run *up = &h->upper;
+    *up = *r;
+    for (long i = 0; i < 3; i++)
+        up->u[i] = h->own + i * size;
+    up->ut = h->own + 3 * size;
+    up->abs_ut = h->own + 4 * size;
+    up->rhs = h->own + 5 * size;
+    up->mirror = -1;
+    /* the upper half's halo and the nodes the lower half writes */
+    copy_nodes(up, r, r->rot, 0, mid - span, mid + span);
+    h->run = r;
+    h->mid = mid;
+    h->hi = hi;
+    h->first = first;
+    h->last = last;
+    h->next_store = next_store;
+    atomic_store(&h->done, 0);
+    atomic_store(&h->claimed, 0);
+    pthread_mutex_lock(&h->lock);
+    atomic_fetch_add(&h->posted, 1);
+    pthread_cond_signal(&h->posted_cond);
+    pthread_mutex_unlock(&h->lock);
+
+    long stop = steps(r, lo, mid, 0, 1, first, last, next_store);
+    if (atomic_exchange(&h->claimed, 1) == 0)
+        step_upper(h);
+    else
+        sleep_while(h, &h->done, 0, &h->done_cond);
+    if (up->level < r->level || (up->level == r->level && h->stop < stop)) {
+        stop = h->stop;
+        r->level = up->level;
+    }
+    if (stop == FD_STORE)
+        r->over = r->over || up->over;
+    if (stop == FD_END || stop == FD_STORE)
+        copy_nodes(r, up, latest(r, stop), 1, mid, mid + span);
+    return stop;
 }

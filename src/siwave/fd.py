@@ -88,43 +88,43 @@ stored run holds its field once; the arrays grow in place past
 _ROW_RESERVE bytes and end cut to the rows kept.
 
 A run whose every forcing is |u_t|^p with p in _KERNEL_POWERS steps its
-levels in C instead: siwave_fd_levels of _fdlevel.c, compiled on the first
-such run in the process (_kernel, never at import) and called once per
-block, returning early at a store level, a non-finite level or a threshold
+levels in C instead: siwave_fd_levels of _fdlevel.c, built on the first
+such run in the process (_kernel, never at import; the library is kept in
+a per-user cache, so a machine compiles it once) and called once per block,
+returning early at a store level, a non-finite level or a threshold
 crossing.  It makes the numpy loop's IEEE operations on every element in
 the same order, so the two paths give the same bits; windows, mirror,
-stored rows, results and the Richardson fork stay here.  The numpy loop
-remains the reference the tests compare with, and the path of other
-exponents (numpy's power and libm's pow differ in the last bit), of a
-sampled source and of a process where the kernel does not build.
+stored rows and results stay here.  The numpy loop remains the reference
+the tests compare with, and the path of other exponents (numpy's power and
+libm's pow differ in the last bit), of a sampled source and of a process
+where the kernel does not build.
 
 Runs are sequential in time; independent runs (different eps or grids)
-share no mutable state.  The two grids of a Richardson pair (refine=True)
-run side by side: a forked child runs the coarse grid and sends its
-(blow_up, T_est), or the exception it raised, back through a pipe, while
-the caller runs the fine grid (dx/2, about four times the work).  The
-caller raises the coarse run's exception before the fine run's, as the
-serial order would, and on any exception of its own kills and reaps the
-child.  The pair runs serially, coarse first, where the process cannot fork,
-may use only one CPU, or has a second thread (a fork could copy a lock that
-thread holds).  The outcome is the same bits either way; only the wall time
-of the call changes, and hooks or tracers in the caller do not see the
-child's work (such as sampling the coarse data).
+share no mutable state, and the two grids of a Richardson pair
+(refine=True) run one after the other, coarse first.  Where the process
+may use a second CPU, the kernel steps each block whose halves hold
+_SPLIT_WORK of work on two threads (siwave_fd_split): the caller steps the
+lower half of the window in place and one helper thread, started at the
+run's first such block and joined when the run ends, steps the upper half
+on private buffers; both compute their shared halo again, so every element
+has the bits of one thread.  A half the helper has not taken when the
+caller is done with its own is stepped by the caller, so the caller never
+waits on a helper that has not started.  The outcome is the same bits on
+every path; only the wall time of the call changes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
+import hashlib
 import math
 import os
-import pickle
 import shlex
-import signal
 import subprocess
 import sysconfig
 import tempfile
-import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -349,7 +349,17 @@ _KERNEL_POWERS = (1.5, 2.0, 2.5, 3.0)
 
 #: Portable flags that keep IEEE semantics: no fused multiply-add, and no
 #: -ffast-math or -march=native.
-_KERNEL_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
+_KERNEL_CFLAGS = (
+    "-O3", "-fPIC", "-shared", "-pthread", "-ffp-contract=off", "-fno-math-errno",
+)
+
+#: The least work, in levels times elements (nodes times components), of
+#: each half of a block that the compiled kernel splits between the caller
+#: and a helper thread: about 59 us of kernel time at 3.6 ns an element,
+#: against the 25-70 us a split waits for the helper to wake.  Limits of
+#: 2^13 and 2^14 gave the shortest system_sweep passes, 2^16 and above
+#: longer ones, on a 2-vCPU host whose second CPU gave its time.
+_SPLIT_WORK = 1 << 14
 
 #: siwave_fd_levels' stop reasons: the block's end, a non-finite level, a
 #: store level and a peak past the threshold.
@@ -382,33 +392,90 @@ class _KernelRun(ctypes.Structure):
     ]
 
 
+class _Kernel(NamedTuple):
+    """The functions of _fdlevel.c: ``levels(run, lo, hi, first, last,
+    next_store)`` steps a block, ``split(run, helper, lo, mid, hi, first,
+    last, next_store)`` steps it on two threads, ``start(run)`` starts a
+    helper for them (NULL, as None, where its buffers cannot be allocated)
+    and ``stop(helper)`` joins and frees it."""
+
+    levels: Callable[..., int]
+    split: Callable[..., int]
+    start: Callable[..., int | None]
+    stop: Callable[..., None]
+
+
+def _cache_dir() -> Path:
+    """Where built kernels are kept: $XDG_CACHE_HOME/siwave, else ~/.cache/siwave."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "siwave"
+
+
+def _compile(cc: list[str], source: Path, lib: str) -> None:
+    subprocess.run(
+        [*cc, *_KERNEL_CFLAGS, str(source), "-o", lib, "-lm"],
+        check=True, capture_output=True, timeout=120,
+    )
+
+
+def _library(cc: list[str], source: Path) -> ctypes.CDLL:
+    """_fdlevel.c built by ``cc``, loaded: from the cache where a build of
+    the same source, compiler and flags is kept, else compiled into a
+    temporary file of the cache and renamed into place once it loads (in a
+    temporary directory where the cache is not writable)."""
+    key = hashlib.sha256(repr((source.read_bytes(), cc, _KERNEL_CFLAGS)).encode()).hexdigest()
+    try:
+        cache = _cache_dir()
+        lib = cache / f"_fdlevel-{key[:24]}.so"
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(lib))
+        cache.mkdir(parents=True, exist_ok=True)
+        handle, tmp = tempfile.mkstemp(suffix=".so", prefix=".build-", dir=cache)
+        os.close(handle)
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        # a loaded library outlives its file
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            lib = os.path.join(tmp, "_fdlevel.so")
+            _compile(cc, source, lib)
+            return ctypes.CDLL(lib)
+    try:
+        _compile(cc, source, tmp)
+        loaded = ctypes.CDLL(tmp)
+        os.replace(tmp, lib)
+        return loaded
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 @functools.cache
-def _kernel() -> Callable[..., int] | None:
-    """siwave_fd_levels of _fdlevel.c, compiled on the first call with
-    Python's C compiler (sysconfig's CC, else cc) in a temporary directory
-    and loaded with ctypes; None, from then on, when it cannot be built or
-    loaded, and the numpy level loop serves."""
+def _kernel() -> _Kernel | None:
+    """The functions of _fdlevel.c, built with Python's C compiler
+    (sysconfig's CC, else cc) once per machine (see _library) and loaded
+    with ctypes on the first call; None, from then on, when it cannot be
+    built or loaded, and the numpy level loop serves."""
     source = Path(__file__).with_name("_fdlevel.c")
     compilers = [shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]]
     for cc in filter(None, compilers):
         try:
-            # a loaded library outlives its file
-            with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-                lib = os.path.join(tmp, "_fdlevel.so")
-                subprocess.run(
-                    [*cc, *_KERNEL_CFLAGS, str(source), "-o", lib, "-lm"],
-                    check=True, capture_output=True, timeout=120,
-                )
-                step = ctypes.CDLL(lib).siwave_fd_levels
+            lib = _library(cc, source)
         except (OSError, subprocess.SubprocessError):
             continue
-        step.argtypes = [ctypes.POINTER(_KernelRun), *[ctypes.c_long] * 5]
-        step.restype = ctypes.c_long
-        return step
+        run, long, helper = ctypes.POINTER(_KernelRun), ctypes.c_long, ctypes.c_void_p
+        kernel = _Kernel(
+            lib.siwave_fd_levels, lib.siwave_fd_split, lib.siwave_fd_helper_start,
+            lib.siwave_fd_helper_stop,
+        )
+        for f, args, result in zip(
+            kernel,
+            ([run, *[long] * 5], [run, helper, *[long] * 6], [run], [helper]),
+            (long, long, helper, None),
+        ):
+            f.argtypes, f.restype = args, result
+        return kernel
     return None
 
 
-def _kernel_for(components: list[_Component]) -> Callable[..., int] | None:
+def _kernel_for(components: list[_Component]) -> _Kernel | None:
     """The compiled level kernel when it has every component's forcing and
     builds, else None."""
     return _kernel() if all(comp.power in _KERNEL_POWERS for comp in components) else None
@@ -484,7 +551,7 @@ def _run(
     # Overflow past the last finite peak is the blow-up the loop detects, and
     # data that overflow the Taylor start end the run at the first level, so
     # neither raises a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
         u_prev, u_curr, ut, support, even = _start(components, xs, dt, grid.dx)
         next_store = -1 if rows is None else store(0, 0.0, u_prev, ut)
         if not np.isfinite(u_curr).all():
@@ -525,6 +592,11 @@ def _run(
                 shared=len(params) == 1, dt=dt, c2=float(c2), two_less_c2=float(two_less_c2),
                 dt2=float(dt2), two_dt=float(two_dt), threshold=threshold,
             )
+            # a large block is split between the caller and one helper
+            # thread, started at the first such block and joined when the
+            # run ends, where the process may use a second CPU
+            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+            threads, helper = len(cpus) > 1, None
         for first in range(1, k_max + 1, _BLOCK):
             levels = range(first, min(first + _BLOCK, k_max + 1))
             # one window for the block: the cone at its last level
@@ -532,7 +604,20 @@ def _run(
             if kernel is not None:
                 k = first
                 while k <= levels[-1]:
-                    stop = kernel(run, lo, hi, k, levels[-1], next_store)
+                    # where rows are stored, a block ends at the store level
+                    last = levels[-1] if rows is None else min(levels[-1], next_store)
+                    # each half holds more nodes than the block has levels
+                    mid = (lo + hi) // 2
+                    span, half = last - k + 1, min(mid - lo, hi - mid)
+                    if threads and half > span and span * half * m >= _SPLIT_WORK:
+                        if helper is None:
+                            helper = kernel.start(run)
+                            if helper is None:
+                                raise MemoryError("no memory for the FD helper thread's buffers")
+                            helpers.callback(kernel.stop, helper)
+                        stop = kernel.split(run, helper, lo, mid, hi, k, last, next_store)
+                    else:
+                        stop = kernel.levels(run, lo, hi, k, last, next_store)
                     k = run.level
                     t_k = k * dt
                     if stop == _NONFINITE:
@@ -604,91 +689,9 @@ def _run(
     return result(False, math.inf)
 
 
-def _may_fork() -> bool:
-    """A child may run beside the caller: fork exists, a second CPU is
-    allowed, and no other thread could hold a lock across the fork."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) > 1
-        and threading.active_count() == 1
-    )
-
-
 def _outcome(components: list[_Component], grid: GridSpec, threshold: float) -> tuple[bool, float]:
     blow_up, t_est, _ = _run(components, grid, threshold)
     return blow_up, t_est
-
-
-def _pickled_outcome(components: list[_Component], grid: GridSpec, threshold: float) -> bytes:
-    """The pickled outcome of one run, or the exception it raised.
-
-    Runs in the forked child, whose only report is the pipe, so every
-    exception (an interrupt too) is sent for the caller to raise.  One that
-    does not survive pickling is sent as None: the caller then runs the grid
-    itself and meets the exception first hand.
-    """
-    try:
-        return pickle.dumps(_outcome(components, grid, threshold))
-    except BaseException as exc:
-        try:
-            payload = pickle.dumps(exc)
-            pickle.loads(payload)
-        except Exception:
-            payload = pickle.dumps(None)
-        return payload
-
-
-def _pair(
-    components: list[_Component], coarse: GridSpec, fine: GridSpec, threshold: float
-) -> tuple[tuple[bool, float], tuple[bool, float]]:
-    """(blow_up, T_est) on the coarse and the fine grid.
-
-    When a child may run beside the caller, a forked child runs the coarse
-    grid and pickles its outcome (or the exception it raised) into a pipe
-    while the caller runs the fine grid; otherwise the two run one after the
-    other.  Either way the coarse run's exception is raised before the fine
-    run's, and no child outlives the call.
-    """
-    if not _may_fork():
-        return _outcome(components, coarse, threshold), _outcome(components, fine, threshold)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(_pickled_outcome(components, coarse, threshold))
-            status = 0
-        finally:
-            os._exit(status)
-    reaped = False
-    try:
-        os.close(write_fd)
-        with os.fdopen(read_fd, "rb") as pipe:
-            fine_error = None
-            try:
-                fine_out = _outcome(components, fine, threshold)
-            except Exception as exc:
-                fine_error = exc
-            payload = pipe.read()
-        _, status = os.waitpid(pid, 0)
-        reaped = True
-        if not payload:
-            raise RuntimeError(f"coarse run ended without a result (wait status {status})")
-        coarse_out = pickle.loads(payload)
-        if coarse_out is None:
-            coarse_out = _outcome(components, coarse, threshold)
-        elif isinstance(coarse_out, BaseException):
-            raise coarse_out
-        if fine_error is not None:
-            raise fine_error
-        return coarse_out, fine_out
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _lifespan(
@@ -697,11 +700,8 @@ def _lifespan(
     """Lifespan record of one run, with the Richardson pair when ``refine``."""
     pair = converged = None
     if refine:
-        # validated here, not in a child: the fine grid shares the cone
-        fine = replace(grid, dx=0.5 * grid.dx)
-        _check_run(components, grid, threshold)
-        _kernel_for(components)  # built here, so that a forked child never compiles it
-        (blow_coarse, t_coarse), (blow_up, t_est) = _pair(components, grid, fine, threshold)
+        blow_coarse, t_coarse = _outcome(components, grid, threshold)
+        blow_up, t_est = _outcome(components, replace(grid, dx=0.5 * grid.dx), threshold)
         pair = (t_coarse, t_est)
         converged = blow_coarse and blow_up and abs(t_coarse - t_est) <= RICHARDSON_RTOL * t_est
     else:

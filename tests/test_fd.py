@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -29,7 +28,9 @@ from siwave.fd import (
 from siwave.grids import GridSpec
 from siwave.linear import solve_linear_point
 from siwave.params import ScaleInvariantParams, SystemParams
-from siwave.profiles import CauchyProfile, SourceTerm, bump_profile, smooth_bump_derivative, zero_source
+from siwave.profiles import (
+    CauchyProfile, SourceTerm, bump_profile, smooth_bump, smooth_bump_derivative, zero_source,
+)
 
 P0 = ScaleInvariantParams(0.0, 0.0)
 P1 = ScaleInvariantParams(1.0, 0.0)
@@ -38,13 +39,22 @@ P2 = ScaleInvariantParams(2.0, 0.0)
 ZERO_DATA = CauchyProfile(u0=lambda x: 0.0, u1=lambda x: 0.0, R=1.0, eps=1.0)
 
 
+def _threads():
+    """The number of threads of this process, or None where /proc does not
+    list them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+
+
 @pytest.fixture(autouse=True)
-def no_child_process_left():
-    # a refined lifespan may fork a child for its coarse grid; none may
-    # outlive the call, running or unreaped
+def no_helper_thread_left():
+    # a run may start one helper thread for its large blocks; none may
+    # outlive the run, whether it returns, raises or is interrupted
+    before = _threads()
     yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert _threads() == before
 
 
 def test_zero_state_is_a_fixed_point():
@@ -468,29 +478,42 @@ def test_block_size_leaves_every_bit(monkeypatch):
         assert field.dvalues.tobytes() == fields[0].dvalues.tobytes()
 
 
+def _split_everywhere(patch):
+    """Splits every block whose halves hold more nodes than it has levels,
+    as on a host with a second CPU."""
+    patch.setattr(fd, "_SPLIT_WORK", 0)
+    patch.setattr(fd.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 @pytest.fixture(params=["forked", "serial"])
-def pair_forks(request, monkeypatch):
-    """Runs the Richardson pairs of a test in a forked child beside the
-    caller (where the host allows it) or one after the other; returns the
-    list of fork calls and the number each refined lifespan should make."""
-    expected = int(request.param == "forked" and fd._may_fork())
-    if request.param == "serial":
-        monkeypatch.setattr(fd, "_may_fork", lambda: False)
-    calls = []
-    fork = os.fork
+def split_blocks(request, monkeypatch):
+    """Steps the runs of a test with every block that can be split forked
+    to the helper thread and joined ("forked"), or each block on the caller
+    alone ("serial"); returns the list of the kernel's split calls and
+    whether blocks are forked."""
+    forked = request.param == "forked"
+    if forked:
+        _split_everywhere(monkeypatch)
+    else:
+        monkeypatch.setattr(fd, "_SPLIT_WORK", math.inf)
+    splits = []
+    kernel = fd._kernel()
+    if kernel is not None:
+        def split(*args):
+            splits.append(args[2:])
+            return kernel.split(*args)
 
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls, expected
+        monkeypatch.setattr(fd, "_kernel", lambda: kernel._replace(split=split))
+    return splits, forked and kernel is not None
 
 
 def _serial_record(components, grid, threshold):
-    """The refined lifespan record made of two explicit runs, coarse first."""
-    blow_coarse, t_coarse, _ = _run(components, grid, threshold)
-    blow_fine, t_fine, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
+    """The refined lifespan record made of two explicit runs, coarse first,
+    every block on the caller alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fd, "_SPLIT_WORK", math.inf)
+        blow_coarse, t_coarse, _ = _run(components, grid, threshold)
+        blow_fine, t_fine, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
     return LifespanRecord(
         eps=components[0].data.eps,
         T_est=t_fine,
@@ -517,8 +540,8 @@ def _serial_record(components, grid, threshold):
     ],
     ids=["single", "cross-system", "censored", "non-finite-stop"],
 )
-def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, threshold):
-    forks, expected = pair_forks
+def test_refined_lifespan_is_the_serial_pair(split_blocks, system, p, prof, grid, threshold):
+    splits, forked = split_blocks
     if system is None:
         components = [_power_component(P2, prof, 0, p)]
         record = detect_lifespan(P2, prof, p, grid, threshold=threshold, refine=True)
@@ -528,7 +551,7 @@ def test_refined_lifespan_is_the_serial_pair(pair_forks, system, p, prof, grid, 
             _power_component(system.comp2, prof, 0, system.q),
         ]
         record = detect_lifespan_system(system, prof, prof, grid, threshold=threshold, refine=True)
-    assert len(forks) == expected
+    assert bool(splits) == forked
     assert record == _serial_record(components, grid, threshold)
 
 
@@ -648,6 +671,7 @@ def _sweep_record(system, eps, grid):
 def _full_window_record(system, eps, grid):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fd, "_even", lambda arrays: False)
+        patch.setattr(fd, "_SPLIT_WORK", math.inf)
         return _sweep_record(system, eps, grid)
 
 
@@ -656,13 +680,14 @@ def _full_window_record(system, eps, grid):
     ids=[f"c9-{k}" for k in range(7)] + [f"system-{k}" for k in range(3)]
     + [f"cross-system-{k}" for k in range(3)],
 )
-def test_mirrored_lifespan_is_the_full_window_record(pair_forks, system, eps, grid):
+def test_mirrored_lifespan_is_the_full_window_record(split_blocks, system, eps, grid):
     # the mirrored run and the full window are both the exactly even
     # solution: no T_est, blow-up flag or Richardson pair of these sweeps may
-    # tell them apart
-    forks, expected = pair_forks
+    # tell them apart, with or without forked blocks (the full window steps
+    # each block on the caller alone)
+    splits, forked = split_blocks
     record = _sweep_record(system, eps, grid)
-    assert len(forks) == expected
+    assert bool(splits) == forked
     assert record.blow_up
     assert record == _full_window_record(system, eps, grid)
 
@@ -709,7 +734,7 @@ def test_mirror_on_the_smallest_grids(monkeypatch, x_max):
 
 
 @pytest.mark.parametrize("bad_nodes", ["both grids", "fine grid only"])
-def test_refined_lifespan_raises_as_the_serial_pair(pair_forks, bad_nodes):
+def test_refined_lifespan_raises_as_the_serial_pair(split_blocks, bad_nodes):
     # the grids' first bad nodes differ, so the message tells which run
     # raised: a serial pair raises the coarse run's error first
     grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
@@ -736,11 +761,11 @@ def test_refined_lifespan_raises_as_the_serial_pair(pair_forks, bad_nodes):
     with pytest.raises(ValueError) as error:
         detect_lifespan(P2, prof, 1.5, grid, refine=True)
     assert str(error.value) == str(serial_error.value)
-    assert len(pair_forks[0]) == pair_forks[1]
+    assert split_blocks[0] == []
 
 
 @pytest.mark.parametrize("system", [False, True], ids=["single", "system"])
-def test_non_finite_datum_is_an_error_not_a_blow_up(pair_forks, system):
+def test_non_finite_datum_is_an_error_not_a_blow_up(split_blocks, system):
     # stepped, a NaN datum would read as a blow-up at the first level
     grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
     good = bump_profile(R=1.0, eps=0.5, amplitude=1.0)
@@ -772,11 +797,11 @@ def test_non_finite_datum_is_an_error_not_a_blow_up(pair_forks, system):
         with pytest.raises(ValueError) as error:
             lifespan(refine)
         assert str(error.value) == message
-    assert len(pair_forks[0]) == pair_forks[1]
+    assert split_blocks[0] == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_taylor_start_is_a_first_level_blow_up_without_warnings(monkeypatch):
+def test_overflowing_taylor_start_is_a_first_level_blow_up_without_warnings():
     # |u_1|^p overflows in the Taylor start: the run reports T_est = dt and
     # keeps row 0, and numpy prints no overflow warning
     grid = GridSpec(dx=0.1, cfl=1.0, x_max=4.0, t_max=2.0)
@@ -785,8 +810,6 @@ def test_overflowing_taylor_start_is_a_first_level_blow_up_without_warnings(monk
     assert record.blow_up and record.T_est == grid.dt
     assert list(field.times) == [0.0]
     assert field.interpolate(0.0, 0.5) == pytest.approx(huge.u0(0.5), rel=1e-3)
-    # the serial pair, so both grids run in this process
-    monkeypatch.setattr(fd, "_may_fork", lambda: False)
     for record in (
         detect_lifespan(P2, huge, 1.5, grid, refine=True),
         detect_lifespan_system(CROSS_SYSTEM, huge, huge, grid, refine=True),
@@ -794,73 +817,61 @@ def test_overflowing_taylor_start_is_a_first_level_blow_up_without_warnings(monk
         assert record.blow_up and record.richardson_pair == (grid.dt, 0.5 * grid.dt)
 
 
-def test_unpicklable_coarse_error_is_raised_as_the_serial_pair(pair_forks):
-    # a local exception class does not pickle, so a forked child cannot send
-    # it; the caller then runs the coarse grid itself and raises it first hand
-    class LocalError(Exception):
-        pass
+def _raising_kernel(monkeypatch, error, at):
+    """Makes the compiled kernel raise ``error`` in place of its block call
+    number ``at`` (levels or split, counted from 1); returns the list of the
+    process's thread counts at that call."""
+    kernel, calls, seen = fd._kernel(), [], []
 
+    def wrap(f):
+        def call(*args):
+            calls.append(f)
+            if len(calls) == at:
+                seen.append(_threads())
+                raise error
+            return f(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        fd, "_kernel", lambda: kernel._replace(levels=wrap(kernel.levels), split=wrap(kernel.split))
+    )
+    return seen
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_run_that_raises_leaves_no_helper_thread(kernel, split_blocks, monkeypatch, error):
+    # a run that raises in a block after its first forked one ends with its
+    # helper thread joined; only forked blocks start one
+    splits, forked = split_blocks
+    start = _threads()
+    seen = _raising_kernel(monkeypatch, error, 5)
+    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
+    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    with pytest.raises(error):
+        detect_lifespan(P2, prof, 1.5, grid, refine=True)
+    assert bool(splits) == forked
+    if start is not None:
+        assert seen == [start + forked]
+        assert _threads() == start
+
+
+def test_interrupted_refined_lifespan_leaves_no_child(split_blocks):
+    # an interrupt in the coarse grid's sampling ends the call before any
+    # block is stepped or any helper thread started
     armed = []
 
     def u1(x):
         if armed:
-            raise LocalError(f"u1 undefined at x = {x!r}")
-        return 0.0
-
-    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
-    armed.append(True)  # the profile probes u1 once it is built
-    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
-    with pytest.raises(LocalError) as serial_error:
-        _serial_record([_power_component(P2, prof, 0, 1.5)], grid, 1e8)
-    with pytest.raises(LocalError) as error:
-        detect_lifespan(P2, prof, 1.5, grid, refine=True)
-    assert str(error.value) == str(serial_error.value)
-    assert len(pair_forks[0]) == pair_forks[1]
-
-
-def test_interrupted_refined_lifespan_leaves_no_child(pair_forks):
-    # the caller is interrupted in its own run; a coarse child, stalled in
-    # its sampler for 20 s, is killed and reaped rather than waited for
-    caller, armed = os.getpid(), []
-
-    def u1(x):
-        if armed and os.getpid() == caller:
             raise KeyboardInterrupt
-        if armed:
-            armed.clear()
-            time.sleep(20.0)
         return 0.0
 
     prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
     armed.append(True)  # the profile probes u1 once it is built
     grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
-    start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         detect_lifespan(P2, prof, 1.5, grid, refine=True)
-    assert time.monotonic() - start < 10.0
-    assert len(pair_forks[0]) == pair_forks[1]
-
-
-def test_coarse_child_that_dies_is_an_error(pair_forks):
-    # a child that exits without sending its outcome fails the call; a
-    # serial pair never leaves the caller, so it completes
-    caller = os.getpid()
-
-    def u1(x):
-        if os.getpid() != caller:
-            os._exit(3)
-        return 0.0
-
-    prof = CauchyProfile(u0=lambda x: 0.0, u1=u1, R=1.0, eps=1.0)
-    grid = GridSpec(dx=0.04, cfl=1.0, x_max=3.0, t_max=1.0)
-    if pair_forks[1]:
-        with pytest.raises(RuntimeError, match="coarse run ended without a result"):
-            detect_lifespan(P2, prof, 1.5, grid, refine=True)
-    else:
-        assert detect_lifespan(P2, prof, 1.5, grid, refine=True).richardson_pair == (
-            math.inf, math.inf
-        )
-    assert len(pair_forks[0]) == pair_forks[1]
+    assert split_blocks[0] == []
 
 
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
@@ -1070,21 +1081,31 @@ def _outputs(components, grid, threshold):
     return runs, fd._lifespan(components, grid, threshold, refine=True)
 
 
-def _both_paths(monkeypatch, components, grid, threshold):
-    """_outputs through the compiled kernel and through the numpy loop."""
+def _all_paths(monkeypatch, components, grid, threshold):
+    """_outputs through the compiled kernel with every block that can be
+    split forked to the helper thread, through the kernel on the caller
+    alone, and through the numpy loop."""
     assert fd._kernel_for(components) is not None
-    compiled = _outputs(components, grid, threshold)
+    outputs = []
+    for forked in (True, False):
+        with monkeypatch.context() as patch:
+            if forked:
+                _split_everywhere(patch)
+            else:
+                patch.setattr(fd, "_SPLIT_WORK", math.inf)
+            outputs.append(_outputs(components, grid, threshold))
     with monkeypatch.context() as patch:
         _numpy_levels(patch)
-        return compiled, _outputs(components, grid, threshold)
+        outputs.append(_outputs(components, grid, threshold))
+    return outputs
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("components, grid", KERNEL_CASES, ids=KERNEL_IDS)
 def test_kernel_gives_the_numpy_loops_bits(kernel, monkeypatch, components, grid):
-    compiled, numpy_loop = _both_paths(monkeypatch, components, grid, 1e8)
-    assert compiled == numpy_loop
-    assert compiled[0][1][2] is not None  # rows were stored and compared
+    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, 1e8)
+    assert forked == one_thread == numpy_loop
+    assert forked[0][1][2] is not None  # rows were stored and compared
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1104,17 +1125,105 @@ def test_kernel_stops_on_block_edges_as_the_numpy_loop(
     assert blow_up
     stop = round(t_est / grid.dt) - (threshold == math.inf)  # T_est is t_k + dt there
     monkeypatch.setattr(fd, "_BLOCK", stop if edge == "last" else stop - 1)
-    compiled, numpy_loop = _both_paths(monkeypatch, components, grid, threshold)
-    assert compiled == numpy_loop
-    assert compiled[0][0][1] == t_est
+    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
+    assert forked == one_thread == numpy_loop
+    assert forked[0][0][1] == t_est
+
+
+_TILT = smooth_bump(1.0, 8.0)
+
+
+def _tilted(slope, amplitude=2.0):
+    """u0 = 0 and u1 = amplitude bump(x) (1 + slope x), even for slope = 0."""
+    return CauchyProfile(
+        u0=lambda x: 0.0, u1=lambda x: amplitude * _TILT(x) * (1.0 + slope * x), R=1.0, eps=0.5
+    )
+
+
+#: data whose first threshold crossing lies in the lower half of every
+#: window (x < 0: a full window's mid node is x = 0), in the upper half, on
+#: the mid node, or at mirror-image nodes of both halves at the same level
+PLACED = {
+    "lower": _tilted(0.5), "upper": _tilted(-0.5), "mid": _tilted(0.0, 1e3), "both": _tilted(0.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("where", list(PLACED))
+@pytest.mark.parametrize("threshold", [1e8, math.inf], ids=["threshold", "non-finite"])
+def test_forked_blocks_stop_as_the_numpy_loop(kernel, monkeypatch, where, threshold):
+    # the full window (even data are not mirrored here), so that the halves
+    # of a block meet at x = 0; with an infinite threshold the same data
+    # stop at the first non-finite level instead
+    monkeypatch.setattr(fd, "_even", lambda arrays: False)
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=12.0, t_max=10.0)
+    components = [_power_component(P2, PLACED[where], 0, 1.5)]
+    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
+    assert forked == one_thread == numpy_loop
+    blow_up, t_est, rows = forked[0][1]
+    assert blow_up
+    if threshold == math.inf:
+        return
+    # the stored u_t of the stop level
+    peak = np.abs(np.frombuffer(rows[2]).reshape(-1, len(grid.xs()))[-1])
+    node, centre = int(np.argmax(peak)), len(grid.xs()) // 2
+    assert peak[node] > threshold
+    assert {"lower": node < centre, "upper": node > centre, "mid": node == centre,
+            "both": node < centre and peak[2 * centre - node] == peak[node]}[where]
+
+
+def test_one_cpu_process_forks_no_block(kernel, monkeypatch):
+    # pinned to one CPU, a process starts no helper thread and gives the
+    # record this process gives, with its forked blocks where it may use two
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity on this host")
+    run = (
+        "prof = bump_profile(R=1.0, eps=0.25, amplitude=8.0)\n"
+        "system = SystemParams(P2, P2, p=1.5, q=2.0)\n"
+        "grid = GridSpec(dx=0.01, cfl=1.0, x_max=25.0, t_max=24.0)\n"
+        "record = fd.detect_lifespan_system(system, prof, prof, grid, refine=True)\n"
+    )
+    code = "\n".join([
+        "import os",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "from siwave import fd",
+        "from siwave.grids import GridSpec",
+        "from siwave.params import ScaleInvariantParams, SystemParams",
+        "from siwave.profiles import bump_profile",
+        "P2 = ScaleInvariantParams(2.0, 0.0)",
+        "kernel, starts = fd._kernel(), []",
+        "fd._kernel = lambda: kernel._replace(start=lambda run: starts.append(1) or kernel.start(run))",
+        run,
+        "print(len(starts), repr(record))",
+    ])
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=120, capture_output=True,
+        text=True,
+    ).stdout
+    starts, record = out.strip().split(" ", 1)
+    assert starts == "0"
+    kernel, started = fd._kernel(), []
+    monkeypatch.setattr(
+        fd, "_kernel",
+        lambda: kernel._replace(start=lambda run: started.append(1) or kernel.start(run)),
+    )
+    names = {"fd": fd, "GridSpec": GridSpec, "SystemParams": SystemParams, "P2": P2,
+             "bump_profile": bump_profile}
+    exec(run, names)
+    assert record == repr(names["record"])
+    assert bool(started) == (len(os.sched_getaffinity(0)) > 1)
 
 
 @pytest.fixture
-def rebuilt_kernel():
+def rebuilt_kernel(monkeypatch, tmp_path):
     """Forgets the built kernel before and after the test, so that the test
-    sees the first build and later tests build their own."""
+    sees the first build and later tests build their own, and keeps the
+    test's builds in a cache of its own."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     fd._kernel.cache_clear()
-    yield
+    yield tmp_path / "cache" / "siwave"
     fd._kernel.cache_clear()
 
 
@@ -1144,6 +1253,41 @@ def test_failed_kernel_build_falls_back_to_the_numpy_loop(rebuilt_kernel, monkey
     assert tried >= 1
     assert _outputs(components, grid, 1e8) == reference
     assert len(calls) == tried  # the failure is remembered
+    assert list(rebuilt_kernel.iterdir()) == []  # and nothing is kept
+
+
+def test_kernel_is_built_once_per_machine(kernel, rebuilt_kernel, monkeypatch):
+    # the first process compiles the kernel into the cache; a later one (a
+    # cleared cache of _kernel here) loads it without calling the compiler
+    run = subprocess.run
+    calls = []
+
+    def compiler(cmd, **kwargs):
+        calls.append(cmd)
+        return run(cmd, **kwargs)
+
+    monkeypatch.setattr(fd.subprocess, "run", compiler)
+    assert fd._kernel() is not None
+    assert len(calls) == 1
+    built = list(rebuilt_kernel.iterdir())
+    assert len(built) == 1 and built[0].suffix == ".so"
+    fd._kernel.cache_clear()
+    assert fd._kernel() is not None
+    assert len(calls) == 1
+    assert list(rebuilt_kernel.iterdir()) == built
+
+
+def test_kernel_builds_where_the_cache_is_not_writable(kernel, rebuilt_kernel, monkeypatch, tmp_path):
+    # a cache under a regular file cannot be made: the kernel is built in
+    # a temporary directory, as if there were no cache
+    (tmp_path / "file").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    components, grid = KERNEL_CASES[5]
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        reference = _outputs(components, grid, 1e8)
+    assert fd._kernel() is not None
+    assert _outputs(components, grid, 1e8) == reference
 
 
 def test_import_neither_starts_a_process_nor_builds_the_kernel():
@@ -1159,23 +1303,3 @@ def test_import_neither_starts_a_process_nor_builds_the_kernel():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
-
-
-def test_refined_lifespan_builds_the_kernel_before_it_forks(
-    rebuilt_kernel, pair_forks, monkeypatch
-):
-    forks, expected = pair_forks
-    built_at_fork = []
-    fork = os.fork
-
-    def fork_after_build():
-        built_at_fork.append(fd._kernel.cache_info().currsize)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_after_build)
-    grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
-    prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
-    assert detect_lifespan(P2, prof, 1.5, grid, refine=True).blow_up
-    assert len(forks) == expected
-    assert built_at_fork == [1] * expected
-    assert fd._kernel.cache_info().misses == 1
