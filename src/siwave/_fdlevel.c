@@ -17,7 +17,11 @@
    the buffers on nodes [mid - (last - k), hi): each computes the halo it
    needs again (overlapped tiling), so the halves share no state while they
    step, and every element gets the operations of siwave_fd_levels in the
-   same order, with the same bits.
+   same order, with the same bits.  The handoff is one state under the
+   helper's lock and one condition variable: the caller posts the upper
+   half and steps the lower one, then steps the upper half itself where no
+   thread has taken it, or sleeps until the helper, which takes a posted
+   half, has stepped it.  No thread spins.
 
    The layouts of struct fd_comp and struct fd_run are those of
    fd._KernelComp and fd._KernelRun; the forms are the indices of
@@ -27,7 +31,6 @@
 #include <math.h>
 #include <pthread.h>
 #include <signal.h>
-#include <stdatomic.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -206,19 +209,22 @@ long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last,
     return steps(r, lo, hi, 0, 0, first, last, next_store);
 }
 
+/* A helper's handoff states, read and written under its lock only: no half
+   posted yet, a half posted, taken by a thread, stepped by the helper, and
+   the helper asked to end.  Every change of state wakes the sleepers. */
+enum { IDLE, POSTED, TAKEN, DONE, QUIT };
+
 /* A helper thread and the upper half of the block it was last posted: the
    half's run on private full-width buffers, its nodes and levels, its stop
-   reason and the caller's run it copies from and back to.  claimed goes
-   to 1 when a thread takes the posted half, done when it is stepped. */
+   reason and the caller's run it copies from and back to. */
 struct fd_helper {
     struct fd_run upper, *run;
     double *own;
     long mid, hi, first, last, next_store, stop;
     pthread_t thread;
-    int started;
+    int started, state;
     pthread_mutex_t lock;
-    pthread_cond_t posted_cond, done_cond;
-    atomic_long posted, quit, claimed, done;
+    pthread_cond_t cond;
 };
 
 /* Copies nodes [from, to) of u[i] and u[i + 1] (mod 3), of |u_t| and, with
@@ -257,33 +263,33 @@ static void step_upper(struct fd_helper *h)
         copy_nodes(h->run, up, latest(up, h->stop), 1, edge, h->hi);
 }
 
-/* Sleeps while *value is was and quit is not set.  No thread spins: where
-   the host gives the second CPU no time of its own, a spinning thread
-   would take it from the other. */
-static void sleep_while(struct fd_helper *h, atomic_long *value, long was, pthread_cond_t *cond)
+/* Sets the helper's state and wakes every thread that waits on it. */
+static void set_state(struct fd_helper *h, int state)
 {
     pthread_mutex_lock(&h->lock);
-    while (atomic_load(value) == was && !atomic_load(&h->quit))
-        pthread_cond_wait(cond, &h->lock);
+    h->state = state;
+    pthread_cond_broadcast(&h->cond);
     pthread_mutex_unlock(&h->lock);
 }
 
+/* Sleeps until a half is posted, takes and steps it; ends at QUIT.  It
+   sleeps rather than spins: where the host gives the second CPU no time of
+   its own, a spinning thread would take it from the other. */
 static void *helper_main(void *arg)
 {
     struct fd_helper *h = arg;
-    long seen = 0;
     for (;;) {
-        sleep_while(h, &h->posted, seen, &h->posted_cond);
-        if (atomic_load(&h->quit))
+        pthread_mutex_lock(&h->lock);
+        while (h->state != POSTED && h->state != QUIT)
+            pthread_cond_wait(&h->cond, &h->lock);
+        const int quit = h->state == QUIT;
+        if (!quit)
+            h->state = TAKEN;
+        pthread_mutex_unlock(&h->lock);
+        if (quit)
             return NULL;
-        seen = atomic_load(&h->posted);
-        if (atomic_exchange(&h->claimed, 1) == 0) {
-            step_upper(h);
-            pthread_mutex_lock(&h->lock);
-            atomic_store(&h->done, 1);
-            pthread_cond_signal(&h->done_cond);
-            pthread_mutex_unlock(&h->lock);
-        }
+        step_upper(h);
+        set_state(h, DONE);
     }
 }
 
@@ -300,13 +306,9 @@ struct fd_helper *siwave_fd_helper_start(const struct fd_run *r)
         free(h);
         return NULL;
     }
+    h->state = IDLE;
     pthread_mutex_init(&h->lock, NULL);
-    pthread_cond_init(&h->posted_cond, NULL);
-    pthread_cond_init(&h->done_cond, NULL);
-    atomic_init(&h->posted, 0);
-    atomic_init(&h->quit, 0);
-    atomic_init(&h->claimed, 1);
-    atomic_init(&h->done, 0);
+    pthread_cond_init(&h->cond, NULL);
     /* the thread blocks every signal, so that they reach the caller's */
     sigset_t all, old;
     sigfillset(&all);
@@ -320,14 +322,10 @@ struct fd_helper *siwave_fd_helper_start(const struct fd_run *r)
 void siwave_fd_helper_stop(struct fd_helper *h)
 {
     if (h->started) {
-        pthread_mutex_lock(&h->lock);
-        atomic_store(&h->quit, 1);
-        pthread_cond_signal(&h->posted_cond);
-        pthread_mutex_unlock(&h->lock);
+        set_state(h, QUIT);
         pthread_join(h->thread, NULL);
     }
-    pthread_cond_destroy(&h->done_cond);
-    pthread_cond_destroy(&h->posted_cond);
+    pthread_cond_destroy(&h->cond);
     pthread_mutex_destroy(&h->lock);
     free(h->own);
     free(h);
@@ -362,18 +360,19 @@ long siwave_fd_split(struct fd_run *r, struct fd_helper *h, long lo, long mid, l
     h->first = first;
     h->last = last;
     h->next_store = next_store;
-    atomic_store(&h->done, 0);
-    atomic_store(&h->claimed, 0);
-    pthread_mutex_lock(&h->lock);
-    atomic_fetch_add(&h->posted, 1);
-    pthread_cond_signal(&h->posted_cond);
-    pthread_mutex_unlock(&h->lock);
+    set_state(h, POSTED);
 
     long stop = steps(r, lo, mid, 0, 1, first, last, next_store);
-    if (atomic_exchange(&h->claimed, 1) == 0)
+    /* the half no thread has taken is the caller's; else it waits */
+    pthread_mutex_lock(&h->lock);
+    const int mine = h->state == POSTED;
+    if (mine)
+        h->state = TAKEN;
+    while (!mine && h->state != DONE)
+        pthread_cond_wait(&h->cond, &h->lock);
+    pthread_mutex_unlock(&h->lock);
+    if (mine)
         step_upper(h);
-    else
-        sleep_while(h, &h->done, 0, &h->done_cond);
     if (up->level < r->level || (up->level == r->level && h->stop < stop)) {
         stop = h->stop;
         r->level = up->level;

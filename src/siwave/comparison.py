@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import FLOAT_FMT, SpacetimeField
+from .grids import SpacetimeField
 from .kernels import BoundReport
 from .params import ScaleInvariantParams
 
@@ -55,6 +55,10 @@ class ReducedTrace:
     sigma: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"R must be finite and > 0, got {self.R}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if len(self.zs) != len(self.Us):
             raise ValueError("zs and Us must have equal length")
         if len(self.zs) and (np.diff(self.zs) <= 0).any():
@@ -167,25 +171,6 @@ class InequalityReport:
     holds: bool
     frame: ComparisonFrame
     eps: float
-
-    def to_text(self) -> str:
-        lines = [
-            "fundamental integral inequality check",
-            f"  frame: M={self.frame.M:.6g}, C={self.frame.C:.6g}, p={self.frame.p}, "
-            f"a={self.frame.a:.6g}, R={self.frame.R}",
-            f"  constants: {self.frame.provenance}",
-            f"  eps: {self.eps}",
-            f"  z range: [{self.zs[0]:.6g}, {self.zs[-1]:.6g}] ({len(self.zs)} nodes)",
-            f"  min(LHS - RHS) = {self.min_margin:.6e} at z = {self.argmin_z:.6g}",
-            f"  holds on sampled range: {self.holds}",
-        ]
-        return "\n".join(lines)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("z,LHS,RHS\n")
-            for z, lhs, rhs in zip(self.zs, self.lhs, self.rhs):
-                handle.write(",".join(FLOAT_FMT % v for v in (z, lhs, rhs)) + "\n")
 
 
 def verify_fundamental_inequality(

@@ -114,21 +114,15 @@ class SweepConfig:
             raise ValueError(f"amplitude must be finite and > 0, got {self.amplitude}")
         if not self.threshold > 0:
             raise ValueError(f"threshold must be > 0, got {self.threshold}")
-        params = self.single_params()  # validates mu, nu2, delta >= 0
-        if self.model == "single":
-            if params.delta < 1.0 and not self.u0_zero:
-                raise ValueError(
-                    "delta < 1 experiments require zero initial position (u0_zero=True)"
-                )
-        else:
+        if not (math.isfinite(self.R) and self.R > 0):
+            raise ValueError(f"R must be finite and > 0, got {self.R}")
+        components = [self.single_params()]  # validates mu, nu2, delta >= 0
+        if self.model == "system":
             if self.q is None or self.mu2 is None or self.nu22 is None:
                 raise ValueError("system sweeps need q, mu2 and nu22")
-            sys = self.system_params()
-            for comp in (sys.comp1, sys.comp2):
-                if comp.delta < 1.0 and not self.u0_zero:
-                    raise ValueError(
-                        "delta < 1 experiments require zero initial position (u0_zero=True)"
-                    )
+            components.append(self.system_params().comp2)
+        if not self.u0_zero and any(comp.delta < 1.0 for comp in components):
+            raise ValueError("delta < 1 experiments require zero initial position (u0_zero=True)")
         self.grid.validate_cone(self.R)
 
     def single_params(self) -> ScaleInvariantParams:

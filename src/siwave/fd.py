@@ -72,11 +72,11 @@ The level loop makes nothing but the scheme's ufunc calls: the views a
 level needs (windows, interior, its one-node shifts, grid ends, ghost and
 mate) are sliced once per block and rotate with the buffers; the per-run
 c^2, 2 (1-c^2), dt^2, 2 dt and each level's 1-lam, 1+lam and mass are 0-d
-float64 arrays; outputs are positional; each forcing's form is chosen by
-its exponent when its component is built; a run without rows makes no
-store call.  A single equation at cfl = 1 makes twelve calls per level:
-two for |u_t|^p, six for the step, two for u_t, |u_t|, and
-np.maximum.reduce for the peak.
+float64 arrays; outputs are positional; each forcing's form is looked up
+by its exponent in the table _FORMS when its component is built; a run
+without rows makes no store call.  A single equation at cfl = 1 makes
+twelve calls per level: two for |u_t|^p, six for the step, two for u_t,
+|u_t|, and np.maximum.reduce for the peak.
 No term is computed twice: |u_t| is taken once per level, for the peak and
 the next level's forcing; the finite test is folded into the peak
 (u^{k-1} is finite, so u^{k+1} is scanned only when max |u_t| is not
@@ -87,8 +87,8 @@ Stored rows go straight into (rows, n) arrays that become the field, so a
 stored run holds its field once; the arrays grow in place past
 _ROW_RESERVE bytes and end cut to the rows kept.
 
-A run whose every forcing is |u_t|^p with p in _KERNEL_POWERS steps its
-levels in C instead: siwave_fd_levels of _fdlevel.c, built on the first
+A run whose every forcing is |u_t|^p with p an exponent of _FORMS steps
+its levels in C instead: siwave_fd_levels of _fdlevel.c, built on the first
 such run in the process (_kernel, never at import; the library is kept in
 a per-user cache, so a machine compiles it once) and called once per block,
 returning early at a store level, a non-finite level or a threshold
@@ -107,10 +107,12 @@ _SPLIT_WORK of work on two threads (siwave_fd_split): the caller steps the
 lower half of the window in place and one helper thread, started at the
 run's first such block and joined when the run ends, steps the upper half
 on private buffers; both compute their shared halo again, so every element
-has the bits of one thread.  A half the helper has not taken when the
-caller is done with its own is stepped by the caller, so the caller never
-waits on a helper that has not started.  The outcome is the same bits on
-every path; only the wall time of the call changes.
+has the bits of one thread.  The two hand the upper half over through one
+state under a lock, with one condition variable, and neither spins: a half
+the helper has not taken when the caller is done with its own is stepped
+by the caller, so the caller never waits on a helper that has not started.
+The outcome is the same bits on every path; only the wall time of the
+call changes.
 """
 
 from __future__ import annotations
@@ -219,40 +221,38 @@ class _Component(NamedTuple):
     ``src`` (in run order) and the time of the level to this component's
     forcing on the nodes of window ``w``, written to and returned as ``out``
     (``tmp`` is scratch); the arrays hold one value per node of the window
-    (in a run, stride-m views of the interleaved buffers).  ``local``
-    says the forcing vanishes wherever every lagged u_t does, so it never
-    reaches past the numerical light cone.
-    ``nonneg`` says the forcing never holds a negative value or -0.0, which
-    lets a massless step skip its mass product bit-exactly.  ``power`` is
-    the p of a |u_t|^p forcing, None for a sampled source.
+    (in a run, stride-m views of the interleaved buffers).  ``power`` is
+    the p > 1 of a |u_t|^p forcing, which vanishes wherever every lagged
+    u_t does (so it never reaches past the numerical light cone) and is
+    never negative or -0.0 (so a massless step skips its mass product
+    bit-exactly); it is None for a sampled source, which is neither.
     """
 
     params: ScaleInvariantParams
     data: CauchyProfile
     rhs: Callable[[np.ndarray, float, slice, np.ndarray, np.ndarray], np.ndarray]
     src: int
-    local: bool
-    nonneg: bool
     power: float | None
+
+
+#: The |u_t|^p forcings with a form of their own, by exponent: general
+#: fractional powers dominate the step cost, so the common half-integer
+#: exponents go through sqrt instead.
+_FORMS = {
+    1.5: lambda a, t, w, out, tmp: np.multiply(a, np.sqrt(a, tmp), out),
+    2.0: lambda a, t, w, out, tmp: np.multiply(a, a, out),
+    2.5: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, out), np.sqrt(a, tmp), out),
+    3.0: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, tmp), a, out),
+}
 
 
 def _power_component(
     params: ScaleInvariantParams, data: CauchyProfile, src: int, p: float
 ) -> _Component:
-    """Component forced by |u_t|^p of component ``src``; |0|^p = +0.0 for p > 0.
-
-    The form of the power is chosen here, once: general fractional powers
-    dominate the step cost, so the common half-integer exponents go
-    through sqrt instead.
-    """
-    forms = {
-        1.5: lambda a, t, w, out, tmp: np.multiply(a, np.sqrt(a, tmp), out),
-        2.0: lambda a, t, w, out, tmp: np.multiply(a, a, out),
-        2.5: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, out), np.sqrt(a, tmp), out),
-        3.0: lambda a, t, w, out, tmp: np.multiply(np.multiply(a, a, tmp), a, out),
-    }
-    rhs = forms.get(p, lambda a, t, w, out, tmp: np.positive(a**p, out))  # a**p into out
-    return _Component(params, data, rhs, src, local=p > 0, nonneg=True, power=p)
+    """Component forced by |u_t|^p of component ``src``, in _FORMS' form
+    where it has one; |0|^p = +0.0 for p > 0."""
+    rhs = _FORMS.get(p, lambda a, t, w, out, tmp: np.positive(a**p, out))  # a**p into out
+    return _Component(params, data, rhs, src, p)
 
 
 def _taylor_start(
@@ -345,7 +345,7 @@ def _start(
 
 #: Exponents of the forcings the compiled kernel steps; its form of a
 #: component is the exponent's index here.
-_KERNEL_POWERS = (1.5, 2.0, 2.5, 3.0)
+_KERNEL_POWERS = tuple(_FORMS)
 
 #: Portable flags that keep IEEE semantics: no fused multiply-add, and no
 #: -ffast-math or -march=native.
@@ -535,7 +535,9 @@ def _run(
     params = [comp.params for comp in components]
     if len(set(params)) == 1:
         params = params[:1]
-    massless = all(comp.params.nu2 == 0.0 and comp.nonneg for comp in components)
+    # every forcing is |u_t|^p, none a sampled source (see _Component)
+    powers = all(comp.power is not None for comp in components)
+    massless = powers and all(comp.params.nu2 == 0.0 for comp in components)
     half_mu_dts = [0.5 * q.mu * dt for q in params]
     nu2s = [q.nu2 for q in params]
     lesses, mores, masses = ([np.empty(()) for _ in params] for _ in range(3))
@@ -564,14 +566,13 @@ def _run(
 
         # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
         centre = n // 2
-        local = all(comp.local for comp in components)
-        lo, hi = support if local else (0, n)
+        lo, hi = support if powers else (0, n)
         if lo == hi:
             # all +0.0: start at the centre node, so that no window is empty
             lo, hi = centre, centre + 1
         # even data, |u_t|^p forcings (they keep parity) and no rows: step
         # x >= 0 only, with node centre - 1 a ghost of node centre + 1
-        mirror = rows is None and local and even
+        mirror = rows is None and powers and even
         floor = centre if mirror else 0
         if mirror:  # the Taylor level's ghost
             u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
@@ -689,23 +690,18 @@ def _run(
     return result(False, math.inf)
 
 
-def _outcome(components: list[_Component], grid: GridSpec, threshold: float) -> tuple[bool, float]:
-    blow_up, t_est, _ = _run(components, grid, threshold)
-    return blow_up, t_est
-
-
 def _lifespan(
     components: list[_Component], grid: GridSpec, threshold: float, refine: bool
 ) -> LifespanRecord:
     """Lifespan record of one run, with the Richardson pair when ``refine``."""
     pair = converged = None
     if refine:
-        blow_coarse, t_coarse = _outcome(components, grid, threshold)
-        blow_up, t_est = _outcome(components, replace(grid, dx=0.5 * grid.dx), threshold)
+        blow_coarse, t_coarse, _ = _run(components, grid, threshold)
+        blow_up, t_est, _ = _run(components, replace(grid, dx=0.5 * grid.dx), threshold)
         pair = (t_coarse, t_est)
         converged = blow_coarse and blow_up and abs(t_coarse - t_est) <= RICHARDSON_RTOL * t_est
     else:
-        blow_up, t_est = _outcome(components, grid, threshold)
+        blow_up, t_est, _ = _run(components, grid, threshold)
     return LifespanRecord(
         eps=components[0].data.eps,
         T_est=t_est,
@@ -740,7 +736,7 @@ def solve_linear_fd(
 
     # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
     # f may return -0.0, so the mass product stays even when nu2 == 0
-    source = _Component(params, data, rhs, 0, local=False, nonneg=False, power=None)
+    source = _Component(params, data, rhs, 0, power=None)
     _, _, rows = _run([source], grid, store_every=store_every)
     return SpacetimeField(grid, *rows)
 

@@ -405,5 +405,6 @@ def test_criterion_10_end_to_end_frame_check():
     trace = reduce_solution(field, params, R=1.0)
     report = verify_fundamental_inequality(trace, frame, eps)
     ok = report.min_margin >= -1e-6
-    _report(10, ok, f"min(LHS-RHS) = {report.min_margin:.3e} at z = {report.argmin_z:.3g}")
-    assert ok, report.to_text()
+    detail = f"min(LHS-RHS) = {report.min_margin:.3e} at z = {report.argmin_z:.3g}"
+    _report(10, ok, detail)
+    assert ok, detail

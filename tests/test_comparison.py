@@ -195,6 +195,12 @@ def test_trace_validation():
         ReducedTrace(R=1.0, zs=np.array([1.0, 1.0]), Us=np.zeros(2), sigma=0.0)
     with pytest.raises(ValueError, match="below"):
         ReducedTrace(R=1.0, zs=np.array([0.5, 1.5]), Us=np.zeros(2), sigma=0.0)
+    for R in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="R must be finite and > 0"):
+            ReducedTrace(R=R, zs=np.array([1.0, 1.5]), Us=np.zeros(2), sigma=0.0)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ReducedTrace(R=1.0, zs=np.array([1.0, 1.5]), Us=np.zeros(2), sigma=sigma)
 
 
 def test_inequality_equality_case():
@@ -237,22 +243,6 @@ def test_inequality_on_semilinear_run_with_empirical_constants():
     report = verify_fundamental_inequality(trace, frame, eps)
     assert report.holds
     assert report.min_margin >= -1e-6
-
-
-def test_inequality_report_serialization(tmp_path):
-    zs = np.linspace(1.0, 4.0, 7)
-    trace = ReducedTrace(R=1.0, zs=zs, Us=1.0 + 0.5 * zs, sigma=1.0)
-    frame = ComparisonFrame(M=1.0, C=0.1, p=2.0, a=0.5, R=1.0, provenance="user")
-    report = verify_fundamental_inequality(trace, frame, eps=0.2)
-    text = report.to_text()
-    assert "min(LHS - RHS)" in text and "user" in text
-    path = tmp_path / "inequality.csv"
-    report.to_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "z,LHS,RHS"
-    assert len(lines) == 8
-    z0, lhs0, rhs0 = (float(v) for v in lines[1].split(","))
-    assert z0 == zs[0] and lhs0 == report.lhs[0] and rhs0 == report.rhs[0]
 
 
 @pytest.mark.parametrize("name", ["M", "C", "p", "a", "R"])

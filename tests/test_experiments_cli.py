@@ -155,8 +155,12 @@ def test_config_rejects_bad_threshold(tmp_path, threshold):
         ("eps_grid", [math.nan], "eps_grid values must be finite"),
         ("amplitude", math.nan, "amplitude must be finite and > 0"),
         ("amplitude", -1.0, "amplitude must be finite and > 0"),
+        ("R", 0.0, "R must be finite and > 0"),
+        ("R", -1.0, "R must be finite and > 0"),
     ],
-    ids=["p-half", "p-nan", "eps-nan", "amplitude-nan", "amplitude-negative"],
+    ids=[
+        "p-half", "p-nan", "eps-nan", "amplitude-nan", "amplitude-negative", "R-zero", "R-negative",
+    ],
 )
 def test_config_rejects_bad_exponent_eps_and_amplitude(tmp_path, capsys, name, value, message):
     payload = json.loads(_tiny_config(tmp_path / "out.csv").to_json())

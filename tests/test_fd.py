@@ -487,12 +487,12 @@ def _split_everywhere(patch):
 
 @pytest.fixture(params=["forked", "serial"])
 def split_blocks(request, monkeypatch):
-    """Steps the runs of a test with every block that can be split forked
-    to the helper thread and joined ("forked"), or each block on the caller
-    alone ("serial"); returns the list of the kernel's split calls and
-    whether blocks are forked."""
-    forked = request.param == "forked"
-    if forked:
+    """Steps the runs of a test with every block that can be split shared
+    between the caller and the helper thread (id "forked"), or each block on
+    the caller alone (id "serial"); returns the list of the kernel's split
+    calls and whether blocks are split."""
+    splitting = request.param == "forked"
+    if splitting:
         _split_everywhere(monkeypatch)
     else:
         monkeypatch.setattr(fd, "_SPLIT_WORK", math.inf)
@@ -504,7 +504,7 @@ def split_blocks(request, monkeypatch):
             return kernel.split(*args)
 
         monkeypatch.setattr(fd, "_kernel", lambda: kernel._replace(split=split))
-    return splits, forked and kernel is not None
+    return splits, splitting and kernel is not None
 
 
 def _serial_record(components, grid, threshold):
@@ -541,7 +541,7 @@ def _serial_record(components, grid, threshold):
     ids=["single", "cross-system", "censored", "non-finite-stop"],
 )
 def test_refined_lifespan_is_the_serial_pair(split_blocks, system, p, prof, grid, threshold):
-    splits, forked = split_blocks
+    splits, splitting = split_blocks
     if system is None:
         components = [_power_component(P2, prof, 0, p)]
         record = detect_lifespan(P2, prof, p, grid, threshold=threshold, refine=True)
@@ -551,7 +551,7 @@ def test_refined_lifespan_is_the_serial_pair(split_blocks, system, p, prof, grid
             _power_component(system.comp2, prof, 0, system.q),
         ]
         record = detect_lifespan_system(system, prof, prof, grid, threshold=threshold, refine=True)
-    assert bool(splits) == forked
+    assert bool(splits) == splitting
     assert record == _serial_record(components, grid, threshold)
 
 
@@ -683,11 +683,11 @@ def _full_window_record(system, eps, grid):
 def test_mirrored_lifespan_is_the_full_window_record(split_blocks, system, eps, grid):
     # the mirrored run and the full window are both the exactly even
     # solution: no T_est, blow-up flag or Richardson pair of these sweeps may
-    # tell them apart, with or without forked blocks (the full window steps
+    # tell them apart, with or without split blocks (the full window steps
     # each block on the caller alone)
-    splits, forked = split_blocks
+    splits, splitting = split_blocks
     record = _sweep_record(system, eps, grid)
-    assert bool(splits) == forked
+    assert bool(splits) == splitting
     assert record.blow_up
     assert record == _full_window_record(system, eps, grid)
 
@@ -841,22 +841,22 @@ def _raising_kernel(monkeypatch, error, at):
 
 @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
 def test_run_that_raises_leaves_no_helper_thread(kernel, split_blocks, monkeypatch, error):
-    # a run that raises in a block after its first forked one ends with its
-    # helper thread joined; only forked blocks start one
-    splits, forked = split_blocks
+    # a run that raises in a block after its first split one ends with its
+    # helper thread joined; only split blocks start one
+    splits, splitting = split_blocks
     start = _threads()
     seen = _raising_kernel(monkeypatch, error, 5)
     grid = GridSpec(dx=1.0 / 50, cfl=1.0, x_max=12.0, t_max=10.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
     with pytest.raises(error):
         detect_lifespan(P2, prof, 1.5, grid, refine=True)
-    assert bool(splits) == forked
+    assert bool(splits) == splitting
     if start is not None:
-        assert seen == [start + forked]
+        assert seen == [start + splitting]
         assert _threads() == start
 
 
-def test_interrupted_refined_lifespan_leaves_no_child(split_blocks):
+def test_interrupted_refined_lifespan_starts_no_helper_thread(split_blocks):
     # an interrupt in the coarse grid's sampling ends the call before any
     # block is stepped or any helper thread started
     armed = []
@@ -1083,13 +1083,13 @@ def _outputs(components, grid, threshold):
 
 def _all_paths(monkeypatch, components, grid, threshold):
     """_outputs through the compiled kernel with every block that can be
-    split forked to the helper thread, through the kernel on the caller
+    shared with the helper thread, through the kernel on the caller
     alone, and through the numpy loop."""
     assert fd._kernel_for(components) is not None
     outputs = []
-    for forked in (True, False):
+    for splitting in (True, False):
         with monkeypatch.context() as patch:
-            if forked:
+            if splitting:
                 _split_everywhere(patch)
             else:
                 patch.setattr(fd, "_SPLIT_WORK", math.inf)
@@ -1103,9 +1103,9 @@ def _all_paths(monkeypatch, components, grid, threshold):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("components, grid", KERNEL_CASES, ids=KERNEL_IDS)
 def test_kernel_gives_the_numpy_loops_bits(kernel, monkeypatch, components, grid):
-    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, 1e8)
-    assert forked == one_thread == numpy_loop
-    assert forked[0][1][2] is not None  # rows were stored and compared
+    two_threads, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, 1e8)
+    assert two_threads == one_thread == numpy_loop
+    assert two_threads[0][1][2] is not None  # rows were stored and compared
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1125,9 +1125,9 @@ def test_kernel_stops_on_block_edges_as_the_numpy_loop(
     assert blow_up
     stop = round(t_est / grid.dt) - (threshold == math.inf)  # T_est is t_k + dt there
     monkeypatch.setattr(fd, "_BLOCK", stop if edge == "last" else stop - 1)
-    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
-    assert forked == one_thread == numpy_loop
-    assert forked[0][0][1] == t_est
+    two_threads, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
+    assert two_threads == one_thread == numpy_loop
+    assert two_threads[0][0][1] == t_est
 
 
 _TILT = smooth_bump(1.0, 8.0)
@@ -1158,9 +1158,9 @@ def test_forked_blocks_stop_as_the_numpy_loop(kernel, monkeypatch, where, thresh
     monkeypatch.setattr(fd, "_even", lambda arrays: False)
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=12.0, t_max=10.0)
     components = [_power_component(P2, PLACED[where], 0, 1.5)]
-    forked, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
-    assert forked == one_thread == numpy_loop
-    blow_up, t_est, rows = forked[0][1]
+    two_threads, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
+    assert two_threads == one_thread == numpy_loop
+    blow_up, t_est, rows = two_threads[0][1]
     assert blow_up
     if threshold == math.inf:
         return
@@ -1172,9 +1172,9 @@ def test_forked_blocks_stop_as_the_numpy_loop(kernel, monkeypatch, where, thresh
             "both": node < centre and peak[2 * centre - node] == peak[node]}[where]
 
 
-def test_one_cpu_process_forks_no_block(kernel, monkeypatch):
+def test_one_cpu_process_splits_no_block(kernel, monkeypatch):
     # pinned to one CPU, a process starts no helper thread and gives the
-    # record this process gives, with its forked blocks where it may use two
+    # record this process gives, with its split blocks where it may use two
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("no CPU affinity on this host")
     run = (

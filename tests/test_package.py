@@ -1,10 +1,16 @@
-"""Package layout: traced modules import, and every export is a real public name."""
+"""Package layout: traced modules import, every export is a real public name,
+and every cost tool starts."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer_modules() -> tuple[str, ...]:
@@ -38,3 +44,12 @@ def test_package_imports_only_exported_names():
             exported = importlib.import_module(f"siwave.{node.module}").__all__
             for alias in node.names:
                 assert alias.name in exported, f"siwave.{node.module}.{alias.name} is not in __all__"
+
+
+@pytest.mark.parametrize("tool", sorted((ROOT / "tools").glob("*_cost.py")), ids=lambda p: p.stem)
+def test_cost_tool_prints_its_help(tool):
+    # a tool that imports what another tool no longer defines fails here
+    done = subprocess.run(
+        [sys.executable, str(tool), "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

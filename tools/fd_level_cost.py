@@ -63,9 +63,7 @@ import importlib
 import json
 import math
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -73,6 +71,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from _harness import _host, _package, _revision, _second_cpu  # noqa: E402
 
 DX = 0.01
 FIRST, LAST = 100, 300  # the levels whose cost is measured
@@ -232,52 +233,7 @@ def _case(checkouts: dict, m: int, coefficients: str, window: int) -> dict:
     return case
 
 
-#: A CPU-bound loop of about a quarter second.
-_SPIN = "import time\nt = time.perf_counter()\nx = 0\nfor i in range(3_000_000): x += i\nprint(time.perf_counter() - t)"
-
-
-def _second_cpu() -> float:
-    """The share of a full CPU that each of two processes gets while both run
-    the same CPU-bound loop, against one alone: about 1 where the second CPU
-    gives its time, about 0.5 where the host gives the two together no more
-    than one (the two-thread figures then show no gain)."""
-
-    def times(n: int) -> list[float]:
-        procs = [subprocess.Popen([sys.executable, "-c", _SPIN], stdout=subprocess.PIPE, text=True)
-                 for _ in range(n)]
-        return [float(p.communicate()[0]) for p in procs]
-
-    alone = min(times(1)[0] for _ in range(3))
-    return round(alone / statistics.median(times(2) + times(2)), 2)
-
-
-def _host() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as handle:
-            cpu = next(
-                (line.split(":", 1)[1].strip() for line in handle if line.startswith("model name")),
-                cpu,
-            )
-    except OSError:
-        pass
-    return {
-        "node": platform.node(),
-        "cpu": cpu,
-        "cpus_allowed": (
-            len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        ),
-        "system": f"{platform.system()} {platform.release()}",
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-
-
 def main() -> int:
-    sys.path.insert(0, str(ROOT / "tools"))
-    from hypergeom_cost import _revision
-    from linear_cost import _package
-
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", default=None, help="root of a second checkout to measure alongside")
     parser.add_argument("--out", default=str(ROOT / "BENCH_fd_level.json"))

@@ -27,13 +27,11 @@ The result goes to the JSON file, with the host it ran on.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import importlib
 import inspect
 import json
 import statistics
-import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +39,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fd_level_cost import _host  # noqa: E402
+from _harness import _host, _package, _revision, _seconds  # noqa: E402
 from siwave.kernels import _distance, _zeta, light_cone_sample  # noqa: E402
 
 ROUNDS = 9
 SCALAR_REPEAT = 401
 PARAMS = ((0.5, 0.5, 1.0), (-0.5, -0.5, 1.0), (0.5, 0.5, 2.0))
 SCALAR_Z = (0.3, 0.957, 0.999)
-
-
-def _engine(checkout: Path, label: str):
-    """The hypergeom module of a checkout, loaded on its own (it imports numpy and scipy only)."""
-    spec = importlib.util.spec_from_file_location(f"hypergeom_{label}", checkout / "src/siwave/hypergeom.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _arguments() -> dict:
@@ -83,22 +73,8 @@ def _terms(hg, params: tuple, z: np.ndarray) -> float | None:
     return total / z.size
 
 
-def _seconds(f) -> float:
-    t0 = time.perf_counter()
-    f()
-    return time.perf_counter() - t0
-
-
 def _scalar_seconds(hg, z: float) -> float:
     return statistics.median(_seconds(lambda: hg.hyp2f1(0.5, 0.5, 1.0, z)) for _ in range(SCALAR_REPEAT))
-
-
-def _revision(checkout: Path) -> str:
-    try:
-        return subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-                              capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def main() -> int:
@@ -107,7 +83,10 @@ def main() -> int:
     parser.add_argument("--out", default=str(ROOT / "BENCH_hypergeom.json"))
     args = parser.parse_args()
     checkouts = {"checkout": ROOT} | ({"baseline": Path(args.baseline).resolve()} if args.baseline else {})
-    engines = {label: _engine(path, label) for label, path in checkouts.items()}
+    engines = {
+        label: importlib.import_module(_package(path, label).__name__ + ".hypergeom")
+        for label, path in checkouts.items()
+    }
     arguments = _arguments()
     cases = [(params, name, z) for params in PARAMS for name, z in arguments.items()]
     grid = {label: {i: [] for i in range(len(cases))} for label in engines}

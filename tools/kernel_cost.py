@@ -37,9 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from fd_level_cost import _host  # noqa: E402
-from hypergeom_cost import _revision  # noqa: E402
-from linear_cost import _package  # noqa: E402
+from _harness import _host, _package, _revision  # noqa: E402
 
 ROUNDS = 11
 SAMPLE = dict(t_max=80.0, n_t=50, n_b=50, n_y=50)

@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +38,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from fd_level_cost import _host  # noqa: E402
-from hypergeom_cost import _revision  # noqa: E402
+from _harness import _host, _package, _revision, _seconds  # noqa: E402
 
 ROUNDS = 9
 PROBES = ((2.0, 1.0), (8.0, 4.8), (19.0, 3.8))
 QTOL = 1e-7
-
-
-def _package(checkout: Path, label: str):
-    """The siwave package of a checkout, imported as ``siwave_<label>``."""
-    init = checkout / "src" / "siwave" / "__init__.py"
-    name = f"siwave_{label}"
-    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 class _Case:
@@ -78,12 +64,6 @@ class _Case:
 
     def field(self) -> np.ndarray:
         return self.linear.solve_linear_field(self.params, self.data, self.src, self.grid, QTOL).values
-
-
-def _seconds(f) -> float:
-    t0 = time.perf_counter()
-    f()
-    return time.perf_counter() - t0
 
 
 def _max_rel(a, b) -> float:
