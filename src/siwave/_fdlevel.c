@@ -23,6 +23,18 @@
    thread has taken it, or sleeps until the helper, which takes a posted
    half, has stepped it.  No thread spins.
 
+   On x86-64 with glibc, where the compiler has the target_clones
+   attribute, steps and the level loops it inlines (force, update, level)
+   are built twice, for AVX2 (32-byte vectors) and for the baseline (SSE2,
+   16-byte vectors), and the dynamic loader picks one through an ifunc when
+   the library is loaded: the AVX2 clone on CPUs that have AVX2.  The
+   clones vectorize the same loops; each vector lane makes the scalar
+   loop's correctly rounded add, multiply, divide and sqrt, and its
+   compare, in the same order, and the AVX2 target has no FMA (nor does
+   -ffp-contract=off allow one); the loops reduce nothing but the 0/1
+   flags, so no sum is reordered, and both clones give the same bits.
+   Built with -DFD_CLONES= (empty), or elsewhere, steps has one build.
+
    The layouts of struct fd_comp and struct fd_run are those of
    fd._KernelComp and fd._KernelRun; the forms are the indices of
    fd._KERNEL_POWERS.
@@ -33,6 +45,18 @@
 #include <signal.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Where the loader picks among clones of a function (x86-64 with glibc's
+   ifunc) and the compiler makes them, steps comes in an AVX2 clone and a
+   baseline one; elsewhere, or built with -DFD_CLONES=, in one. */
+#if !defined(FD_CLONES) && defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define FD_CLONES __attribute__((target_clones("avx2", "default")))
+#endif
+#endif
+#ifndef FD_CLONES
+#define FD_CLONES
+#endif
 
 /* One component: its forcing |u_t|^p of component src, p = 1.5, 2, 2.5 or 3
    for form 0, 1, 2 or 3; and its 0.5 mu dt and nu2. */
@@ -63,7 +87,8 @@ struct fd_run {
 enum { FD_END, FD_NONFINITE, FD_STORE, FD_THRESHOLD };
 
 /* The forcing of every component on nodes [lo, hi), from the lagged |u_t|. */
-static void force(const struct fd_run *r, long m, long lo, long hi)
+static inline __attribute__((always_inline)) void force(const struct fd_run *r, long m,
+                                                        long lo, long hi)
 {
     for (long j = 0; j < m; j++) {
         const double *a = r->abs_ut + r->comp[j].src;
@@ -98,10 +123,10 @@ static void force(const struct fd_run *r, long m, long lo, long hi)
    threshold (over) or is not below infinity (bad): the questions the loop
    asks of np.maximum.reduce's peak, kept as selects so that the loop
    vectorizes. */
-static void update(const struct fd_run *r, long from, long to, long stride, long right,
-                   long left, const double *restrict prv, const double *restrict cur,
-                   double *restrict nxt, double less, double more, double mass, double *over,
-                   double *bad)
+static inline __attribute__((always_inline)) void update(
+    const struct fd_run *r, long from, long to, long stride, long right, long left,
+    const double *restrict prv, const double *restrict cur, double *restrict nxt, double less,
+    double more, double mass, double *over, double *bad)
 {
     double *restrict ut = r->ut, *restrict abs_ut = r->abs_ut;
     const double *restrict rhs = r->rhs;
@@ -133,7 +158,9 @@ static void update(const struct fd_run *r, long from, long to, long stride, long
 }
 
 /* Level k on nodes [lo, hi); returns the flags of update. */
-static void level(const struct fd_run *r, long lo, long hi, long k, double *over, double *bad)
+static inline __attribute__((always_inline)) void level(const struct fd_run *r, long lo,
+                                                        long hi, long k, double *over,
+                                                        double *bad)
 {
     const long n = r->n, m = r->m;
     const double t = (double)k * r->dt;
@@ -173,8 +200,8 @@ static void level(const struct fd_run *r, long lo, long hi, long k, double *over
    (r->over tells whether it also crossed the threshold), or whose max |u_t|
    exceeds the threshold; the level goes to r->level and the reason is
    returned. */
-static long steps(struct fd_run *r, long lo, long hi, long grow_lo, long grow_hi, long first,
-                  long last, long next_store)
+FD_CLONES static long steps(struct fd_run *r, long lo, long hi, long grow_lo, long grow_hi,
+                            long first, long last, long next_store)
 {
     const long m = r->m;
     for (long k = first; k <= last; k++) {

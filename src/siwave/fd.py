@@ -51,11 +51,16 @@ Levels go in blocks of _BLOCK = 32 on one window per block, the cone at
 the block's last level.  Outside the cone every update of a zero state is
 exactly +0.0, so any _BLOCK gives the same bits, and a run that stores rows
 gets the bits of stepping the whole grid.  A sampled source term can be
-nonzero anywhere, so a run with one steps the whole grid.  A lifespan run
-(no stored rows) of even data steps only x >= 0: the window's lower edge
-is pinned at the centre node N, and node N-1 is a ghost that copies node
-N+1 after the Taylor start and after each step, before u_t and the peak.
-That is the exactly even solution, the full window's bits on x >= 0.
+nonzero anywhere, so a run with one steps the whole grid.  The set-up is
+sized the same way: with |u_t|^p forcings the data are sampled, and the
+Taylor start, the span, the evenness and finite tests and the first |u_t|
+taken, on the nodes within two of the data's support only (_start), which
+are written into zeroed full-width buffers; with a source term, on the
+whole grid.  A lifespan run (no stored rows) of even data steps only
+x >= 0: the window's lower edge is pinned at the centre node N, and node
+N-1 is a ghost that copies node N+1 after the Taylor start and after each
+step, before u_t and the peak.  That is the exactly even solution, the
+full window's bits on x >= 0.
 
 u^{k-1}, u^k and u^{k+1} are preallocated full-width buffers that rotate
 between levels; u_t, |u_t|, the forcing and a scratch array have one
@@ -94,8 +99,11 @@ a per-user cache, so a machine compiles it once) and called once per block,
 returning early at a store level, a non-finite level or a threshold
 crossing.  It makes the numpy loop's IEEE operations on every element in
 the same order, so the two paths give the same bits; windows, mirror,
-stored rows and results stay here.  The numpy loop remains the reference
-the tests compare with, and the path of other exponents (numpy's power and
+stored rows and results stay here.  On x86-64 with glibc its level loop
+comes in an AVX2 clone and a baseline (SSE2) one, and the loader picks the
+AVX2 clone where the CPU has AVX2; the clones make the same operations per
+element, with the same bits, and no flag or option selects one.  The
+numpy loop remains the reference the tests compare with, and the path of other exponents (numpy's power and
 libm's pow differ in the last bit), of a sampled source and of a process
 where the kernel does not build.
 
@@ -270,8 +278,9 @@ def _taylor_start(
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sample(data: CauchyProfile, name: str, xs: np.ndarray) -> np.ndarray:
-    """eps*data.<name> on the nodes |x| <= R; +0.0 elsewhere (the data's support).
+def _sample(data: CauchyProfile, name: str, xs: np.ndarray, first: int) -> np.ndarray:
+    """eps*data.<name> on the nodes |x| <= R of xs, grid nodes first, first +
+    1, ...; +0.0 elsewhere (the data's support).
 
     A non-finite sample raises: stepped, it would read as a blow-up at the
     first level.
@@ -284,7 +293,8 @@ def _sample(data: CauchyProfile, name: str, xs: np.ndarray) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise ValueError(
-            f"datum {name} is not finite at node {k} (x={float(xs[k])!r}): {float(out[k])!r}"
+            f"datum {name} is not finite at node {first + k} (x={float(xs[k])!r}): "
+            f"{float(out[k])!r}"
         )
     return out
 
@@ -317,29 +327,50 @@ def _check_run(
     grid.validate_cone(max(c.data.R for c in components))
 
 
-def _interleave(arrays: list[np.ndarray]) -> np.ndarray:
-    """One node-major buffer of m arrays: array j at node i is element i*m + j."""
-    return np.stack(arrays, axis=1).ravel()
+def _interleave(arrays: list[np.ndarray], n: int, first: int) -> np.ndarray:
+    """One node-major buffer of m arrays on n nodes, +0.0 but for nodes first,
+    first + 1, ..., which hold the arrays: array j at node i is element i*m + j."""
+    out = np.zeros((n, len(arrays)))
+    out[first : first + len(arrays[0])] = np.stack(arrays, axis=1)
+    return out.ravel()
 
 
 def _start(
-    components: list[_Component], xs: np.ndarray, dt: float, dx: float
+    components: list[_Component], grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int], bool]:
-    """The interleaved levels u^0 and u^1 (the Taylor start) and u_t^0 of the
-    components; the span of nodes outside which all three are +0.0; and
-    whether every component's sampled u0 and u1 are even."""
-    n = len(xs)
-    u0 = [_sample(c.data, "u0", xs) for c in components]
-    u1 = [_sample(c.data, "u1", xs) for c in components]
-    rhs0 = [
-        c.rhs(np.abs(u1[c.src]), 0.0, slice(0, n), np.empty(n), np.empty(n)) for c in components
-    ]
+    """The interleaved full-width levels u^0 and u^1 (the Taylor start) and
+    u_t^0 of the components; the span of nodes outside which all three are
+    +0.0 (bitwise: -0.0, NaN and inf lie inside it); and whether every
+    component's sampled u0 and u1 are even.
+
+    Where every forcing is |u_t|^p (+0.0 where u_t is +0.0), the data,
+    forcing and Taylor start are computed on the nodes within two of the
+    data's support only, a span symmetric about the centre node: u0'' reads
+    one neighbour on either side, so outside it they are +0.0, and the span
+    has the full grid's bits.  A sampled source term can be nonzero
+    anywhere, so a run with one computes them on the whole grid.
+    """
+    dx, n_half = grid.dx, grid._n_half()
+    half = n_half
+    if all(c.power is not None for c in components):
+        # the nodes |x| <= R lie within floor(R / dx) + 1 of the centre (one
+        # past floor(R / dx) where R / dx rounds down); two more beyond them
+        half = min(n_half, math.floor(max(c.data.R for c in components) / dx) + 3)
+    first, width = n_half - half, 2 * half + 1
+    xs = dx * np.arange(-half, half + 1)  # the grid's xs[first : first + width]
+    u0 = [_sample(c.data, "u0", xs, first) for c in components]
+    u1 = [_sample(c.data, "u1", xs, first) for c in components]
+    w = slice(first, first + width)
+    rhs0 = [c.rhs(np.abs(u1[c.src]), 0.0, w, np.empty(width), np.empty(width)) for c in components]
     taylor = [
-        _taylor_start(a, b, f, dt, dx, c.params) for c, a, b, f in zip(components, u0, u1, rhs0)
+        _taylor_start(a, b, f, grid.dt, dx, c.params)
+        for c, a, b, f in zip(components, u0, u1, rhs0)
     ]
+    lo, hi = _support(u0 + u1 + taylor)
+    n = 2 * n_half + 1
     return (
-        _interleave(u0), _interleave(taylor), _interleave(u1),
-        _support(u0 + u1 + taylor), _even(u0 + u1),
+        *(_interleave(arrays, n, first) for arrays in (u0, taylor, u1)),
+        (first + lo, first + hi) if lo < hi else (0, 0), _even(u0 + u1),
     )
 
 
@@ -355,10 +386,12 @@ _KERNEL_CFLAGS = (
 
 #: The least work, in levels times elements (nodes times components), of
 #: each half of a block that the compiled kernel splits between the caller
-#: and a helper thread: about 59 us of kernel time at 3.6 ns an element,
-#: against the 25-70 us a split waits for the helper to wake.  Limits of
-#: 2^13 and 2^14 gave the shortest system_sweep passes, 2^16 and above
-#: longer ones, on a 2-vCPU host whose second CPU gave its time.
+#: and a helper thread: about 44 us of kernel time at the AVX2 clone's
+#: 2.7 ns an element (59 us at the SSE2 build's 3.6 ns), against the 25-70
+#: us a split waits for the helper to wake.  Limits of 2^13 and 2^14 gave
+#: the shortest system_sweep passes, 2^16 and above longer ones, on a
+#: 2-vCPU host whose second CPU gave its time; with the AVX2 clone, 2^14
+#: still gave shorter passes than 2^15 (medians 75.1 and 77.5 ms).
 _SPLIT_WORK = 1 << 14
 
 #: siwave_fd_levels' stop reasons: the block's end, a non-finite level, a
@@ -447,31 +480,39 @@ def _library(cc: list[str], source: Path) -> ctypes.CDLL:
             os.unlink(tmp)
 
 
+def _compilers() -> list[list[str]]:
+    """The C compilers to try, in order: Python's (sysconfig's CC), then cc."""
+    return [cc for cc in (shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]) if cc]
+
+
+def _bind(lib: ctypes.CDLL) -> _Kernel:
+    """The functions of a loaded build of _fdlevel.c, with their signatures."""
+    run, long, helper = ctypes.POINTER(_KernelRun), ctypes.c_long, ctypes.c_void_p
+    kernel = _Kernel(
+        lib.siwave_fd_levels, lib.siwave_fd_split, lib.siwave_fd_helper_start,
+        lib.siwave_fd_helper_stop,
+    )
+    for f, args, result in zip(
+        kernel,
+        ([run, *[long] * 5], [run, helper, *[long] * 6], [run], [helper]),
+        (long, long, helper, None),
+    ):
+        f.argtypes, f.restype = args, result
+    return kernel
+
+
 @functools.cache
 def _kernel() -> _Kernel | None:
-    """The functions of _fdlevel.c, built with Python's C compiler
-    (sysconfig's CC, else cc) once per machine (see _library) and loaded
-    with ctypes on the first call; None, from then on, when it cannot be
-    built or loaded, and the numpy level loop serves."""
+    """The functions of _fdlevel.c, built with the first of _compilers()
+    that builds it, once per machine (see _library), and loaded with ctypes
+    on the first call; None, from then on, when it cannot be built or
+    loaded, and the numpy level loop serves."""
     source = Path(__file__).with_name("_fdlevel.c")
-    compilers = [shlex.split(sysconfig.get_config_var("CC") or ""), ["cc"]]
-    for cc in filter(None, compilers):
+    for cc in _compilers():
         try:
-            lib = _library(cc, source)
+            return _bind(_library(cc, source))
         except (OSError, subprocess.SubprocessError):
             continue
-        run, long, helper = ctypes.POINTER(_KernelRun), ctypes.c_long, ctypes.c_void_p
-        kernel = _Kernel(
-            lib.siwave_fd_levels, lib.siwave_fd_split, lib.siwave_fd_helper_start,
-            lib.siwave_fd_helper_stop,
-        )
-        for f, args, result in zip(
-            kernel,
-            ([run, *[long] * 5], [run, helper, *[long] * 6], [run], [helper]),
-            (long, long, helper, None),
-        ):
-            f.argtypes, f.restype = args, result
-        return kernel
     return None
 
 
@@ -496,8 +537,7 @@ def _run(
     only (see the module docstring).
     """
     _check_run(components, grid, threshold, store_every)
-    xs = grid.xs()
-    n, m = len(xs), len(components)
+    n, m = 2 * grid._n_half() + 1, len(components)
     dt, c = grid.dt, grid.cfl
     k_max = grid.n_steps()
     rows: _Rows | None = None
@@ -554,14 +594,17 @@ def _run(
     # data that overflow the Taylor start end the run at the first level, so
     # neither raises a warning.
     with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
-        u_prev, u_curr, ut, support, even = _start(components, xs, dt, grid.dx)
+        u_prev, u_curr, ut, support, even = _start(components, grid)
         next_store = -1 if rows is None else store(0, 0.0, u_prev, ut)
-        if not np.isfinite(u_curr).all():
+        # outside the support every element is +0.0, finite and its own |.|
+        nonzero = slice(support[0] * m, support[1] * m)
+        if not np.isfinite(u_curr[nonzero]).all():
             return result(True, dt)
         # scratch for the forcing and the step; u_t and |u_t| need one buffer
         # each: every forcing of a level reads the lagged |u_t| before the
         # level overwrites it
-        u_next, abs_ut = np.zeros(n * m), np.abs(ut)
+        u_next, abs_ut = np.zeros(n * m), np.zeros(n * m)
+        np.absolute(ut[nonzero], abs_ut[nonzero])
         rhs, tmp = np.empty(n * m), np.empty(n * m)
 
         # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node

@@ -46,8 +46,12 @@ class GridSpec:
     def dt(self) -> float:
         return self.cfl * self.dx
 
+    def _n_half(self) -> int:
+        """Nodes on either side of x = 0: xs() is dx * arange(-n_half, n_half + 1)."""
+        return int(round(self.x_max / self.dx))
+
     def xs(self) -> np.ndarray:
-        n_half = int(round(self.x_max / self.dx))
+        n_half = self._n_half()
         return self.dx * np.arange(-n_half, n_half + 1)
 
     def n_steps(self) -> int:
@@ -58,7 +62,7 @@ class GridSpec:
         last node, which rounding can leave up to dx/2 short of x_max)."""
         if not math.isfinite(R):
             raise ValueError(f"support radius must be finite, got {R}")
-        edge, reach = float(self.xs()[-1]), R + self.t_max
+        edge, reach = self.dx * self._n_half(), R + self.t_max  # xs()[-1]
         if reach - edge > CONE_RTOL * abs(reach):
             raise ValueError(
                 f"last node x={edge} < R+t_max={reach} (x_max={self.x_max}, dx={self.dx}): "

@@ -8,9 +8,7 @@ and dominates the runtime (several minutes).
 import math
 import time
 
-import mpmath as mp
 import numpy as np
-import pytest
 from helpers import cone_points, dalembert, poly_profile
 
 import siwave

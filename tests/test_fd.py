@@ -1,5 +1,7 @@
 """Finite-difference solver: scheme order, blow-up detection, system coupling."""
 
+import contextlib
+import ctypes
 import functools
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -1081,19 +1084,39 @@ def _outputs(components, grid, threshold):
     return runs, fd._lifespan(components, grid, threshold, refine=True)
 
 
-def _all_paths(monkeypatch, components, grid, threshold):
-    """_outputs through the compiled kernel with every block that can be
-    shared with the helper thread, through the kernel on the caller
-    alone, and through the numpy loop."""
+@pytest.fixture(scope="module")
+def builds(tmp_path_factory):
+    """The kernel as fd builds it, whose steps the loader picks from its
+    clones (the AVX2 one where the CPU has AVX2), and _fdlevel.c built
+    again into a directory of the test with its clone macro defined empty:
+    the one build of a host without clones, SSE2 only on x86-64."""
+    dispatched = fd._kernel()
+    if dispatched is None:
+        pytest.skip("the level kernel cannot be built on this host")
+    source = Path(fd.__file__).with_name("_fdlevel.c")
+    lib = str(tmp_path_factory.mktemp("baseline") / "_fdlevel.so")
+    for cc in fd._compilers():
+        with contextlib.suppress(OSError, subprocess.SubprocessError):
+            fd._compile([*cc, "-DFD_CLONES="], source, lib)
+            break
+    return [dispatched, fd._bind(ctypes.CDLL(lib))]
+
+
+def _all_paths(monkeypatch, components, grid, threshold, kernels=None):
+    """_outputs through each of ``kernels`` (fd's own build if None) with
+    every block that can be shared with the helper thread, then on the
+    caller alone, and last through the numpy loop."""
     assert fd._kernel_for(components) is not None
     outputs = []
-    for splitting in (True, False):
-        with monkeypatch.context() as patch:
-            if splitting:
-                _split_everywhere(patch)
-            else:
-                patch.setattr(fd, "_SPLIT_WORK", math.inf)
-            outputs.append(_outputs(components, grid, threshold))
+    for kernel in kernels or [fd._kernel()]:
+        for splitting in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(fd, "_kernel", lambda k=kernel: k)
+                if splitting:
+                    _split_everywhere(patch)
+                else:
+                    patch.setattr(fd, "_SPLIT_WORK", math.inf)
+                outputs.append(_outputs(components, grid, threshold))
     with monkeypatch.context() as patch:
         _numpy_levels(patch)
         outputs.append(_outputs(components, grid, threshold))
@@ -1102,10 +1125,12 @@ def _all_paths(monkeypatch, components, grid, threshold):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("components, grid", KERNEL_CASES, ids=KERNEL_IDS)
-def test_kernel_gives_the_numpy_loops_bits(kernel, monkeypatch, components, grid):
-    two_threads, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, 1e8)
-    assert two_threads == one_thread == numpy_loop
-    assert two_threads[0][1][2] is not None  # rows were stored and compared
+def test_kernel_gives_the_numpy_loops_bits(builds, monkeypatch, components, grid):
+    # both builds, on two threads and on one
+    *kernel_paths, numpy_loop = _all_paths(monkeypatch, components, grid, 1e8, builds)
+    assert len(kernel_paths) == 4
+    assert all(outputs == numpy_loop for outputs in kernel_paths)
+    assert numpy_loop[0][1][2] is not None  # rows were stored and compared
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1113,7 +1138,7 @@ def test_kernel_gives_the_numpy_loops_bits(kernel, monkeypatch, components, grid
 @pytest.mark.parametrize("threshold", [1e8, math.inf], ids=["threshold", "non-finite"])
 @pytest.mark.parametrize("edge", ["last", "first"])
 def test_kernel_stops_on_block_edges_as_the_numpy_loop(
-    kernel, monkeypatch, p, threshold, edge
+    builds, monkeypatch, p, threshold, edge
 ):
     # the stop level of the numpy loop, made the last level of the first
     # block or the first level of the second one
@@ -1125,9 +1150,10 @@ def test_kernel_stops_on_block_edges_as_the_numpy_loop(
     assert blow_up
     stop = round(t_est / grid.dt) - (threshold == math.inf)  # T_est is t_k + dt there
     monkeypatch.setattr(fd, "_BLOCK", stop if edge == "last" else stop - 1)
-    two_threads, one_thread, numpy_loop = _all_paths(monkeypatch, components, grid, threshold)
-    assert two_threads == one_thread == numpy_loop
-    assert two_threads[0][0][1] == t_est
+    *kernel_paths, numpy_loop = _all_paths(monkeypatch, components, grid, threshold, builds)
+    assert len(kernel_paths) == 4
+    assert all(outputs == numpy_loop for outputs in kernel_paths)
+    assert numpy_loop[0][0][1] == t_est
 
 
 _TILT = smooth_bump(1.0, 8.0)

@@ -16,7 +16,6 @@ from siwave.iteration import (
 )
 from siwave.params import (
     LifespanPrediction,
-    ScaleInvariantParams,
     SystemParams,
     cusp_exponents,
     glassey,
