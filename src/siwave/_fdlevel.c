@@ -4,9 +4,10 @@
        -O3 -fPIC -shared -pthread -ffp-contract=off -fno-math-errno
    and loads it with ctypes.  siwave_fd_levels steps the levels of one
    block of fd._run on the block's window and makes, on every element, the
-   IEEE operations of _run's numpy level loop in the same order: no fused
-   multiply-add (-ffp-contract=off), no reassociation and no reciprocal
-   (no -ffast-math), so every value it writes has the numpy loop's bits.
+   IEEE operations of fd._levels, the numpy level loop, in the same order:
+   no fused multiply-add (-ffp-contract=off), no reassociation and no
+   reciprocal (no -ffast-math), so every value it writes has the numpy
+   loop's bits.
    sqrt is correctly rounded in both, and the mass coefficient's
    (1 + t)^2 is libm's pow, which is what Python's float power calls.
 
@@ -116,13 +117,10 @@ static inline __attribute__((always_inline)) void force(const struct fd_run *r, 
 /* u^{k+1}, u_t and |u_t| of elements from, from + stride, ... below to, with
    the coefficients of one component.  The neighbour sum is of the elements
    at offsets right and left: m and -m, or 0 and 0 at a grid end, which
-   takes u + u.  The mass product is taken even where the numpy loop leaves
-   it out (every nu2 == 0): there it is u * +0.0 = +-0.0, with u finite,
-   and the forcing it is subtracted from is >= +0.0, never -0.0, so it
-   changes no bit.  The flags become 1.0 where an |u_t| exceeds the
-   threshold (over) or is not below infinity (bad): the questions the loop
-   asks of np.maximum.reduce's peak, kept as selects so that the loop
-   vectorizes. */
+   takes u + u.  The mass product is taken for every nu2, as fd._levels
+   takes it.  The flags become 1.0 where an |u_t| exceeds the threshold
+   (over) or is not below infinity (bad): the questions fd._levels asks of
+   its peak max |u_t|, kept as selects so that the loop vectorizes. */
 static inline __attribute__((always_inline)) void update(
     const struct fd_run *r, long from, long to, long stride, long right, long left,
     const double *restrict prv, const double *restrict cur, double *restrict nxt, double less,

@@ -102,6 +102,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.model not in ("single", "system"):
             raise ValueError(f"model must be 'single' or 'system', got {self.model!r}")
+        for name in ("refine", "u0_zero"):
+            # a JSON string such as "no" is truthy, so it would not read as False
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if not self.eps_grid:
             raise ValueError("eps_grid must not be empty")
         if any(b >= a for a, b in zip(self.eps_grid, self.eps_grid[1:])):

@@ -27,16 +27,15 @@ symmetric form, for every cfl (u at level k unless marked):
   (1+lam) u^{k+1}_i = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u_i
                       - (1-lam) u^{k-1}_i + dt^2 (rhs_i - mass u_i),
 
-evaluated left to right, one ufunc call per operation; a grid-end node
-takes 2 u_i for the neighbour sum (u_xx = 0 there).  At c = 1 the c^2
-product is a product by 1 and 2 (1-c^2) u_i a zero, so the step leaves both
-out: six calls, where the earlier Laplacian form took ten (the tests bound
-how far the two round apart).  The first level is a Taylor start matching
-the PDE at t=0 to second order, with u0'' = ((u0_{i+1} + u0_{i-1}) - 2
-u0_i) / dx^2 (0 at the grid ends).  Numerical blow-up is declared when max
-|u_t| of any component crosses a threshold (or a non-finite value appears);
-reaching t_max without crossing is reported as censored data (T >= t_max),
-never as a no-blow-up fact.
+evaluated left to right; a grid-end node takes 2 u_i for the neighbour sum
+(u_xx = 0 there).  At c = 1 the c^2 product is a product by 1 and
+2 (1-c^2) u_i a zero, so the step leaves both out (the tests bound how far
+this form and the earlier Laplacian form round apart).  The first level is
+a Taylor start matching the PDE at t=0 to second order, with u0'' =
+((u0_{i+1} + u0_{i-1}) - 2 u0_i) / dx^2 (0 at the grid ends).  Numerical
+blow-up is declared when max |u_t| of any component crosses a threshold (or
+a non-finite value appears); reaching t_max without crossing is reported as
+censored data (T >= t_max), never as a no-blow-up fact.
 
 The neighbour sum is the same sum at x_i and -x_i, in the step and in the
 Taylor start, and every other operation is per node; the grid
@@ -63,64 +62,42 @@ step, before u_t and the peak.  That is the exactly even solution, the
 full window's bits on x >= 0.
 
 u^{k-1}, u^k and u^{k+1} are preallocated full-width buffers that rotate
-between levels; u_t, |u_t|, the forcing and a scratch array have one
-each.  A buffer holds the m components node-major (component j of node i
-is element i*m + j), so a window of nodes [lo, hi) is the contiguous slice
-[lo*m, hi*m), a shift by one node is a shift by m elements, and each
-operation of a level is one 1-D ufunc call for every component.  Only the
-forcings (one stride-m view each), the lam and mass products when the
-components' (mu, nu2) differ (one strided call each) and the stored rows
-go per component: 2-D calls (an (m, n) stack, or the (nodes, m) view
-with an (m,) coefficient vector) measured slower.
+between levels; u_t, |u_t| and the forcing have one each.  A buffer holds
+the m components node-major (component j of node i is element i*m + j), so
+a window of nodes [lo, hi) is the contiguous slice [lo*m, hi*m) and a
+shift by one node is a shift by m elements.  Stored rows go straight into
+(rows, n) arrays that become the field, so a stored run holds its field
+once; the arrays grow in place past _ROW_RESERVE bytes and end cut to the
+rows kept.
 
-The level loop makes nothing but the scheme's ufunc calls: the views a
-level needs (windows, interior, its one-node shifts, grid ends, ghost and
-mate) are sliced once per block and rotate with the buffers; the per-run
-c^2, 2 (1-c^2), dt^2, 2 dt and each level's 1-lam, 1+lam and mass are 0-d
-float64 arrays; outputs are positional; each forcing's form is looked up
-by its exponent in the table _FORMS when its component is built; a run
-without rows makes no store call.  A single equation at cfl = 1 makes
-twelve calls per level: two for |u_t|^p, six for the step, two for u_t,
-|u_t|, and np.maximum.reduce for the peak.
-No term is computed twice: |u_t| is taken once per level, for the peak and
-the next level's forcing; the finite test is folded into the peak
-(u^{k-1} is finite, so u^{k+1} is scanned only when max |u_t| is not
-finite); and a massless step (nu2 == 0) with a |.|^p forcing skips the
-mass product, whose +-0 subtracted from a forcing >= +0.0 (never -0.0)
-changes nothing -- a source term may return -0.0, so linear mode keeps it.
-Stored rows go straight into (rows, n) arrays that become the field, so a
-stored run holds its field once; the arrays grow in place past
-_ROW_RESERVE bytes and end cut to the rows kept.
+_run has one block loop.  It hands each block, cut at the next store
+level, to one of three steppers with the contract of steps in _fdlevel.c:
+the compiled kernel's siwave_fd_levels or its two-thread siwave_fd_split,
+or _levels, the same level loop in numpy.  Each steps levels first..last
+on the window [lo, hi), stops at the block's end, a non-finite level, the
+store level or a threshold crossing, and leaves the level, the buffer
+rotation and a store level's threshold flag in the run state they share
+(_state); the loop handles every stop, store and result in one place.
 
-A run whose every forcing is |u_t|^p with p an exponent of _FORMS steps
-its levels in C instead: siwave_fd_levels of _fdlevel.c, built on the first
-such run in the process (_kernel, never at import; the library is kept in
-a per-user cache, so a machine compiles it once) and called once per block,
-returning early at a store level, a non-finite level or a threshold
-crossing.  It makes the numpy loop's IEEE operations on every element in
-the same order, so the two paths give the same bits; windows, mirror,
-stored rows and results stay here.  On x86-64 with glibc its level loop
-comes in an AVX2 clone and a baseline (SSE2) one, and the loader picks the
-AVX2 clone where the CPU has AVX2; the clones make the same operations per
-element, with the same bits, and no flag or option selects one.  The
-numpy loop remains the reference the tests compare with, and the path of other exponents (numpy's power and
-libm's pow differ in the last bit), of a sampled source and of a process
-where the kernel does not build.
+_levels is the bit reference the tests hold the kernel to, and the only
+stepper of other exponents (numpy's power and libm's pow differ in the
+last bit), of a sampled source and of a process where the kernel does not
+build.  The kernel steps every block of a run whose every forcing is
+|u_t|^p with p an exponent of _FORMS; it is built on the first such run in
+the process (_kernel, never at import; a per-user cache keeps the library,
+so a machine compiles it once).  On x86-64 with glibc the loader picks its
+level loop's AVX2 clone where the CPU has AVX2, else the baseline (SSE2)
+one; both make the same operations per element, and no flag or option
+selects one.
 
 Runs are sequential in time; independent runs (different eps or grids)
 share no mutable state, and the two grids of a Richardson pair
 (refine=True) run one after the other, coarse first.  Where the process
-may use a second CPU, the kernel steps each block whose halves hold
-_SPLIT_WORK of work on two threads (siwave_fd_split): the caller steps the
-lower half of the window in place and one helper thread, started at the
-run's first such block and joined when the run ends, steps the upper half
-on private buffers; both compute their shared halo again, so every element
-has the bits of one thread.  The two hand the upper half over through one
-state under a lock, with one condition variable, and neither spins: a half
-the helper has not taken when the caller is done with its own is stepped
-by the caller, so the caller never waits on a helper that has not started.
-The outcome is the same bits on every path; only the wall time of the
-call changes.
+may use a second CPU, each block whose halves hold _SPLIT_WORK of work is
+split: the caller steps the lower half of the window and one helper
+thread, started at the run's first such block and joined when the run
+ends, the upper half, each computing their shared halo again (see
+_fdlevel.c).  Every path gives the same bits; only the wall time changes.
 """
 
 from __future__ import annotations
@@ -159,8 +136,8 @@ DEFAULT_THRESHOLD = 1e8
 #: Relative lifespan drift under grid halving accepted as converged.
 RICHARDSON_RTOL = 0.05
 
-#: Levels stepped on one window and one set of prebuilt buffer views; 1 is
-#: the plain level-by-level light-cone window.
+#: Levels stepped on one window; 1 is the plain level-by-level light-cone
+#: window.
 _BLOCK = 32
 
 #: Bytes of stored rows (u and u_t) reserved up front; past them the rows
@@ -186,40 +163,14 @@ class LifespanRecord:
     converged: bool | None = None
 
     def __post_init__(self) -> None:
-        if not self.blow_up and not math.isinf(self.T_est):
-            raise ValueError("censored record must carry the +inf marker")
-
-
-class _Views(NamedTuple):
-    """Views of one full-width buffer of m interleaved components on a window
-    [lo, hi) of nodes: the window, its interior (the grid ends left out) and
-    that interior shifted by -1 and +1 node, the grid-end nodes it holds, its
-    coefficient groups (the whole window, or each component's stride-m view
-    when their coefficients differ), and the ghost node centre - 1 and its
-    mate centre + 1."""
-
-    win: np.ndarray
-    mid: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    ends: tuple[np.ndarray, ...]
-    parts: tuple[np.ndarray, ...]
-    ghost: np.ndarray
-    mate: np.ndarray
-
-
-def _views(a: np.ndarray, lo: int, hi: int, m: int, groups: int) -> _Views:
-    n = len(a) // m
-    b = max(lo, 1) * m  # the interior [b, e) in elements: a node is m elements
-    e = max(min(hi, n - 1) * m, b)
-    c = n // 2 * m
-    ends = tuple(a[ix] for ix, end in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if end)
-    win = a[lo * m : hi * m]
-    parts = (win,) if groups == 1 else tuple(win[j::m] for j in range(m))
-    return _Views(
-        win, a[b:e], a[b - m : e - m], a[b + m : e + m], ends, parts,
-        a[c - m : c], a[c + m : c + 2 * m],
-    )
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not self.threshold_used > 0:
+            raise ValueError(f"threshold_used must be > 0, got {self.threshold_used}")
+        if self.blow_up and not (math.isfinite(self.T_est) and self.T_est > 0):
+            raise ValueError(f"blow-up record needs a finite T_est > 0, got {self.T_est}")
+        if not self.blow_up and self.T_est != math.inf:
+            raise ValueError(f"censored record must carry T_est = +inf, got {self.T_est}")
 
 
 class _Component(NamedTuple):
@@ -231,9 +182,8 @@ class _Component(NamedTuple):
     (``tmp`` is scratch); the arrays hold one value per node of the window
     (in a run, stride-m views of the interleaved buffers).  ``power`` is
     the p > 1 of a |u_t|^p forcing, which vanishes wherever every lagged
-    u_t does (so it never reaches past the numerical light cone) and is
-    never negative or -0.0 (so a massless step skips its mass product
-    bit-exactly); it is None for a sampled source, which is neither.
+    u_t does (so it never reaches past the numerical light cone); it is
+    None for a sampled source, which can be nonzero anywhere.
     """
 
     params: ScaleInvariantParams
@@ -410,7 +360,8 @@ class _KernelComp(ctypes.Structure):
 
 class _KernelRun(ctypes.Structure):
     """struct fd_run of _fdlevel.c: a run's buffers and constants, the buffer
-    rotation, and the level a call stopped at."""
+    rotation, and the level a call stopped at; the run state of every block
+    stepper (see _state)."""
 
     _fields_ = [
         ("u", ctypes.c_void_p * 3),
@@ -516,10 +467,138 @@ def _kernel() -> _Kernel | None:
     return None
 
 
-def _kernel_for(components: list[_Component]) -> _Kernel | None:
-    """The compiled level kernel when it has every component's forcing and
-    builds, else None."""
-    return _kernel() if all(comp.power in _KERNEL_POWERS for comp in components) else None
+def _state(
+    components: list[_Component], grid: GridSpec, threshold: float,
+    arrays: tuple[np.ndarray, ...], mirror: int,
+) -> _KernelRun:
+    """The run state the block steppers share: the struct the kernel reads,
+    over ``arrays`` (the full-width buffers u^0, u^1, u^2, u_t, |u_t| and
+    the forcing), with ``mirror`` the centre node of a mirrored run or -1.
+    _levels reads the same buffers as numpy arrays from its ``arrays`` and
+    the forcings from its ``components``, and keeps the views of the last
+    window it stepped in ``window`` and ``views``.  A forcing the kernel has
+    no form for gets form -1; the kernel then steps no block of the run."""
+    dt, c, m = grid.dt, grid.cfl, len(components)
+    run = _KernelRun(
+        (ctypes.c_void_p * 3)(*(a.ctypes.data for a in arrays[:3])),
+        *(a.ctypes.data for a in arrays[3:]),
+        (_KernelComp * m)(*(
+            (_KERNEL_POWERS.index(comp.power) if comp.power in _KERNEL_POWERS else -1,
+             comp.src, 0.5 * comp.params.mu * dt, comp.params.nu2)
+            for comp in components
+        )),
+        n=len(arrays[0]) // m, m=m, mirror=mirror, scaled=c != 1.0,
+        shared=len({comp.params for comp in components}) == 1, dt=dt, c2=c * c,
+        two_less_c2=2.0 * (1.0 - c * c), dt2=dt * dt, two_dt=2.0 * dt, threshold=threshold,
+    )
+    # the struct holds the buffers' addresses; these references keep them alive
+    run.arrays, run.components, run.window = arrays, components, None
+    return run
+
+
+def _window(run: _KernelRun, lo: int, hi: int) -> tuple:
+    """The views of the run's buffers that _levels steps on nodes [lo, hi):
+    of u^0, u^1 and u^2 each, the window, the interior (no grid end) and
+    the interior shifted a node right and left, the ghost centre - 1 and its
+    mate, the grid ends in the window and each coefficient group's part of
+    the window; the window of u_t, |u_t| and the forcing, and the groups'
+    parts of u_t and |u_t|; and each component's forcing with its views."""
+    n, m, centre = run.n, run.m, run.mirror
+    *u, ut, abs_ut, rhs = run.arrays
+    window = slice(lo * m, hi * m)
+    b = max(lo, 1) * m
+    e = max(min(hi, n - 1) * m, b)
+    ghost, mate = slice((centre - 1) * m, centre * m), slice((centre + 1) * m, (centre + 2) * m)
+    ends = [end for end, inside in ((slice(0, m), lo == 0), (slice(-m, None), hi == n)) if inside]
+    # one coefficient group, or one per component
+    parts = [window] if run.shared else [slice(lo * m + j, hi * m, m) for j in range(m)]
+    # each forcing reads the lagged |u_t| of its source component and writes
+    # its own stride-m view, with its part of u_t as scratch
+    forcings = [
+        (comp.rhs, abs_ut[lo * m + comp.src : hi * m : m], rhs[lo * m + j : hi * m : m],
+         ut[lo * m + j : hi * m : m])
+        for j, comp in enumerate(run.components)
+    ]
+    shifted = (slice(b, e), slice(b + m, e + m), slice(b - m, e - m))
+    return (
+        *([a[s] for a in u] for s in (window, *shifted, ghost, mate)),
+        [[a[s] for s in ends] for a in u], [[a[s] for s in parts] for a in u],
+        ut[window], abs_ut[window], rhs[window], [ut[s] for s in parts], [abs_ut[s] for s in parts],
+        forcings,
+    )
+
+
+def _levels(run: _KernelRun, lo: int, hi: int, first: int, last: int, next_store: int) -> int:
+    """Steps levels first..last on nodes [lo, hi) as siwave_fd_levels of
+    _fdlevel.c does, in numpy, and returns its stop reason, with the same
+    level, rot and over in ``run`` and the same bits in every buffer.
+
+    It follows steps, level and update line by line.  Each operation is one
+    ufunc call on the window, over all components; the forcings, and the
+    steps that take a component's own (mu, nu2) where those differ, go one
+    strided call per component.  u_t and |u_t| hold the level's
+    intermediate products until it writes them, as the kernel's registers
+    do.  The peak max |u_t| answers the kernel's two questions of the
+    level: it is not below infinity where some |u_t| is not, and it exceeds
+    the threshold where some |u_t| does.
+    """
+    dt, threshold, centre = run.dt, run.threshold, run.mirror
+    scaled, c2, two_less_c2, dt2, two_dt = run.scaled, run.c2, run.two_less_c2, run.dt2, run.two_dt
+    coefficients = [(c.half_mu_dt, c.nu2) for c in run.comp[: 1 if run.shared else run.m]]
+    # a block that stores rows is stepped in one call per stored level, all
+    # on its window: the views are sliced at the first
+    if run.window != (lo, hi):
+        run.window, run.views = (lo, hi), _window(run, lo, hi)
+    (wins, mids, rights, lefts, ghosts, mates, u_ends, u_parts,
+     ut_w, abs_w, rhs_w, ut_parts, abs_parts, forcings) = run.views
+    nodes = slice(lo, hi)
+    rot = run.rot
+    for k in range(first, last + 1):
+        t = k * dt
+        prv, cur, nxt = rot, (rot + 1) % 3, (rot + 2) % 3
+        for force, lagged, out, scratch in forcings:
+            force(lagged, t, nodes, out, scratch)
+        # (1+lam) u^{k+1} = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u
+        #                   - (1-lam) u^{k-1} + dt^2 (rhs - mass u)
+        np.add(rights[cur], lefts[cur], mids[nxt])
+        for end, out in zip(u_ends[cur], u_ends[nxt]):
+            np.add(end, end, out)
+        if scaled:
+            np.multiply(wins[nxt], c2, wins[nxt])
+            np.multiply(wins[cur], two_less_c2, ut_w)
+            np.add(wins[nxt], ut_w, wins[nxt])
+        # the mass and (1-lam) products of each group with its coefficients,
+        # into |u_t| and u_t; the rest of update on the window
+        for (half_mu_dt, nu2), mass_u, less_u, u_prv, u_k in zip(
+            coefficients, abs_parts, ut_parts, u_parts[prv], u_parts[cur]
+        ):
+            np.multiply(u_k, nu2 / (1.0 + t) ** 2, mass_u)
+            np.multiply(u_prv, 1.0 - half_mu_dt / (1.0 + t), less_u)
+        np.subtract(rhs_w, abs_w, abs_w)
+        np.multiply(abs_w, dt2, abs_w)
+        np.subtract(wins[nxt], ut_w, wins[nxt])
+        np.add(wins[nxt], abs_w, wins[nxt])
+        for (half_mu_dt, _), u_new in zip(coefficients, u_parts[nxt]):
+            np.divide(u_new, 1.0 + half_mu_dt / (1.0 + t), u_new)
+        if centre >= 0:
+            ghosts[nxt][...] = mates[nxt]
+        np.subtract(wins[nxt], wins[prv], ut_w)
+        np.divide(ut_w, two_dt, ut_w)
+        peak = np.maximum.reduce(np.absolute(ut_w, abs_w))
+        # u^{k-1} is finite, so a NaN |u_t| comes from a NaN u^{k+1}
+        if not peak < math.inf and not np.isfinite(wins[nxt]).all():
+            stop = _NONFINITE
+        elif k == next_store:
+            run.over, stop = bool(peak > threshold), _STORE
+        elif peak > threshold:
+            stop = _THRESHOLD
+        else:
+            rot = cur
+            continue
+        run.level, run.rot = k, rot
+        return stop
+    run.level, run.rot = last + 1, rot
+    return _END
 
 
 def _run(
@@ -538,7 +617,7 @@ def _run(
     """
     _check_run(components, grid, threshold, store_every)
     n, m = 2 * grid._n_half() + 1, len(components)
-    dt, c = grid.dt, grid.cfl
+    dt = grid.dt
     k_max = grid.n_steps()
     rows: _Rows | None = None
     kept = 0
@@ -569,27 +648,8 @@ def _run(
         fit(kept)
         return blow_up, t_est, rows
 
-    # one coefficient group when every component shares (mu, nu2), else one
-    # group per component; their per-level 1 - lam, 1 + lam and mass are 0-d
-    # arrays, as are the per-run constants
-    params = [comp.params for comp in components]
-    if len(set(params)) == 1:
-        params = params[:1]
     # every forcing is |u_t|^p, none a sampled source (see _Component)
     powers = all(comp.power is not None for comp in components)
-    massless = powers and all(comp.params.nu2 == 0.0 for comp in components)
-    half_mu_dts = [0.5 * q.mu * dt for q in params]
-    nu2s = [q.nu2 for q in params]
-    lesses, mores, masses = ([np.empty(()) for _ in params] for _ in range(3))
-    c2, two_less_c2, dt2, two_dt = (
-        np.array(v) for v in (c * c, 2.0 * (1.0 - c * c), dt * dt, 2.0 * dt)
-    )
-    scaled = c != 1.0  # at c = 1 the c^2 product and the 2(1-c^2)u term are identities
-    threshold = math.inf if threshold is None else threshold
-    # bound from the module's np name at each run: tools/fd_level_cost.py
-    # and tests/test_fd.py record the level's calls by replacing it
-    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    absolute, maximum = np.absolute, np.maximum.reduce
     # Overflow past the last finite peak is the blow-up the loop detects, and
     # data that overflow the Taylor start end the run at the first level, so
     # neither raises a warning.
@@ -600,12 +660,10 @@ def _run(
         nonzero = slice(support[0] * m, support[1] * m)
         if not np.isfinite(u_curr[nonzero]).all():
             return result(True, dt)
-        # scratch for the forcing and the step; u_t and |u_t| need one buffer
-        # each: every forcing of a level reads the lagged |u_t| before the
-        # level overwrites it
-        u_next, abs_ut = np.zeros(n * m), np.zeros(n * m)
+        # u_t and |u_t| need one buffer each: every forcing of a level reads
+        # the lagged |u_t| before the level overwrites it
+        u_next, abs_ut, rhs = np.zeros(n * m), np.zeros(n * m), np.empty(n * m)
         np.absolute(ut[nonzero], abs_ut[nonzero])
-        rhs, tmp = np.empty(n * m), np.empty(n * m)
 
         # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
         centre = n // 2
@@ -619,117 +677,50 @@ def _run(
         floor = centre if mirror else 0
         if mirror:  # the Taylor level's ghost
             u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
-        kernel = _kernel_for(components)
-        if kernel is not None:
-            # the compiled kernel steps each block; the struct holds the
-            # buffers' addresses, which stay alive with this frame
-            buffers = (u_prev, u_curr, u_next)
-            run = _KernelRun(
-                (ctypes.c_void_p * 3)(*(a.ctypes.data for a in buffers)),
-                ut.ctypes.data, abs_ut.ctypes.data, rhs.ctypes.data,
-                (_KernelComp * m)(*(
-                    (_KERNEL_POWERS.index(comp.power), comp.src, 0.5 * comp.params.mu * dt,
-                     comp.params.nu2)
-                    for comp in components
-                )),
-                n=n, m=m, mirror=centre if mirror else -1, scaled=scaled,
-                shared=len(params) == 1, dt=dt, c2=float(c2), two_less_c2=float(two_less_c2),
-                dt2=float(dt2), two_dt=float(two_dt), threshold=threshold,
-            )
-            # a large block is split between the caller and one helper
-            # thread, started at the first such block and joined when the
-            # run ends, where the process may use a second CPU
-            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-            threads, helper = len(cpus) > 1, None
+        run = _state(
+            components, grid, math.inf if threshold is None else threshold,
+            (u_prev, u_curr, u_next, ut, abs_ut, rhs), centre if mirror else -1,
+        )
+        # the compiled kernel steps each block where it has every forcing,
+        # else _levels; where the process may use a second CPU, a large block
+        # is split between the caller and one helper thread, started at the
+        # first such block and joined when the run ends
+        kernel = _kernel() if all(comp.power in _KERNEL_POWERS for comp in components) else None
+        levels = _levels if kernel is None else kernel.levels
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+        threads, helper = kernel is not None and len(cpus) > 1, None
         for first in range(1, k_max + 1, _BLOCK):
-            levels = range(first, min(first + _BLOCK, k_max + 1))
+            last = min(first + _BLOCK - 1, k_max)
             # one window for the block: the cone at its last level
-            lo, hi = max(lo - len(levels), floor), min(hi + len(levels), n)
-            if kernel is not None:
-                k = first
-                while k <= levels[-1]:
-                    # where rows are stored, a block ends at the store level
-                    last = levels[-1] if rows is None else min(levels[-1], next_store)
-                    # each half holds more nodes than the block has levels
-                    mid = (lo + hi) // 2
-                    span, half = last - k + 1, min(mid - lo, hi - mid)
-                    if threads and half > span and span * half * m >= _SPLIT_WORK:
+            lo, hi = max(lo - (last - first + 1), floor), min(hi + (last - first + 1), n)
+            k = first
+            while k <= last:
+                # where rows are stored, a call ends at the store level
+                end = last if rows is None else min(last, next_store)
+                # each half holds more nodes than the call has levels
+                mid = (lo + hi) // 2
+                span, half = end - k + 1, min(mid - lo, hi - mid)
+                if threads and half > span and span * half * m >= _SPLIT_WORK:
+                    if helper is None:
+                        helper = kernel.start(run)
                         if helper is None:
-                            helper = kernel.start(run)
-                            if helper is None:
-                                raise MemoryError("no memory for the FD helper thread's buffers")
-                            helpers.callback(kernel.stop, helper)
-                        stop = kernel.split(run, helper, lo, mid, hi, k, last, next_store)
-                    else:
-                        stop = kernel.levels(run, lo, hi, k, last, next_store)
-                    k = run.level
-                    t_k = k * dt
-                    if stop == _NONFINITE:
-                        return result(True, t_k + dt)
-                    if stop == _THRESHOLD:
-                        return result(True, t_k)
-                    if stop == _STORE:
-                        next_store = store(k, t_k, buffers[(run.rot + 1) % 3], ut)
-                        if run.over:
-                            return result(True, t_k)
-                        run.rot = (run.rot + 1) % 3
-                        k += 1
-                continue
-            w = slice(lo, hi)
-            prv, cur, nxt, scr = (
-                _views(a, lo, hi, m, len(params)) for a in (u_prev, u_curr, u_next, tmp)
-            )
-            v_ut, v_abs, v_rhs = (a[lo * m : hi * m] for a in (ut, abs_ut, rhs))
-            # each component's forcing reads the lagged |u_t| of its source
-            # component and writes its own stride-m view
-            forcings = [
-                (comp.rhs, v_abs[comp.src :: m], v_rhs[j::m], scr.win[j::m])
-                for j, comp in enumerate(components)
-            ]
-            for k in levels:
+                            raise MemoryError("no memory for the FD helper thread's buffers")
+                        helpers.callback(kernel.stop, helper)
+                    stop = kernel.split(run, helper, lo, mid, hi, k, end, next_store)
+                else:
+                    stop = levels(run, lo, hi, k, end, next_store)
+                k = run.level
                 t_k = k * dt
-                for force, abs_ut_lag, out, scratch in forcings:
-                    force(abs_ut_lag, t_k, w, out, scratch)
-                for half_mu_dt, less, more in zip(half_mu_dts, lesses, mores):
-                    lam = half_mu_dt / (1.0 + t_k)
-                    less.fill(1.0 - lam)
-                    more.fill(1.0 + lam)
-                # (1+lam) u^{k+1} = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u
-                #                   - (1-lam) u^{k-1} + dt^2 (rhs - mass u)
-                add(cur.right, cur.left, nxt.mid)
-                for end, out in zip(cur.ends, nxt.ends):
-                    add(end, end, out)
-                if scaled:
-                    multiply(nxt.win, c2, nxt.win)
-                    multiply(cur.win, two_less_c2, scr.win)
-                    add(nxt.win, scr.win, nxt.win)
-                if not massless:
-                    for nu2, mass, u, out in zip(nu2s, masses, cur.parts, scr.parts):
-                        mass.fill(nu2 / (1.0 + t_k) ** 2)
-                        multiply(u, mass, out)
-                    subtract(v_rhs, scr.win, v_rhs)
-                multiply(v_rhs, dt2, v_rhs)
-                for less, u, out in zip(lesses, prv.parts, scr.parts):
-                    multiply(u, less, out)
-                subtract(nxt.win, scr.win, nxt.win)
-                add(nxt.win, v_rhs, nxt.win)
-                for more, out in zip(mores, nxt.parts):
-                    divide(out, more, out)
-                if mirror:
-                    nxt.ghost[...] = nxt.mate
-                # u^{k-1} is finite, so a non-finite u^{k+1} makes the peak
-                # max |u_t| non-finite; only then is u^{k+1} itself scanned
-                subtract(nxt.win, prv.win, v_ut)
-                divide(v_ut, two_dt, v_ut)
-                peak = maximum(absolute(v_ut, v_abs))
-                if not peak < math.inf and not np.isfinite(nxt.win).all():
+                if stop == _NONFINITE:
                     return result(True, t_k + dt)
-                if k == next_store:
-                    next_store = store(k, t_k, u_curr, ut)
-                if peak > threshold:
+                if stop == _THRESHOLD:
                     return result(True, t_k)
-                u_prev, u_curr, u_next = u_curr, u_next, u_prev
-                prv, cur, nxt = cur, nxt, prv
+                if stop == _STORE:
+                    next_store = store(k, t_k, run.arrays[(run.rot + 1) % 3], ut)
+                    if run.over:
+                        return result(True, t_k)
+                    run.rot = (run.rot + 1) % 3
+                    k += 1
     return result(False, math.inf)
 
 
@@ -777,8 +768,7 @@ def solve_linear_fd(
         out[:] = f(t, xs[w])
         return out
 
-    # SourceTerm.support is only a quadrature hint: f is sampled everywhere;
-    # f may return -0.0, so the mass product stays even when nu2 == 0
+    # SourceTerm.support is only a quadrature hint: f is sampled everywhere
     source = _Component(params, data, rhs, 0, power=None)
     _, _, rows = _run([source], grid, store_every=store_every)
     return SpacetimeField(grid, *rows)

@@ -94,6 +94,8 @@ class SpacetimeField:
             )
         if self.dvalues.shape != self.values.shape:
             raise ValueError("dvalues shape differs from values shape")
+        if not (np.isfinite(self.times).all() and (np.diff(self.times) > 0).all()):
+            raise ValueError(f"times must be finite and strictly increasing, got {self.times}")
         if not np.isfinite(self.values).all() or not np.isfinite(self.dvalues).all():
             raise ValueError("field contains non-finite entries")
         self._xs = xs

@@ -157,9 +157,12 @@ def test_config_rejects_bad_threshold(tmp_path, threshold):
         ("amplitude", -1.0, "amplitude must be finite and > 0"),
         ("R", 0.0, "R must be finite and > 0"),
         ("R", -1.0, "R must be finite and > 0"),
+        ("refine", "no", "refine must be a bool"),
+        ("u0_zero", "no", "u0_zero must be a bool"),
     ],
     ids=[
         "p-half", "p-nan", "eps-nan", "amplitude-nan", "amplitude-negative", "R-zero", "R-negative",
+        "refine-string", "u0-zero-string",
     ],
 )
 def test_config_rejects_bad_exponent_eps_and_amplitude(tmp_path, capsys, name, value, message):

@@ -10,7 +10,6 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -493,21 +492,11 @@ def split_blocks(request, monkeypatch):
     """Steps the runs of a test with every block that can be split shared
     between the caller and the helper thread (id "forked"), or each block on
     the caller alone (id "serial"); returns the list of the kernel's split
-    calls and whether blocks are split."""
+    calls (see _blocks) and whether blocks are split."""
+    if fd._kernel() is None:
+        return [], False
     splitting = request.param == "forked"
-    if splitting:
-        _split_everywhere(monkeypatch)
-    else:
-        monkeypatch.setattr(fd, "_SPLIT_WORK", math.inf)
-    splits = []
-    kernel = fd._kernel()
-    if kernel is not None:
-        def split(*args):
-            splits.append(args[2:])
-            return kernel.split(*args)
-
-        monkeypatch.setattr(fd, "_kernel", lambda: kernel._replace(split=split))
-    return splits, splitting and kernel is not None
+    return _blocks(monkeypatch, "split" if splitting else "kernel")[1], splitting
 
 
 def _serial_record(components, grid, threshold):
@@ -560,67 +549,74 @@ def test_refined_lifespan_is_the_serial_pair(split_blocks, system, p, prof, grid
 
 def _numpy_levels(monkeypatch):
     """Steps every level with the numpy level loop, as where the compiled
-    kernel cannot be built: the loop whose calls the tests record."""
+    kernel cannot be built."""
     monkeypatch.setattr(fd, "_kernel", lambda: None)
 
 
-def _offset(view):
-    """Element offset of a 1-D view into the buffer that owns it."""
-    return (view.ctypes.data - view.base.ctypes.data) // view.itemsize
+def _block_paths():
+    """The block steppers a run of kernel exponents can take on this host:
+    the numpy loop, and where the kernel builds, the kernel on one thread
+    and the kernel with every block that can be split shared with the
+    helper thread."""
+    return ["numpy"] + (["kernel", "split"] if fd._kernel() is not None else [])
 
 
-def _window_edges(monkeypatch, grid, steps=None):
-    """The lower edge, as a node index of ``grid``, of every window the
-    stepper advances in this process, one entry per level: the window of
-    the level's peak max |u_t|, the one call that reads every component's
-    u_t.  A buffer holds the m components of a node side by side, so its
-    element offset is m times the node index.
+def _blocks(patch, path):
+    """Steps the runs made under ``patch`` on block stepper ``path`` (see
+    _block_paths) and returns two lists of its calls, all of them and the
+    split ones, one (m, lo, hi, first, last) each: every call steps levels
+    first..last of all m components on the window [lo, hi) of nodes."""
+    calls, splits = [], []
 
-    Every neighbour-sum call of the step, the np.add of two views of one
-    buffer, appends to ``steps`` the number of components it sums: half
-    the offset between its inputs, or 0 when a view is strided."""
-    edges = []
-    n = len(grid.xs())
+    def hook(step, window, *logs):
+        def call(run, *args):
+            for log in (calls, *logs):
+                log.append((run.m, *window(args)))
+            return step(run, *args)
 
-    def peak(win):
-        m, rest = divmod(win.base.size, n)
-        assert rest == 0 and m >= 1
-        offset = _offset(win)
-        assert offset % m == 0 and win.size % m == 0
-        edges.append(offset // m)
-        return np.maximum.reduce(win)
+        return call
 
-    def spy_add(a, b, *out):
-        if steps is not None and a is not b and a.base is not None and a.base is b.base:
-            contiguous = all(v.strides == (v.itemsize,) for v in (a, b, *out))
-            steps.append((_offset(a) - _offset(b)) // 2 if contiguous else 0)
-        return np.add(a, b, *out)
+    if path == "numpy":
+        _numpy_levels(patch)
+        patch.setattr(fd, "_levels", hook(fd._levels, lambda args: args[:4]))
+        return calls, splits
+    kernel = fd._kernel()
+    if path == "split":
+        _split_everywhere(patch)
+    else:
+        patch.setattr(fd, "_SPLIT_WORK", math.inf)
+    # split's arguments after the run: helper, lo, mid, hi, first, last
+    split = hook(kernel.split, lambda args: (args[1], *args[3:6]), splits)
+    levels = hook(kernel.levels, lambda args: args[:4])
+    patch.setattr(fd, "_kernel", lambda: kernel._replace(levels=levels, split=split))
+    return calls, splits
 
-    class Numpy:
-        """numpy as fd sees it, with the peak's reduction and np.add spied on."""
 
-        maximum = SimpleNamespace(reduce=peak)
-        add = staticmethod(spy_add)
-
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-    monkeypatch.setattr(fd, "np", Numpy())
-    _numpy_levels(monkeypatch)
-    return edges
+def _each_level_once(calls, levels):
+    """Whether the calls stepped levels 1..levels once each, in order, and
+    the last of them in the last call (where the run stopped)."""
+    stepped = [k for *_, first, last in calls for k in range(first, last + 1)]
+    return stepped[:levels] == list(range(1, levels + 1)) and calls[-1][3] <= levels <= calls[-1][4]
 
 
 def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
-    # bump data are even: a lifespan run pins its window at the centre node
+    # bump data are even: a lifespan run pins the window of every block at
+    # the centre node, on every block stepper
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
     centre = len(grid.xs()) // 2
-    edges = _window_edges(monkeypatch, grid)
-    assert detect_lifespan(P2, prof, 1.5, grid).blow_up
-    assert edges and set(edges) == {centre}
-    edges.clear()
-    assert detect_lifespan_system(CROSS_SYSTEM, prof, prof, grid).blow_up
-    assert edges and set(edges) == {centre}
+    for path in _block_paths():
+        with monkeypatch.context() as patch:
+            calls, _ = _blocks(patch, path)
+            for lifespan in (
+                lambda: detect_lifespan(P2, prof, 1.5, grid),
+                lambda: detect_lifespan_system(CROSS_SYSTEM, prof, prof, grid),
+            ):
+                calls.clear()
+                record = lifespan()
+                assert record.blow_up
+                assert _each_level_once(calls, round(record.T_est / grid.dt))
+                assert {lo for _, lo, *_ in calls} == {centre}
 
 
 @pytest.mark.parametrize(
@@ -632,20 +628,20 @@ def test_even_lifespan_steps_x_nonnegative_only(monkeypatch):
     ids=["cross-system", "shared-coefficients-censored"],
 )
 def test_system_steps_all_components_in_one_call_per_level(monkeypatch, system, prof, blow_up):
-    # the components share one interleaved buffer, so a level is one
-    # neighbour-sum call over a contiguous window of both components, on
-    # both coefficient paths and with the mirror on or off
+    # the components share one interleaved buffer, so every level is
+    # stepped once, in one stepper call over one window of both
+    # components, on both coefficient paths, with the mirror on or off and
+    # on every block stepper
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=6.0)
-    steps = []
-    edges = _window_edges(monkeypatch, grid, steps)
-    for data2 in (prof, ODD_DATA):
-        edges.clear()
-        steps.clear()
-        record = detect_lifespan_system(system, prof, data2, grid)
-        assert record.blow_up == blow_up
-        levels = round(record.T_est / grid.dt) if blow_up else grid.n_steps()
-        assert len(edges) == levels
-        assert steps == [2] * levels
+    for path in _block_paths():
+        for data2 in (prof, ODD_DATA):
+            with monkeypatch.context() as patch:
+                calls, _ = _blocks(patch, path)
+                record = detect_lifespan_system(system, prof, data2, grid)
+            assert record.blow_up == blow_up
+            levels = round(record.T_est / grid.dt) if blow_up else grid.n_steps()
+            assert _each_level_once(calls, levels)
+            assert all(m == 2 and lo < hi for m, lo, hi, *_ in calls)
 
 
 #: the criterion-9 sweep at dx = 1/100, the seed-0 system_sweep benchmark
@@ -702,23 +698,28 @@ ODD_DATA = CauchyProfile(
 
 @pytest.mark.parametrize("case", ["odd data", "one uneven component", "stored rows"])
 def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
-    # each run's window reaches left of the centre node, and its lifespan is
-    # the one of the whole-grid reference
+    # on every block stepper, each run's window reaches left of the centre
+    # node, and its lifespan is the one of the whole-grid reference
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
-    edges = _window_edges(monkeypatch, grid)
+    c = CROSS_SYSTEM
     if case == "odd data":
         t_ref = _full_grid_run([(P2, ODD_DATA, 0, 1.5)], grid)[0]
-        t_est = detect_lifespan(P2, ODD_DATA, 1.5, grid).T_est
     elif case == "one uneven component":
-        c = CROSS_SYSTEM
         t_ref = _full_grid_run([(c.comp1, prof, 1, c.p), (c.comp2, ODD_DATA, 0, c.q)], grid)[0]
-        t_est = detect_lifespan_system(c, prof, ODD_DATA, grid).T_est
     else:
         t_ref = _full_grid_run([(P2, prof, 0, 1.5)], grid)[0]
-        t_est = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)[1].T_est
-    assert t_est == t_ref
-    assert min(edges) < len(grid.xs()) // 2
+    for path in _block_paths():
+        with monkeypatch.context() as patch:
+            calls, _ = _blocks(patch, path)
+            if case == "odd data":
+                t_est = detect_lifespan(P2, ODD_DATA, 1.5, grid).T_est
+            elif case == "one uneven component":
+                t_est = detect_lifespan_system(c, prof, ODD_DATA, grid).T_est
+            else:
+                t_est = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)[1].T_est
+        assert t_est == t_ref
+        assert min(lo for _, lo, *_ in calls) < len(grid.xs()) // 2
 
 
 @pytest.mark.parametrize("x_max", [3.0, 3.1], ids=["one node", "three nodes"])
@@ -1003,6 +1004,25 @@ def test_censored_record_uses_infinity_marker():
     assert record.converged is None
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"eps": math.nan}, {"eps": 0.0}, {"eps": math.inf}, {"threshold_used": 0.0},
+        {"threshold_used": math.nan}, {"T_est": math.nan}, {"T_est": -1.0}, {"T_est": 0.0},
+        {"T_est": math.inf}, {"blow_up": False, "T_est": -math.inf},
+    ],
+    ids=lambda bad: "-".join(f"{name}={value}" for name, value in bad.items()),
+)
+def test_lifespan_record_rejects_bad_fields(bad):
+    # the message names the last field set
+    grid = GridSpec(dx=0.1, cfl=1.0, x_max=3.0, t_max=2.0)
+    good = {"eps": 0.5, "T_est": 1.2, "blow_up": True, "threshold_used": 1e8, "grid": grid}
+    LifespanRecord(**good)
+    LifespanRecord(**{**good, "T_est": math.inf, "blow_up": False, "threshold_used": math.inf})
+    with pytest.raises(ValueError, match=list(bad)[-1]):
+        LifespanRecord(**{**good, **bad})
+
+
 def test_lifespan_csv_schema(tmp_path):
     censor_grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=3.0, t_max=1.5)
     blow_grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=7.0, t_max=5.5)
@@ -1106,7 +1126,7 @@ def _all_paths(monkeypatch, components, grid, threshold, kernels=None):
     """_outputs through each of ``kernels`` (fd's own build if None) with
     every block that can be shared with the helper thread, then on the
     caller alone, and last through the numpy loop."""
-    assert fd._kernel_for(components) is not None
+    assert all(comp.power in fd._KERNEL_POWERS for comp in components)
     outputs = []
     for kernel in kernels or [fd._kernel()]:
         for splitting in (True, False):
@@ -1154,6 +1174,35 @@ def test_kernel_stops_on_block_edges_as_the_numpy_loop(
     assert len(kernel_paths) == 4
     assert all(outputs == numpy_loop for outputs in kernel_paths)
     assert numpy_loop[0][0][1] == t_est
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", [2, 5], ids=["p2-cfl0.5-mirror", "cross-system-cfl0.9"])
+def test_numpy_levels_keep_the_kernel_contract(kernel, monkeypatch, case):
+    # every block goes to the numpy _levels and, on a twin of the run state,
+    # to the kernel's siwave_fd_levels: the two return the same stop and
+    # leave the same level, rot, over and buffer bytes, for blocks that end
+    # each way (the runs without rows are mirrored; with store_every 1 the
+    # threshold crossing is a store level)
+    components, grid = KERNEL_CASES[case]
+    levels, kernel_levels, seen = fd._levels, fd._kernel().levels, set()
+
+    def both(run, lo, hi, first, last, next_store):
+        twin = fd._state(components, grid, run.threshold, [a.copy() for a in run.arrays], run.mirror)
+        twin.rot, twin.level, twin.over = run.rot, run.level, run.over
+        want = kernel_levels(twin, lo, hi, first, last, next_store)
+        stop = levels(run, lo, hi, first, last, next_store)
+        assert (stop, run.level, run.rot, run.over) == (want, twin.level, twin.rot, twin.over)
+        assert [a.tobytes() for a in run.arrays] == [a.tobytes() for a in twin.arrays]
+        seen.add((stop, stop == fd._STORE and bool(run.over)))
+        return stop
+
+    _numpy_levels(monkeypatch)
+    monkeypatch.setattr(fd, "_levels", both)
+    for store_every, threshold in ((None, 1e8), (7, 1e8), (1, 1e8), (None, math.inf)):
+        assert _run(components, grid, threshold, store_every)[0]
+    assert seen == {(fd._END, False), (fd._STORE, False), (fd._STORE, True),
+                    (fd._THRESHOLD, False), (fd._NONFINITE, False)}
 
 
 _TILT = smooth_bump(1.0, 8.0)

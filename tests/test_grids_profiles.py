@@ -68,6 +68,10 @@ def test_field_shape_and_finiteness_checks():
     bad[1, 2] = np.inf
     with pytest.raises(ValueError, match="finite"):
         SpacetimeField(grid=grid, times=times, values=bad, dvalues=good)
+    # unordered times would make interpolate reject points inside [t0, t_last]
+    for bad_times in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0], [0.0, 0.5, np.inf]):
+        with pytest.raises(ValueError, match="times must be finite and strictly increasing"):
+            SpacetimeField(grid=grid, times=np.array(bad_times), values=good, dvalues=good)
 
 
 def test_field_bilinear_interpolation():

@@ -74,12 +74,19 @@ def _second_cpu() -> float:
     """The share of a full CPU that each of two processes gets while both run
     the same CPU-bound loop, against one alone: about 1 where the second CPU
     gives its time, about 0.5 where the host gives the two together no more
-    than one (the two-thread figures then show no gain)."""
+    than one (the two-thread figures then show no gain).  The median over
+    five rounds that time one process and two back to back, in alternating
+    order, so that the host's speed drifting between probes taken apart
+    does not read as a share."""
 
     def times(n: int) -> list[float]:
         procs = [subprocess.Popen([sys.executable, "-c", _SPIN], stdout=subprocess.PIPE, text=True)
                  for _ in range(n)]
         return [float(p.communicate()[0]) for p in procs]
 
-    alone = min(times(1)[0] for _ in range(3))
-    return round(alone / statistics.median(times(2) + times(2)), 2)
+    ratios = []
+    for r in range(5):
+        # the comprehension times the two probes in this order
+        probes = {n: statistics.median(times(n)) for n in ((1, 2) if r % 2 == 0 else (2, 1))}
+        ratios.append(probes[1] / probes[2])
+    return round(statistics.median(ratios), 2)

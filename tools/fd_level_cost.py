@@ -1,5 +1,4 @@
-"""Cost of one level of the FD stepper on each of its paths, and of the bare
-ufunc calls the numpy path makes.
+"""Cost of one level of the FD stepper on each of its paths.
 
     python3 tools/fd_level_cost.py [--baseline CHECKOUT] [--out BENCH_fd_level.json]
 
@@ -21,7 +20,7 @@ alternating order; a figure is the median over the rounds of that
 difference, which a slow spell of a shared host moves less than a
 difference of two best times, and which moves every path alike.
 
-Each case has four figures per checkout, one per path, named after it:
+Each case has three figures per checkout, one per path, named after it:
 
   kernel_two_threads  the compiled level kernel (fd._kernel) with every
                       block split between the caller and its helper thread
@@ -34,15 +33,7 @@ Each case has four figures per checkout, one per path, named after it:
                       not build);
   numpy_loop          the numpy level loop, the path of general exponents,
                       linear mode and hosts without a C compiler, run here
-                      by standing in None for the kernel;
-  bare_ufuncs         the ufunc calls of that numpy loop, replayed in the
-                      same process (numpy ufuncs and ufunc.reduce, recorded
-                      with their arguments through a stand-in for the
-                      ``np`` name of siwave.fd) with the same difference
-                      taken: the numpy level without the Python code around
-                      its calls.  Array methods (such as ndarray.max) and
-                      slice assignments are not ufunc calls, so they count
-                      on the loop's side only.
+                      by standing in None for the kernel.
 
 With ``--baseline`` the siwave package of a second checkout is loaded
 under a name of its own and measured in the same rounds.
@@ -68,8 +59,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
@@ -79,7 +68,7 @@ DX = 0.01
 FIRST, LAST = 100, 300  # the levels whose cost is measured
 WINDOWS = (250, 400, 1000, 2500)
 REPEAT = 31  # rounds per figure
-PATHS = ("kernel_two_threads", "kernel_one_thread", "numpy_loop", "bare_ufuncs")
+PATHS = ("kernel_two_threads", "kernel_one_thread", "numpy_loop")
 
 
 class _Checkout:
@@ -101,7 +90,6 @@ class _Checkout:
             ),
             "kernel_one_thread": self.fd._kernel() is not None,
             "numpy_loop": True,
-            "bare_ufuncs": True,
         }
 
     def run(self, m: int, coefficients: str, R: float, levels: int) -> None:
@@ -123,7 +111,7 @@ class _Checkout:
 
     @contextlib.contextmanager
     def path(self, name: str):
-        """The runs of this block step on path ``name`` (not bare_ufuncs)."""
+        """The runs of this block step on path ``name``."""
         fd = self.fd
         saved = {key: getattr(fd, key) for key in ("_kernel", "_SPLIT_WORK") if hasattr(fd, key)}
         if name == "kernel_two_threads":
@@ -137,50 +125,6 @@ class _Checkout:
         finally:
             for key, value in saved.items():
                 setattr(fd, key, value)
-
-    def recorded(self, m: int, coefficients: str, R: float, levels: int) -> list:
-        """The ufunc calls of the numpy loop's run, with their arguments."""
-        calls: list = []
-        self.fd.np = _Recorder(calls)
-        try:
-            with self.path("numpy_loop"):
-                self.run(m, coefficients, R, levels)
-        finally:
-            self.fd.np = np
-        return calls
-
-
-class _Recorder:
-    """Stands in for numpy in siwave.fd and records every ufunc call."""
-
-    def __init__(self, calls: list):
-        self._calls = calls
-
-    def __getattr__(self, name: str):
-        attr = getattr(np, name)
-        return _RecordedUfunc(attr, self._calls) if isinstance(attr, np.ufunc) else attr
-
-
-class _RecordedUfunc:
-    def __init__(self, ufunc: np.ufunc, calls: list):
-        self._ufunc, self._calls = ufunc, calls
-
-    def __call__(self, *args, **kwargs):
-        self._calls.append((self._ufunc, args, kwargs))
-        return self._ufunc(*args, **kwargs)
-
-    @property
-    def reduce(self):
-        def reduce(*args, **kwargs):
-            self._calls.append((self._ufunc.reduce, args, kwargs))
-            return self._ufunc.reduce(*args, **kwargs)
-
-        return reduce
-
-
-def _replay(calls: list) -> None:
-    for call, args, kwargs in calls:
-        call(*args, **kwargs)
 
 
 def _gap(first, last, r: int) -> float:
@@ -200,17 +144,9 @@ def _case(checkouts: dict, m: int, coefficients: str, window: int) -> dict:
     block = next(iter(checkouts.values())).fd._BLOCK
     R = (window - 1 - (FIRST + LAST) // 2 - block // 2) * DX
     levels = LAST - FIRST
-    calls = {
-        label: [co.recorded(m, coefficients, R, n) for n in (FIRST, LAST)]
-        for label, co in checkouts.items()
-    }
 
     def timed(label: str, name: str, r: int) -> float:
         co = checkouts[label]
-        if name == "bare_ufuncs":
-            short, long = calls[label]
-            with np.errstate(all="ignore"):
-                return _gap(lambda: _replay(short), lambda: _replay(long), r)
         with co.path(name):
             return _gap(lambda: co.run(m, coefficients, R, FIRST),
                         lambda: co.run(m, coefficients, R, LAST), r)
@@ -228,8 +164,6 @@ def _case(checkouts: dict, m: int, coefficients: str, window: int) -> dict:
             )
             for name in PATHS
         }
-        short, long = calls[label]
-        case[label]["ufunc_calls_per_level"] = round((len(long) - len(short)) / levels, 2)
     return case
 
 
@@ -265,8 +199,8 @@ def main() -> int:
             f"{LAST - FIRST} levels, every path of every checkout timed in each round in "
             "alternating order; cfl = 1, dx = 0.01, mirrored even data; "
             "<path>_us_per_level for the paths kernel_two_threads (every block split between "
-            "the caller and a helper thread), kernel_one_thread, numpy_loop and bare_ufuncs "
-            "(the numpy loop's recorded ufunc calls replayed); null where a path does not run"
+            "the caller and a helper thread), kernel_one_thread and numpy_loop; null where a "
+            "path does not run"
         ),
         "host": _host(),
         "second_cpu_share": second_cpu,
