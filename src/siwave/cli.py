@@ -33,7 +33,7 @@ import numpy as np
 from .comparison import ComparisonFrame, comparison_blowup_z
 from .experiments import SweepConfig, resolve_output_path, run_sweep, write_sweep_svg
 from .fd import lifespan_records_to_csv, solve_semilinear_field
-from .grids import FLOAT_FMT, GridSpec
+from .grids import FLOAT_FMT, GridSpec, _write_csv
 from .hypergeom import ConvergenceError
 from .iteration import (
     critical_sequences,
@@ -181,10 +181,7 @@ def _cmd_kernels(args) -> int:
             t, np.full_like(t, sample.x), b, y, _zeta(t - b, w, _distance(t + b + 2.0, w)),
             _E(params, t, b, w), mix - params.mu * k1, k1,
         )
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("t,x,b,y,zeta,E,K0,K1\n")
-            for row in zip(*(c.tolist() for c in columns)):
-                handle.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        _write_csv(path, "t,x,b,y,zeta,E,K0,K1", zip(*(c.tolist() for c in columns)))
         print(f"wrote {path}")
     return EXIT_OK
 

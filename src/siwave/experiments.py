@@ -236,35 +236,27 @@ def _fit_records(records: list[LifespanRecord], prediction) -> tuple[ScalingFit 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run one lifespan detection per eps, write the CSV, fit the scaling."""
-    records: list[LifespanRecord] = []
-    if config.model == "single":
+    single = config.model == "single"
+    if single:
         params = config.single_params()
         prediction = predicted_lifespan_exponent(1, params, config.p)
-        for eps in config.eps_grid:
-            profile = bump_profile(
-                R=config.R, eps=eps, amplitude=config.amplitude, u0_zero=config.u0_zero
-            )
-            records.append(
-                detect_lifespan(
-                    params, profile, config.p, config.grid,
-                    threshold=config.threshold, refine=config.refine,
-                )
-            )
     else:
         sys = config.system_params()
         prediction = lifespan_rate_system(1, sys)
-        for eps in config.eps_grid:
-            # __post_init__ demands u0_zero for any delta < 1 component, so
-            # both components get the same data
-            profile = bump_profile(
-                R=config.R, eps=eps, amplitude=config.amplitude, u0_zero=config.u0_zero
-            )
-            records.append(
-                detect_lifespan_system(
-                    sys, profile, profile, config.grid,
-                    threshold=config.threshold, refine=config.refine,
-                )
-            )
+    records: list[LifespanRecord] = []
+    for eps in config.eps_grid:
+        # __post_init__ demands u0_zero for any delta < 1 component, so both
+        # components of a system get the same data
+        profile = bump_profile(R=config.R, eps=eps, amplitude=config.amplitude, u0_zero=config.u0_zero)
+        # one synchronous call of a module global per eps, so that a wrapper
+        # set on this module times each run
+        if single:
+            record = detect_lifespan(params, profile, config.p, config.grid,
+                                     threshold=config.threshold, refine=config.refine)
+        else:
+            record = detect_lifespan_system(sys, profile, profile, config.grid,
+                                            threshold=config.threshold, refine=config.refine)
+        records.append(record)
 
     out = resolve_output_path(config.output_path)
     lifespan_records_to_csv(records, out)

@@ -118,7 +118,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grids import FLOAT_FMT, GridSpec, SpacetimeField
+from .grids import GridSpec, SpacetimeField, _write_csv
 from .params import ScaleInvariantParams, SystemParams
 from .profiles import CauchyProfile, SourceTerm, _node_sampler
 
@@ -833,21 +833,8 @@ def detect_lifespan_system(
 
 def lifespan_records_to_csv(records: list[LifespanRecord], path: str) -> None:
     """Write the batch schema `eps,T_est,blow_up,threshold,dx,cfl,converged`."""
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("eps,T_est,blow_up,threshold,dx,cfl,converged\n")
-        for rec in records:
-            converged = "na" if rec.converged is None else str(rec.converged).lower()
-            handle.write(
-                ",".join(
-                    [
-                        FLOAT_FMT % rec.eps,
-                        FLOAT_FMT % rec.T_est,
-                        str(rec.blow_up).lower(),
-                        FLOAT_FMT % rec.threshold_used,
-                        FLOAT_FMT % rec.grid.dx,
-                        FLOAT_FMT % rec.grid.cfl,
-                        converged,
-                    ]
-                )
-                + "\n"
-            )
+    _write_csv(path, "eps,T_est,blow_up,threshold,dx,cfl,converged", (
+        (rec.eps, rec.T_est, str(rec.blow_up).lower(), rec.threshold_used, rec.grid.dx, rec.grid.cfl,
+         "na" if rec.converged is None else str(rec.converged).lower())
+        for rec in records
+    ))

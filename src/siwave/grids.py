@@ -126,18 +126,20 @@ class SpacetimeField:
 
     def to_csv(self, path: str) -> None:
         """Write rows `t,x,u,ut`, one per node, 17 significant digits."""
-        xs = self.xs
-        with open(path, "w", encoding="ascii") as handle:
-            handle.write("t,x,u,ut\n")
-            for i, t in enumerate(self.times):
-                for j, x in enumerate(xs):
-                    handle.write(
-                        ",".join(
-                            FLOAT_FMT % v
-                            for v in (t, x, self.values[i, j], self.dvalues[i, j])
-                        )
-                        + "\n"
-                    )
+        xs = self.xs.tolist()
+        rows = zip(np.asarray(self.times).tolist(), self.values.tolist(), self.dvalues.tolist())
+        _write_csv(path, "t,x,u,ut", (
+            (t, x, u, ut) for t, u_row, ut_row in rows for x, u, ut in zip(xs, u_row, ut_row)
+        ))
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the line ``header`` and one line per row of ``rows``, ASCII: a
+    str cell as it is, any other in FLOAT_FMT."""
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write(header + "\n")
+        for row in rows:
+            handle.write(",".join(v if isinstance(v, str) else FLOAT_FMT % v for v in row) + "\n")
 
 
 def _bracket(nodes: np.ndarray, v: np.ndarray):

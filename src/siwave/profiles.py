@@ -149,14 +149,24 @@ def _check_bump(R: float, amplitude: float) -> None:
         raise ValueError(f"bump amplitude must be finite, got {amplitude}")
 
 
-def _on_support(s, value: Callable) -> np.ndarray:
-    """value(s, np.exp) where |s| < 1 and 0.0 where |s| >= 1, on an array s;
-    NaN counts as inside, as on the scalar paths."""
-    s = np.asarray(s)
-    out = np.zeros(s.shape)
-    inside = ~(np.abs(s) >= 1.0)
-    out[inside] = value(s[inside], np.exp)
-    return out
+def _bump_sampler(R: float, value: Callable) -> Sampler:
+    """The sampler of value(x/R, exp) on |x| < R and 0.0 where |x| >= R,
+    with math.exp on a float and np.exp on an array; NaN counts as inside
+    on both paths."""
+
+    def sample(x: float) -> float:
+        if isinstance(x, np.ndarray):
+            s = np.asarray(x / R)
+            out = np.zeros(s.shape)
+            inside = ~(np.abs(s) >= 1.0)
+            out[inside] = value(s[inside], np.exp)
+            return out
+        s = x / R
+        if abs(s) >= 1.0:
+            return 0.0
+        return value(s, math.exp)
+
+    return sample
 
 
 def smooth_bump(R: float, amplitude: float = 1.0) -> Sampler:
@@ -172,15 +182,7 @@ def smooth_bump(R: float, amplitude: float = 1.0) -> Sampler:
     def value(s, exp):
         return amplitude * exp(-1.0 / (1.0 - s * s))
 
-    def sample(x: float) -> float:
-        if isinstance(x, np.ndarray):
-            return _on_support(x / R, value)
-        s = x / R
-        if abs(s) >= 1.0:
-            return 0.0
-        return value(s, math.exp)
-
-    return sample
+    return _bump_sampler(R, value)
 
 
 def smooth_bump_derivative(R: float, amplitude: float = 1.0) -> Sampler:
@@ -192,15 +194,7 @@ def smooth_bump_derivative(R: float, amplitude: float = 1.0) -> Sampler:
         g = 1.0 - s * s
         return amplitude * exp(-1.0 / g) * (-2.0 * s / R) / (g * g)
 
-    def sample(x: float) -> float:
-        if isinstance(x, np.ndarray):
-            return _on_support(x / R, value)
-        s = x / R
-        if abs(s) >= 1.0:
-            return 0.0
-        return value(s, math.exp)
-
-    return sample
+    return _bump_sampler(R, value)
 
 
 def bump_profile(

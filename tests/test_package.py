@@ -1,8 +1,10 @@
 """Package layout: traced modules import, every export is a real public name,
-and every cost tool starts."""
+every cost tool starts, imports only the standard library and numpy, and
+every checked-in report carries the harness header."""
 
 import ast
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +55,26 @@ def test_cost_tool_prints_its_help(tool):
         [sys.executable, str(tool), "--help"], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("tool", sorted((ROOT / "tools").glob("*.py")), ids=lambda p: p.stem)
+def test_tool_imports_only_stdlib_and_numpy(tool):
+    # the cost tools measure any checkout, so they bring no dependency of their own
+    allowed = set(sys.stdlib_module_names) | {"numpy", "_harness"}
+    for node in ast.walk(ast.parse(tool.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module if node.level == 0 else "." * node.level]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] in allowed, f"{tool.name} imports {name}"
+
+
+@pytest.mark.parametrize("report", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.stem)
+def test_bench_report_has_the_harness_header(report):
+    data = json.loads(report.read_text(encoding="ascii"))
+    assert {"metric", "method", "host", "revisions"} <= data.keys()
+    assert "checkout" in data["revisions"]
+    assert "second_cpu_share" not in data

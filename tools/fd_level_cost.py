@@ -14,20 +14,18 @@ R set so that the block windows of levels 100 to 300 average the target
 width.  The run to level 300 and the run to level 100 sample the same data
 on the same nodes, so the difference of their times over 200 levels is the
 cost of one level, with the per-block work included and the set-up
-excluded.  Each round times, for every path of every checkout in an order
-that alternates from round to round, the two runs back to back, also in
-alternating order; a figure is the median over the rounds of that
-difference, which a slow spell of a shared host moves less than a
-difference of two best times, and which moves every path alike.
+excluded.  A round times the two runs back to back, in an order that also
+alternates from round to round; a figure is the median over the rounds of
+that difference, which a slow spell of a shared host moves less than a
+difference of two best times.
 
 Each case has three figures per checkout, one per path, named after it:
 
   kernel_two_threads  the compiled level kernel (fd._kernel) with every
                       block split between the caller and its helper thread
                       (_SPLIT_WORK at 0; each half still holds more
-                      nodes than its block has levels): null
-                      where the checkout has no split or the process may
-                      use one CPU only;
+                      nodes than its block has levels): null where the
+                      process may use one CPU only;
   kernel_one_thread   the compiled kernel with no block split, the path of
                       a process that may use one CPU (null where it does
                       not build);
@@ -35,40 +33,32 @@ Each case has three figures per checkout, one per path, named after it:
                       linear mode and hosts without a C compiler, run here
                       by standing in None for the kernel.
 
-With ``--baseline`` the siwave package of a second checkout is loaded
-under a name of its own and measured in the same rounds.
-
-A shared host may give the second CPU no time of its own, and then the
-two-thread figures show no gain; the report says, before and after the
-rounds, what share of a CPU each of two busy processes got
-(second_cpu_share: about 1 for a full second CPU, 0.5 for none).
-
-The result goes to the JSON file, with the host it ran on.
+Rounds, the baseline and the report are as in ``tools/_harness.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib
-import json
 import math
 import os
 import statistics
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tools"))
-
-from _harness import _host, _package, _revision, _second_cpu  # noqa: E402
+from _harness import main
 
 DX = 0.01
 FIRST, LAST = 100, 300  # the levels whose cost is measured
 WINDOWS = (250, 400, 1000, 2500)
+CASES = tuple((m, coefficients, window) for m, coefficients in ((1, "shared"), (2, "shared"), (2, "unequal"))
+              for window in WINDOWS)
 REPEAT = 31  # rounds per figure
 PATHS = ("kernel_two_threads", "kernel_one_thread", "numpy_loop")
+
+
+def _name(m: int, coefficients: str, window: int, path: str) -> str:
+    return f"m={m} {coefficients} window {window} {path}"
 
 
 class _Checkout:
@@ -84,12 +74,11 @@ class _Checkout:
             "unequal": pkg.SystemParams(p2, pkg.ScaleInvariantParams(3.0, 0.75), p=1.5, q=2.0),
         }
         cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-        self.paths = {
-            "kernel_two_threads": (
-                self.fd._kernel() is not None and hasattr(self.fd, "_SPLIT_WORK") and len(cpus) > 1
-            ),
-            "kernel_one_thread": self.fd._kernel() is not None,
-            "numpy_loop": True,
+        kernel = self.fd._kernel() is not None
+        paths = {"kernel_two_threads": kernel and len(cpus) > 1, "kernel_one_thread": kernel, "numpy_loop": True}
+        self.timers = {
+            _name(*case, path): lambda r, case=case, path=path: self.gap(*case, path, r)
+            for case in CASES for path in PATHS if paths[path]
         }
 
     def run(self, m: int, coefficients: str, R: float, levels: int) -> None:
@@ -113,7 +102,7 @@ class _Checkout:
     def path(self, name: str):
         """The runs of this block step on path ``name``."""
         fd = self.fd
-        saved = {key: getattr(fd, key) for key in ("_kernel", "_SPLIT_WORK") if hasattr(fd, key)}
+        saved = fd._kernel, fd._SPLIT_WORK
         if name == "kernel_two_threads":
             fd._SPLIT_WORK = 0
         elif name == "kernel_one_thread":
@@ -123,93 +112,53 @@ class _Checkout:
         try:
             yield
         finally:
-            for key, value in saved.items():
-                setattr(fd, key, value)
+            fd._kernel, fd._SPLIT_WORK = saved
+
+    def gap(self, m: int, coefficients: str, window: int, path: str, r: int) -> float:
+        """The time of the run to LAST minus that of the run to FIRST on path
+        ``path``, the two back to back, the shorter first in rounds 0, 1, 4,
+        5, ...: each checkout runs first in a round as often with either
+        order, so that a slow first run after a switch of path moves both
+        checkouts alike."""
+        # a mirrored block window spans R/dx + 1 nodes plus the levels up to
+        # its block's last one: about half a block past the level on average
+        R = (window - 1 - (FIRST + LAST) // 2 - self.fd._BLOCK // 2) * DX
+        times = {}
+        with self.path(path):
+            for levels in (FIRST, LAST) if r % 4 < 2 else (LAST, FIRST):
+                t0 = time.perf_counter()
+                self.run(m, coefficients, R, levels)
+                times[levels] = time.perf_counter() - t0
+        return times[LAST] - times[FIRST]
 
 
-def _gap(first, last, r: int) -> float:
-    """The time of ``last`` minus that of ``first``, the two timed back to
-    back, ``first`` first in even rounds."""
-    times = {}
-    for f in (first, last) if r % 2 == 0 else (last, first):
-        t0 = time.perf_counter()
-        f()
-        times[f] = time.perf_counter() - t0
-    return times[last] - times[first]
-
-
-def _case(checkouts: dict, m: int, coefficients: str, window: int) -> dict:
-    # a mirrored block window spans R/dx + 1 nodes plus the levels up to
-    # its block's last one: about half a block past the level on average
-    block = next(iter(checkouts.values())).fd._BLOCK
-    R = (window - 1 - (FIRST + LAST) // 2 - block // 2) * DX
+def _body(cases, samples, moves) -> dict:
     levels = LAST - FIRST
-
-    def timed(label: str, name: str, r: int) -> float:
-        co = checkouts[label]
-        with co.path(name):
-            return _gap(lambda: co.run(m, coefficients, R, FIRST),
-                        lambda: co.run(m, coefficients, R, LAST), r)
-
-    gaps = {(label, name): [] for label, co in checkouts.items() for name in PATHS if co.paths[name]}
-    for r in range(REPEAT):
-        for label, name in list(gaps)[:: 1 if r % 2 == 0 else -1]:
-            gaps[label, name].append(timed(label, name, r))
-    case: dict = {"m": m, "coefficients": coefficients, "window_nodes": window}
-    for label in checkouts:
-        case[label] = {
-            f"{name}_us_per_level": (
-                round(statistics.median(gaps[label, name]) / levels * 1e6, 2)
-                if (label, name) in gaps else None
-            )
-            for name in PATHS
-        }
-    return case
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline", default=None, help="root of a second checkout to measure alongside")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_fd_level.json"))
-    args = parser.parse_args()
-    roots = {"checkout": ROOT} | ({"baseline": Path(args.baseline).resolve()} if args.baseline else {})
-    checkouts = {label: _Checkout(_package(path, label)) for label, path in roots.items()}
-    second_cpu = [_second_cpu()]
-    cases = []
-    for m, coefficients in ((1, "shared"), (2, "shared"), (2, "unequal")):
-        for window in WINDOWS:
-            case = _case(checkouts, m, coefficients, window)
-            for label in checkouts:
-                figures = ", ".join(
-                    f"{name} " + ("none" if (v := case[label][f"{name}_us_per_level"]) is None
-                                  else f"{v:.2f}")
-                    for name in PATHS
-                )
-                print(f"{label:>8} m={m} {coefficients:<8} window {window:>5}: {figures} us/level",
-                      flush=True)
-            cases.append(case)
-    second_cpu.append(_second_cpu())
-    print(f"share of a CPU each of two busy processes gets, before and after: {second_cpu}")
-    report = {
-        "metric": "fd.us_per_level",
+    return {
         "unit": "us",
-        "method": (
-            f"median over {REPEAT} rounds of the time of a run to level {LAST} minus that "
-            f"of a run to level {FIRST}, the two back to back in alternating order, over "
-            f"{LAST - FIRST} levels, every path of every checkout timed in each round in "
-            "alternating order; cfl = 1, dx = 0.01, mirrored even data; "
-            "<path>_us_per_level for the paths kernel_two_threads (every block split between "
-            "the caller and a helper thread), kernel_one_thread and numpy_loop; null where a "
-            "path does not run"
-        ),
-        "host": _host(),
-        "second_cpu_share": second_cpu,
-        "revisions": {label: _revision(path) for label, path in roots.items()},
-        "cases": cases,
+        "cases": [
+            {"m": m, "coefficients": coefficients, "window_nodes": window} | {
+                label: {
+                    f"{path}_us_per_level": (
+                        round(statistics.median(s[name]) / levels * 1e6, 2)
+                        if (name := _name(m, coefficients, window, path)) in s else None
+                    )
+                    for path in PATHS
+                }
+                for label, s in samples.items()
+            }
+            for m, coefficients, window in CASES
+        ],
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="ascii")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(
+        __doc__, "BENCH_fd_level.json", _Checkout, REPEAT, "fd.us_per_level",
+        f"a case's figure is the time of a run to level {LAST} minus that of a run to level {FIRST}, "
+        f"the two back to back in alternating order, over {LAST - FIRST} levels; cfl = 1, dx = 0.01, "
+        "mirrored even data; <path>_us_per_level for the paths kernel_two_threads (every block split "
+        "between the caller and a helper thread), kernel_one_thread and numpy_loop; null where a "
+        "path does not run",
+        _body,
+    ))
