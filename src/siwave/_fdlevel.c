@@ -3,11 +3,11 @@
    siwave.fd builds this file on first use (fd._kernel) with
        -O3 -fPIC -shared -pthread -ffp-contract=off -fno-math-errno
    and loads it with ctypes.  siwave_fd_levels steps the levels of one
-   block of fd._run on the block's window and makes, on every element, the
-   IEEE operations of fd._levels, the numpy level loop, in the same order:
-   no fused multiply-add (-ffp-contract=off), no reassociation and no
-   reciprocal (no -ffast-math), so every value it writes has the numpy
-   loop's bits.
+   block of fd._run on the block's window, with their stored rows, and
+   makes, on every element, the IEEE operations of fd._levels, the numpy
+   level loop, in the same order: no fused multiply-add
+   (-ffp-contract=off), no reassociation and no reciprocal (no
+   -ffast-math), so every value it writes has the numpy loop's bits.
    sqrt is correctly rounded in both, and the mass coefficient's
    (1 + t)^2 is libm's pow, which is what Python's float power calls.
 
@@ -22,7 +22,8 @@
    helper's lock and one condition variable: the caller posts the upper
    half and steps the lower one, then steps the upper half itself where no
    thread has taken it, or sleeps until the helper, which takes a posted
-   half, has stepped it.  No thread spins.
+   half, has stepped it.  No thread spins.  Each half writes the stored
+   rows of its own nodes, [lo, mid) or [mid, hi).
 
    On x86-64 with glibc, where the compiler has the target_clones
    attribute, steps and the level loops it inlines (force, update, level)
@@ -70,22 +71,25 @@ struct fd_run {
     /* u^{k-1}, u^k and u^{k+1} are u[rot], u[rot + 1] and u[rot + 2] (mod 3);
        every buffer holds the m components node-major */
     double *u[3];
-    double *ut, *abs_ut, *rhs;
+    /* values and dvalues: the stored rows of u and u_t of component 0, n
+       nodes each, of the levels k_max and k = store_every j, in row
+       ceil(k / store_every); store_every is 0 where the run stores none */
+    double *ut, *abs_ut, *rhs, *values, *dvalues;
     const struct fd_comp *comp;
-    long n, m;
+    long n, m, store_every, k_max;
     long mirror;     /* centre node of a mirrored run (its ghost centre - 1
-                        copies centre + 1 after each level), else -1 */
+                        copies centre + 1 after each level, and a row's node
+                        i goes to 2 centre - i too), else -1 */
     long scaled;     /* cfl != 1: the c^2 and 2 (1 - c^2) u terms */
     long shared;     /* every component has the (mu, nu2) of component 0 */
     long rot;        /* in, and out at the end of the block */
     long level;      /* out: the level the call stopped at, or last + 1 */
-    long over;       /* out: a store level's max |u_t| exceeds the threshold */
     double dt, c2, two_less_c2, dt2, two_dt, threshold;
 };
 
 /* The stop reasons; a level asks about them in this order, so where the
    halves of a split block stop at the same level, the smaller one holds. */
-enum { FD_END, FD_NONFINITE, FD_STORE, FD_THRESHOLD };
+enum { FD_END, FD_NONFINITE, FD_THRESHOLD };
 
 /* The forcing of every component on nodes [lo, hi), from the lagged |u_t|. */
 static inline __attribute__((always_inline)) void force(const struct fd_run *r, long m,
@@ -119,19 +123,19 @@ static inline __attribute__((always_inline)) void force(const struct fd_run *r, 
    at offsets right and left: m and -m, or 0 and 0 at a grid end, which
    takes u + u.  The mass product is taken for every nu2, as fd._levels
    takes it.  The flags become 1.0 where an |u_t| exceeds the threshold
-   (over) or is not below infinity (bad): the questions fd._levels asks of
-   its peak max |u_t|, kept as selects so that the loop vectorizes. */
+   (crossed) or is not below infinity (bad): the questions fd._levels asks
+   of its peak max |u_t|, kept as selects so that the loop vectorizes. */
 static inline __attribute__((always_inline)) void update(
     const struct fd_run *r, long from, long to, long stride, long right, long left,
     const double *restrict prv, const double *restrict cur, double *restrict nxt, double less,
-    double more, double mass, double *over, double *bad)
+    double more, double mass, double *crossed, double *bad)
 {
     double *restrict ut = r->ut, *restrict abs_ut = r->abs_ut;
     const double *restrict rhs = r->rhs;
     const double c2 = r->c2, two_less_c2 = r->two_less_c2, dt2 = r->dt2, two_dt = r->two_dt;
     const double threshold = r->threshold;
     const int scaled = r->scaled;
-    double o = *over, b = *bad;
+    double c = *crossed, b = *bad;
     for (long e = from; e < to; e += stride) {
         /* (1+lam) u^{k+1} = c^2 (u_{i+1} + u_{i-1}) + 2 (1-c^2) u
                              - (1-lam) u^{k-1} + dt^2 (rhs - mass u) */
@@ -148,16 +152,16 @@ static inline __attribute__((always_inline)) void update(
         const double a = fabs(v);
         ut[e] = v;
         abs_ut[e] = a;
-        o = a > threshold ? 1.0 : o;
+        c = a > threshold ? 1.0 : c;
         b = a < INFINITY ? b : 1.0;
     }
-    *over = o;
+    *crossed = c;
     *bad = b;
 }
 
 /* Level k on nodes [lo, hi); returns the flags of update. */
 static inline __attribute__((always_inline)) void level(const struct fd_run *r, long lo,
-                                                        long hi, long k, double *over,
+                                                        long hi, long k, double *crossed,
                                                         double *bad)
 {
     const long n = r->n, m = r->m;
@@ -178,34 +182,51 @@ static inline __attribute__((always_inline)) void level(const struct fd_run *r, 
         const double less = 1.0 - lam, more = 1.0 + lam;
         const double mass = r->comp[j].nu2 / pow(1.0 + t, two);
         if (lo == 0)
-            update(r, j, j + width, groups, 0, 0, prv, cur, nxt, less, more, mass, over, bad);
+            update(r, j, j + width, groups, 0, 0, prv, cur, nxt, less, more, mass, crossed, bad);
         if (groups == 1)
-            update(r, from, to, 1, m, -m, prv, cur, nxt, less, more, mass, over, bad);
+            update(r, from, to, 1, m, -m, prv, cur, nxt, less, more, mass, crossed, bad);
         else
-            update(r, from + j, to, m, m, -m, prv, cur, nxt, less, more, mass, over, bad);
+            update(r, from + j, to, m, m, -m, prv, cur, nxt, less, more, mass, crossed, bad);
         if (hi == n)
             update(r, (n - 1) * m + j, (n - 1) * m + j + width, groups, 0, 0, prv, cur, nxt,
-                   less, more, mass, over, bad);
+                   less, more, mass, crossed, bad);
     }
     if (r->mirror >= 0)
         for (long j = 0; j < m; j++)
             nxt[(r->mirror - 1) * m + j] = nxt[(r->mirror + 1) * m + j];
 }
 
+/* Writes u^k and u_t of component 0 on nodes [lo, hi), and in a mirrored
+   run at their images 2 centre - i too, into the stored rows of level k. */
+static void store(const struct fd_run *r, long lo, long hi, long k)
+{
+    const long m = r->m, row = (k + r->store_every - 1) / r->store_every;
+    const double *cur = r->u[(r->rot + 1) % 3];
+    double *u = r->values + row * r->n, *ut = r->dvalues + row * r->n;
+    for (long i = lo; i < hi; i++) {
+        u[i] = cur[i * m];
+        ut[i] = r->ut[i * m];
+        if (r->mirror >= 0) {
+            u[2 * r->mirror - i] = u[i];
+            ut[2 * r->mirror - i] = ut[i];
+        }
+    }
+}
+
 /* Steps levels first..last, level k on nodes [lo - grow_lo (last - k),
-   hi + grow_hi (last - k)), and stops, without rotating the buffers past
-   the level, at the first level that turns non-finite, that is next_store
-   (r->over tells whether it also crossed the threshold), or whose max |u_t|
-   exceeds the threshold; the level goes to r->level and the reason is
-   returned. */
+   hi + grow_hi (last - k)), and stores the rows of nodes [lo, hi) at each
+   store level; stops, without rotating the buffers past the level, at the
+   first level that turns non-finite (before its row is stored) or whose
+   max |u_t| exceeds the threshold (after); the level goes to r->level and
+   the reason is returned. */
 FD_CLONES static long steps(struct fd_run *r, long lo, long hi, long grow_lo, long grow_hi,
-                            long first, long last, long next_store)
+                            long first, long last)
 {
     const long m = r->m;
     for (long k = first; k <= last; k++) {
         const long a = lo - grow_lo * (last - k), b = hi + grow_hi * (last - k);
-        double over = 0.0, bad = 0.0;
-        level(r, a, b, k, &over, &bad);
+        double crossed = 0.0, bad = 0.0;
+        level(r, a, b, k, &crossed, &bad);
         r->level = k;
         /* u^{k-1} is finite, so a NaN |u_t| comes from a NaN u^{k+1}: the
            peak is NaN only where this returns */
@@ -215,11 +236,9 @@ FD_CLONES static long steps(struct fd_run *r, long lo, long hi, long grow_lo, lo
                 if (!isfinite(nxt[e]))
                     return FD_NONFINITE;
         }
-        if (k == next_store) {
-            r->over = over != 0.0;
-            return FD_STORE;
-        }
-        if (over != 0.0)
+        if (r->store_every > 0 && (k % r->store_every == 0 || k == r->k_max))
+            store(r, lo, hi, k);
+        if (crossed != 0.0)
             return FD_THRESHOLD;
         r->rot = (r->rot + 1) % 3;
     }
@@ -228,10 +247,9 @@ FD_CLONES static long steps(struct fd_run *r, long lo, long hi, long grow_lo, lo
 }
 
 /* Steps levels first..last on nodes [lo, hi); see steps. */
-long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last,
-                      long next_store)
+long siwave_fd_levels(struct fd_run *r, long lo, long hi, long first, long last)
 {
-    return steps(r, lo, hi, 0, 0, first, last, next_store);
+    return steps(r, lo, hi, 0, 0, first, last);
 }
 
 /* A helper's handoff states, read and written under its lock only: no half
@@ -245,17 +263,17 @@ enum { IDLE, POSTED, TAKEN, DONE, QUIT };
 struct fd_helper {
     struct fd_run upper, *run;
     double *own;
-    long mid, hi, first, last, next_store, stop;
+    long mid, hi, first, last, stop;
     pthread_t thread;
     int started, state;
     pthread_mutex_t lock;
     pthread_cond_t cond;
 };
 
-/* Copies nodes [from, to) of u[i] and u[i + 1] (mod 3), of |u_t| and, with
-   ut, of u_t from run src to run dst. */
-static void copy_nodes(struct fd_run *dst, const struct fd_run *src, long i, int ut, long from,
-                       long to)
+/* Copies nodes [from, to) of u[i] and u[i + 1] (mod 3) and of |u_t| from
+   run src to run dst: all a level reads of earlier ones (u_t is read only
+   in the level that computes it). */
+static void copy_nodes(struct fd_run *dst, const struct fd_run *src, long i, long from, long to)
 {
     if (from >= to)
         return;
@@ -264,28 +282,19 @@ static void copy_nodes(struct fd_run *dst, const struct fd_run *src, long i, int
     memcpy(dst->u[i % 3] + off, src->u[i % 3] + off, size);
     memcpy(dst->u[(i + 1) % 3] + off, src->u[(i + 1) % 3] + off, size);
     memcpy(dst->abs_ut + off, src->abs_ut + off, size);
-    if (ut)
-        memcpy(dst->ut + off, src->ut + off, size);
-}
-
-/* The two levels a block leaves for the next: u^{last} and u^{last + 1} at
-   its end, u^k and u^{k + 1} at a store level k. */
-static long latest(const struct fd_run *r, long stop)
-{
-    return stop == FD_STORE ? r->rot + 1 : r->rot;
 }
 
 /* Steps the posted upper half.  The lower half reads and writes no node
    from edge = mid + (last - first + 1) up, so those nodes are copied in
-   and, at the block's end or a store level, back out here, beside it. */
+   and, at the block's end, back out here, beside it. */
 static void step_upper(struct fd_helper *h)
 {
     struct fd_run *up = &h->upper;
     const long edge = h->mid + (h->last - h->first + 1);
-    copy_nodes(up, h->run, up->rot, 0, edge, h->hi);
-    h->stop = steps(up, h->mid, h->hi, 1, 0, h->first, h->last, h->next_store);
-    if (h->stop == FD_END || h->stop == FD_STORE)
-        copy_nodes(h->run, up, latest(up, h->stop), 1, edge, h->hi);
+    copy_nodes(up, h->run, up->rot, edge, h->hi);
+    h->stop = steps(up, h->mid, h->hi, 1, 0, h->first, h->last);
+    if (h->stop == FD_END)
+        copy_nodes(h->run, up, up->rot, edge, h->hi);
 }
 
 /* Sets the helper's state and wakes every thread that waits on it. */
@@ -362,11 +371,11 @@ void siwave_fd_helper_stop(struct fd_helper *h)
    time the lower half is done.  Each half must hold more nodes than the
    block has levels.  The block stops at the lower of the halves' stop
    levels, and where they stop at the same level, for the smaller reason.
-   At the block's end or a store level the upper half's two latest levels,
-   u_t and |u_t| are copied back; at any other stop the run ends and
-   nothing reads the buffers again. */
+   At the block's end the upper half's two latest levels and |u_t| are
+   copied back; at any other stop the run ends, reads no buffer again
+   and keeps no row past the stop level. */
 long siwave_fd_split(struct fd_run *r, struct fd_helper *h, long lo, long mid, long hi,
-                     long first, long last, long next_store)
+                     long first, long last)
 {
     const long span = last - first + 1, size = r->n * r->m;
     struct fd_run *up = &h->upper;
@@ -376,18 +385,18 @@ long siwave_fd_split(struct fd_run *r, struct fd_helper *h, long lo, long mid, l
     up->ut = h->own + 3 * size;
     up->abs_ut = h->own + 4 * size;
     up->rhs = h->own + 5 * size;
-    up->mirror = -1;
+    /* up keeps r->mirror for its rows' images; the ghost it copies in a
+       mirrored run is a private node below its nodes, which it never reads */
     /* the upper half's halo and the nodes the lower half writes */
-    copy_nodes(up, r, r->rot, 0, mid - span, mid + span);
+    copy_nodes(up, r, r->rot, mid - span, mid + span);
     h->run = r;
     h->mid = mid;
     h->hi = hi;
     h->first = first;
     h->last = last;
-    h->next_store = next_store;
     set_state(h, POSTED);
 
-    long stop = steps(r, lo, mid, 0, 1, first, last, next_store);
+    long stop = steps(r, lo, mid, 0, 1, first, last);
     /* the half no thread has taken is the caller's; else it waits */
     pthread_mutex_lock(&h->lock);
     const int mine = h->state == POSTED;
@@ -402,9 +411,7 @@ long siwave_fd_split(struct fd_run *r, struct fd_helper *h, long lo, long mid, l
         stop = h->stop;
         r->level = up->level;
     }
-    if (stop == FD_STORE)
-        r->over = r->over || up->over;
-    if (stop == FD_END || stop == FD_STORE)
-        copy_nodes(r, up, latest(r, stop), 1, mid, mid + span);
+    if (stop == FD_END)
+        copy_nodes(r, up, r->rot, mid, mid + span);
     return stop;
 }

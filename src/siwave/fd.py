@@ -48,36 +48,38 @@ where the data or the Taylor level are not +0.0 (the centre node if none),
 grows by one node per level (at any cfl) and is clipped at the grid ends.
 Levels go in blocks of _BLOCK = 32 on one window per block, the cone at
 the block's last level.  Outside the cone every update of a zero state is
-exactly +0.0, so any _BLOCK gives the same bits, and a run that stores rows
-gets the bits of stepping the whole grid.  A sampled source term can be
-nonzero anywhere, so a run with one steps the whole grid.  The set-up is
-sized the same way: with |u_t|^p forcings the data are sampled, and the
-Taylor start, the span, the evenness and finite tests and the first |u_t|
-taken, on the nodes within two of the data's support only (_start), which
-are written into zeroed full-width buffers; with a source term, on the
-whole grid.  A lifespan run (no stored rows) of even data steps only
-x >= 0: the window's lower edge is pinned at the centre node N, and node
-N-1 is a ghost that copies node N+1 after the Taylor start and after each
-step, before u_t and the peak.  That is the exactly even solution, the
-full window's bits on x >= 0.
+exactly +0.0, so any _BLOCK gives the same bits, and a stored field
+(+0.0 on every node no level writes) has the bits of stepping the whole
+grid.  A sampled source term can be nonzero anywhere, so a run with one
+steps the whole grid.  The set-up is sized the same way: with |u_t|^p
+forcings the data are sampled, and the Taylor start, the span, the
+evenness and finite tests and the first |u_t| taken, on the nodes within
+two of the data's support only (_start), which are written into zeroed
+full-width buffers; with a source term, on the whole grid.  A run of even
+data and |u_t|^p forcings steps only x >= 0: the window's lower edge is
+pinned at the centre node N, and node N-1 is a ghost that copies node N+1
+after the Taylor start and after each step, before u_t and the peak.  That
+is the exactly even solution, the full window's bits on x >= 0; stored
+rows copy node N+i to node N-i.
 
 u^{k-1}, u^k and u^{k+1} are preallocated full-width buffers that rotate
 between levels; u_t, |u_t| and the forcing have one each.  A buffer holds
 the m components node-major (component j of node i is element i*m + j), so
 a window of nodes [lo, hi) is the contiguous slice [lo*m, hi*m) and a
 shift by one node is a shift by m elements.  Stored rows go straight into
-(rows, n) arrays that become the field, so a stored run holds its field
-once; the arrays grow in place past _ROW_RESERVE bytes and end cut to the
-rows kept.
+zeroed (rows, n) arrays that become the field, so a stored run holds its
+field once; the arrays grow in place past _ROW_RESERVE bytes, before each
+block, and end cut to the rows kept.
 
-_run has one block loop.  It hands each block, cut at the next store
-level, to one of three steppers with the contract of steps in _fdlevel.c:
-the compiled kernel's siwave_fd_levels or its two-thread siwave_fd_split,
-or _levels, the same level loop in numpy.  Each steps levels first..last
-on the window [lo, hi), stops at the block's end, a non-finite level, the
-store level or a threshold crossing, and leaves the level, the buffer
-rotation and a store level's threshold flag in the run state they share
-(_state); the loop handles every stop, store and result in one place.
+_run has one block loop.  It hands each block to one of three steppers
+with the contract of steps in _fdlevel.c: the compiled kernel's
+siwave_fd_levels or its two-thread siwave_fd_split, or _levels, the same
+level loop in numpy.  Each steps levels first..last on the window [lo, hi)
+and writes u^k and u_t of component 0 on it (and its mirror image) into
+row ceil(k / store_every) of each store level k; it stops at the block's
+end, a non-finite level (before its row) or a threshold crossing (after),
+and leaves the level and the buffer rotation in the run state they share
+(_state).  The loop handles every stop and result in one place.
 
 _levels is the bit reference the tests hold the kernel to, and the only
 stepper of other exponents (numpy's power and libm's pow differ in the
@@ -344,9 +346,9 @@ _KERNEL_CFLAGS = (
 #: still gave shorter passes than 2^15 (medians 75.1 and 77.5 ms).
 _SPLIT_WORK = 1 << 14
 
-#: siwave_fd_levels' stop reasons: the block's end, a non-finite level, a
-#: store level and a peak past the threshold.
-_END, _NONFINITE, _STORE, _THRESHOLD = range(4)
+#: siwave_fd_levels' stop reasons: the block's end, a non-finite level and
+#: a peak past the threshold.
+_END, _NONFINITE, _THRESHOLD = range(3)
 
 
 class _KernelComp(ctypes.Structure):
@@ -359,16 +361,16 @@ class _KernelComp(ctypes.Structure):
 
 
 class _KernelRun(ctypes.Structure):
-    """struct fd_run of _fdlevel.c: a run's buffers and constants, the buffer
-    rotation, and the level a call stopped at; the run state of every block
-    stepper (see _state)."""
+    """struct fd_run of _fdlevel.c: a run's buffers, stored rows and
+    constants, the buffer rotation, and the level a call stopped at; the run
+    state of every block stepper (see _state)."""
 
     _fields_ = [
         ("u", ctypes.c_void_p * 3),
-        *((name, ctypes.c_void_p) for name in ("ut", "abs_ut", "rhs")),
+        *((name, ctypes.c_void_p) for name in ("ut", "abs_ut", "rhs", "values", "dvalues")),
         ("comp", ctypes.POINTER(_KernelComp)),
         *((name, ctypes.c_long) for name in (
-            "n", "m", "mirror", "scaled", "shared", "rot", "level", "over",
+            "n", "m", "store_every", "k_max", "mirror", "scaled", "shared", "rot", "level",
         )),
         *((name, ctypes.c_double) for name in (
             "dt", "c2", "two_less_c2", "dt2", "two_dt", "threshold",
@@ -377,11 +379,11 @@ class _KernelRun(ctypes.Structure):
 
 
 class _Kernel(NamedTuple):
-    """The functions of _fdlevel.c: ``levels(run, lo, hi, first, last,
-    next_store)`` steps a block, ``split(run, helper, lo, mid, hi, first,
-    last, next_store)`` steps it on two threads, ``start(run)`` starts a
-    helper for them (NULL, as None, where its buffers cannot be allocated)
-    and ``stop(helper)`` joins and frees it."""
+    """The functions of _fdlevel.c: ``levels(run, lo, hi, first, last)``
+    steps a block, ``split(run, helper, lo, mid, hi, first, last)`` steps it
+    on two threads, ``start(run)`` starts a helper for them (NULL, as None,
+    where its buffers cannot be allocated) and ``stop(helper)`` joins and
+    frees it."""
 
     levels: Callable[..., int]
     split: Callable[..., int]
@@ -445,7 +447,7 @@ def _bind(lib: ctypes.CDLL) -> _Kernel:
     )
     for f, args, result in zip(
         kernel,
-        ([run, *[long] * 5], [run, helper, *[long] * 6], [run], [helper]),
+        ([run, *[long] * 4], [run, helper, *[long] * 5], [run], [helper]),
         (long, long, helper, None),
     ):
         f.argtypes, f.restype = args, result
@@ -470,29 +472,31 @@ def _kernel() -> _Kernel | None:
 def _state(
     components: list[_Component], grid: GridSpec, threshold: float,
     arrays: tuple[np.ndarray, ...], mirror: int,
+    rows: tuple[np.ndarray, np.ndarray] | None = None, store_every: int = 0,
 ) -> _KernelRun:
     """The run state the block steppers share: the struct the kernel reads,
     over ``arrays`` (the full-width buffers u^0, u^1, u^2, u_t, |u_t| and
-    the forcing), with ``mirror`` the centre node of a mirrored run or -1.
-    _levels reads the same buffers as numpy arrays from its ``arrays`` and
-    the forcings from its ``components``, and keeps the views of the last
-    window it stepped in ``window`` and ``views``.  A forcing the kernel has
-    no form for gets form -1; the kernel then steps no block of the run."""
+    the forcing) and ``rows`` (stored u and u_t of every store_every-th
+    level), with ``mirror`` the centre node of a mirrored run or -1.
+    _levels reads the same arrays from ``arrays`` and ``rows`` and the
+    forcings from ``components``, and keeps the views of the last window it
+    stepped in ``window`` and ``views``.  A forcing the kernel has no form
+    for gets form -1; the kernel then steps no block of the run."""
     dt, c, m = grid.dt, grid.cfl, len(components)
     run = _KernelRun(
         (ctypes.c_void_p * 3)(*(a.ctypes.data for a in arrays[:3])),
-        *(a.ctypes.data for a in arrays[3:]),
-        (_KernelComp * m)(*(
+        *(a.ctypes.data for a in [*arrays[3:], *(rows or ())]),
+        comp=(_KernelComp * m)(*(
             (_KERNEL_POWERS.index(comp.power) if comp.power in _KERNEL_POWERS else -1,
              comp.src, 0.5 * comp.params.mu * dt, comp.params.nu2)
             for comp in components
         )),
-        n=len(arrays[0]) // m, m=m, mirror=mirror, scaled=c != 1.0,
-        shared=len({comp.params for comp in components}) == 1, dt=dt, c2=c * c,
+        n=len(arrays[0]) // m, m=m, store_every=store_every, k_max=grid.n_steps(), mirror=mirror,
+        scaled=c != 1.0, shared=len({comp.params for comp in components}) == 1, dt=dt, c2=c * c,
         two_less_c2=2.0 * (1.0 - c * c), dt2=dt * dt, two_dt=2.0 * dt, threshold=threshold,
     )
     # the struct holds the buffers' addresses; these references keep them alive
-    run.arrays, run.components, run.window = arrays, components, None
+    run.arrays, run.rows, run.components, run.window = arrays, rows, components, None
     return run
 
 
@@ -528,10 +532,10 @@ def _window(run: _KernelRun, lo: int, hi: int) -> tuple:
     )
 
 
-def _levels(run: _KernelRun, lo: int, hi: int, first: int, last: int, next_store: int) -> int:
+def _levels(run: _KernelRun, lo: int, hi: int, first: int, last: int) -> int:
     """Steps levels first..last on nodes [lo, hi) as siwave_fd_levels of
     _fdlevel.c does, in numpy, and returns its stop reason, with the same
-    level, rot and over in ``run`` and the same bits in every buffer.
+    level and rot in ``run`` and the same bits in every buffer and row.
 
     It follows steps, level and update line by line.  Each operation is one
     ufunc call on the window, over all components; the forcings, and the
@@ -542,11 +546,11 @@ def _levels(run: _KernelRun, lo: int, hi: int, first: int, last: int, next_store
     level: it is not below infinity where some |u_t| is not, and it exceeds
     the threshold where some |u_t| does.
     """
-    dt, threshold, centre = run.dt, run.threshold, run.mirror
+    dt, threshold, centre, every = run.dt, run.threshold, run.mirror, run.store_every
     scaled, c2, two_less_c2, dt2, two_dt = run.scaled, run.c2, run.two_less_c2, run.dt2, run.two_dt
     coefficients = [(c.half_mu_dt, c.nu2) for c in run.comp[: 1 if run.shared else run.m]]
-    # a block that stores rows is stepped in one call per stored level, all
-    # on its window: the views are sliced at the first
+    # blocks on one window (the whole grid, once the cone reaches both grid
+    # ends) share its views
     if run.window != (lo, hi):
         run.window, run.views = (lo, hi), _window(run, lo, hi)
     (wins, mids, rights, lefts, ghosts, mates, u_ends, u_parts,
@@ -586,17 +590,18 @@ def _levels(run: _KernelRun, lo: int, hi: int, first: int, last: int, next_store
         np.divide(ut_w, two_dt, ut_w)
         peak = np.maximum.reduce(np.absolute(ut_w, abs_w))
         # u^{k-1} is finite, so a NaN |u_t| comes from a NaN u^{k+1}
-        if not peak < math.inf and not np.isfinite(wins[nxt]).all():
-            stop = _NONFINITE
-        elif k == next_store:
-            run.over, stop = bool(peak > threshold), _STORE
-        elif peak > threshold:
-            stop = _THRESHOLD
-        else:
-            rot = cur
-            continue
-        run.level, run.rot = k, rot
-        return stop
+        nonfinite = not peak < math.inf and not np.isfinite(wins[nxt]).all()
+        if not nonfinite and every and (k % every == 0 or k == run.k_max):
+            # component 0's u^k and u_t into row ceil(k / every), and at the images
+            row, m = -(-k // every), run.m
+            for stored, level in zip(run.rows, (wins[cur], ut_w)):
+                stored[row, lo:hi] = level[::m]
+                if centre >= 0:
+                    stored[row, 2 * centre - hi + 1 : 2 * centre - lo + 1] = level[::m][::-1]
+        if nonfinite or peak > threshold:
+            run.level, run.rot = k, rot
+            return _NONFINITE if nonfinite else _THRESHOLD
+        rot = cur
     run.level, run.rot = last + 1, rot
     return _END
 
@@ -612,40 +617,33 @@ def _run(
     The run stops at the first level where any component turns non-finite
     or its max |u_t| exceeds ``threshold``.  With ``store_every``, rows
     (t, u, u_t) of component 0 are kept at every store_every-th level and
-    at the last one; without it, rows is None and even data step x >= 0
-    only (see the module docstring).
+    the last (a threshold crossing's too); else rows is None.
     """
     _check_run(components, grid, threshold, store_every)
     n, m = 2 * grid._n_half() + 1, len(components)
-    dt = grid.dt
-    k_max = grid.n_steps()
-    rows: _Rows | None = None
-    kept = 0
+    dt, k_max, rows = grid.dt, grid.n_steps(), None
     if store_every is not None:
-        # levels 0, store_every, 2 store_every, ... and k_max; past
-        # _ROW_RESERVE bytes the arrays grow by an eighth at a time; a
-        # Python int, as a small numpy integer would wrap around in -k_max
+        # levels 0, store_every, 2 store_every, ... and k_max, +0.0 where no
+        # stepper writes; past _ROW_RESERVE bytes the arrays grow by an
+        # eighth at a time; a Python int, as a small numpy integer would wrap
+        # around in -k_max; the times first, as a small array allocated
+        # after the rows can pin them in the heap (up to 10 MiB of peak RSS)
         store_every = int(store_every)
         count = 1 - (-k_max // store_every)
         size = min(count, max(1, _ROW_RESERVE // (16 * n)))
-        rows = (np.empty(size), np.empty((size, n)), np.empty((size, n)))
+        rows = (np.empty(size), np.zeros((size, n)), np.zeros((size, n)))
 
     def fit(size: int) -> None:
-        for a in rows or ():  # a realloc; no view of a row array is alive
+        for a in rows:  # a realloc that zero-fills; no view of a row array is alive
             a.resize((size, *a.shape[1:]), refcheck=False)
+        run.values, run.dvalues = (a.ctypes.data for a in rows[1:])
 
-    def store(k: int, t: float, u: np.ndarray, ut: np.ndarray) -> int:
-        """Keeps level k's row; returns the next level to keep."""
-        nonlocal kept
-        times, values, dvalues = rows
-        if kept == len(times):
-            fit(min(kept + kept // 8 + 1, count))
-        times[kept], values[kept], dvalues[kept] = t, u[::m], ut[::m]
-        kept += 1
-        return min(k + store_every, k_max)
-
-    def result(blow_up: bool, t_est: float) -> tuple[bool, float, _Rows | None]:
-        fit(kept)
+    def result(blow_up: bool, t_est: float, k_end: int) -> tuple[bool, float, _Rows | None]:
+        """The run's outcome, with the rows of levels 0..k_end."""
+        if rows is not None:
+            kept = 1 + (k_end // store_every if k_end < k_max else count - 1)
+            fit(kept)
+            np.multiply(np.minimum(np.arange(kept) * store_every, k_max), dt, rows[0])
         return blow_up, t_est, rows
 
     # every forcing is |u_t|^p, none a sampled source (see _Component)
@@ -655,32 +653,33 @@ def _run(
     # neither raises a warning.
     with np.errstate(over="ignore", invalid="ignore"), contextlib.ExitStack() as helpers:
         u_prev, u_curr, ut, support, even = _start(components, grid)
-        next_store = -1 if rows is None else store(0, 0.0, u_prev, ut)
-        # outside the support every element is +0.0, finite and its own |.|
-        nonzero = slice(support[0] * m, support[1] * m)
-        if not np.isfinite(u_curr[nonzero]).all():
-            return result(True, dt)
         # u_t and |u_t| need one buffer each: every forcing of a level reads
         # the lagged |u_t| before the level overwrites it
         u_next, abs_ut, rhs = np.zeros(n * m), np.zeros(n * m), np.empty(n * m)
+        # even data and |u_t|^p forcings (they keep parity): step x >= 0
+        # only, with node centre - 1 a ghost of node centre + 1
+        centre, mirror = n // 2, powers and even
+        run = _state(
+            components, grid, math.inf if threshold is None else threshold,
+            (u_prev, u_curr, u_next, ut, abs_ut, rhs), centre if mirror else -1,
+            rows and rows[1:], store_every or 0,
+        )
+        if rows is not None:
+            rows[1][0], rows[2][0] = u_prev[::m], ut[::m]
+        # outside the support every element is +0.0, finite and its own |.|
+        nonzero = slice(support[0] * m, support[1] * m)
+        if not np.isfinite(u_curr[nonzero]).all():
+            return result(True, dt, 0)
         np.absolute(ut[nonzero], abs_ut[nonzero])
 
         # every buffer is +0.0 outside nodes [lo, hi); a step spreads one node
-        centre = n // 2
         lo, hi = support if powers else (0, n)
         if lo == hi:
             # all +0.0: start at the centre node, so that no window is empty
             lo, hi = centre, centre + 1
-        # even data, |u_t|^p forcings (they keep parity) and no rows: step
-        # x >= 0 only, with node centre - 1 a ghost of node centre + 1
-        mirror = rows is None and powers and even
         floor = centre if mirror else 0
         if mirror:  # the Taylor level's ghost
             u_curr[(centre - 1) * m : centre * m] = u_curr[(centre + 1) * m : (centre + 2) * m]
-        run = _state(
-            components, grid, math.inf if threshold is None else threshold,
-            (u_prev, u_curr, u_next, ut, abs_ut, rhs), centre if mirror else -1,
-        )
         # the compiled kernel steps each block where it has every forcing,
         # else _levels; where the process may use a second CPU, a large block
         # is split between the caller and one helper thread, started at the
@@ -691,37 +690,30 @@ def _run(
         threads, helper = kernel is not None and len(cpus) > 1, None
         for first in range(1, k_max + 1, _BLOCK):
             last = min(first + _BLOCK - 1, k_max)
+            span = last - first + 1
             # one window for the block: the cone at its last level
-            lo, hi = max(lo - (last - first + 1), floor), min(hi + (last - first + 1), n)
-            k = first
-            while k <= last:
-                # where rows are stored, a call ends at the store level
-                end = last if rows is None else min(last, next_store)
-                # each half holds more nodes than the call has levels
-                mid = (lo + hi) // 2
-                span, half = end - k + 1, min(mid - lo, hi - mid)
-                if threads and half > span and span * half * m >= _SPLIT_WORK:
+            lo, hi = max(lo - span, floor), min(hi + span, n)
+            if rows is not None and (size := len(rows[0])) <= (row := -(-last // store_every)):
+                # room for the row of the block's last level
+                fit(min(max(row + 1, size + size // 8 + 1), count))
+            # each half holds more nodes than the block has levels
+            mid = (lo + hi) // 2
+            half = min(mid - lo, hi - mid)
+            if threads and half > span and span * half * m >= _SPLIT_WORK:
+                if helper is None:
+                    helper = kernel.start(run)
                     if helper is None:
-                        helper = kernel.start(run)
-                        if helper is None:
-                            raise MemoryError("no memory for the FD helper thread's buffers")
-                        helpers.callback(kernel.stop, helper)
-                    stop = kernel.split(run, helper, lo, mid, hi, k, end, next_store)
-                else:
-                    stop = levels(run, lo, hi, k, end, next_store)
-                k = run.level
-                t_k = k * dt
-                if stop == _NONFINITE:
-                    return result(True, t_k + dt)
-                if stop == _THRESHOLD:
-                    return result(True, t_k)
-                if stop == _STORE:
-                    next_store = store(k, t_k, run.arrays[(run.rot + 1) % 3], ut)
-                    if run.over:
-                        return result(True, t_k)
-                    run.rot = (run.rot + 1) % 3
-                    k += 1
-    return result(False, math.inf)
+                        raise MemoryError("no memory for the FD helper thread's buffers")
+                    helpers.callback(kernel.stop, helper)
+                stop = kernel.split(run, helper, lo, mid, hi, first, last)
+            else:
+                stop = levels(run, lo, hi, first, last)
+            k = run.level
+            if stop == _NONFINITE:
+                return result(True, k * dt + dt, k - 1)
+            if stop == _THRESHOLD:
+                return result(True, k * dt, k)
+    return result(False, math.inf, k_max)
 
 
 def _lifespan(

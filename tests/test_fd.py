@@ -418,11 +418,13 @@ def test_window_clipped_at_the_grid_ends():
 def test_full_window_run_of_even_data_is_exactly_even(cfl):
     # the neighbour sum u_{i+1} + u_{i-1} of the step and of the Taylor start
     # is the same sum at x and -x, and every other operation is per node, so
-    # a stored run (it steps the full window, into the grid ends at cfl =
-    # 0.9) of bump data is even bit for bit
+    # a stored run of bump data on the full window (not mirrored; into the
+    # grid ends at cfl = 0.9) is even bit for bit
     grid = GridSpec(dx=1.0 / 50, cfl=cfl, x_max=8.0, t_max=6.9)
     prof = bump_profile(R=1.0, eps=0.34, amplitude=8.0)
-    field, _ = solve_semilinear_field(P2, prof, 1.5, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fd, "_even", lambda arrays: False)
+        field, _ = solve_semilinear_field(P2, prof, 1.5, grid)
     assert len(field.times) > 300
     for rows in (field.values, field.dvalues):
         assert rows.tobytes() == rows[:, ::-1].tobytes()
@@ -696,19 +698,28 @@ ODD_DATA = CauchyProfile(
 )
 
 
+def _field_bytes(field):
+    return [a.tobytes() for a in (field.times, field.values, field.dvalues)]
+
+
 @pytest.mark.parametrize("case", ["odd data", "one uneven component", "stored rows"])
 def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
-    # on every block stepper, each run's window reaches left of the centre
-    # node, and its lifespan is the one of the whole-grid reference
+    # on every block stepper, a run of uneven data reaches left of the
+    # centre node, and its lifespan is the one of the whole-grid reference;
+    # a stored run of even data keeps its window right of the centre node
+    # and stores the full window's field bit for bit
     grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)
     prof = bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+    centre = len(grid.xs()) // 2
     c = CROSS_SYSTEM
     if case == "odd data":
         t_ref = _full_grid_run([(P2, ODD_DATA, 0, 1.5)], grid)[0]
     elif case == "one uneven component":
         t_ref = _full_grid_run([(c.comp1, prof, 1, c.p), (c.comp2, ODD_DATA, 0, c.q)], grid)[0]
     else:
-        t_ref = _full_grid_run([(P2, prof, 0, 1.5)], grid)[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(fd, "_even", lambda arrays: False)
+            full_window = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)
     for path in _block_paths():
         with monkeypatch.context() as patch:
             calls, _ = _blocks(patch, path)
@@ -717,9 +728,14 @@ def test_uneven_or_stored_runs_step_the_full_window(monkeypatch, case):
             elif case == "one uneven component":
                 t_est = detect_lifespan_system(c, prof, ODD_DATA, grid).T_est
             else:
-                t_est = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)[1].T_est
-        assert t_est == t_ref
-        assert min(lo for _, lo, *_ in calls) < len(grid.xs()) // 2
+                field, record = solve_semilinear_field(P2, prof, 1.5, grid, store_every=7)
+        if case == "stored rows":
+            assert record == full_window[1]
+            assert _field_bytes(field) == _field_bytes(full_window[0])
+            assert {lo for _, lo, *_ in calls} == {centre}
+        else:
+            assert t_est == t_ref
+            assert min(lo for _, lo, *_ in calls) < centre
 
 
 @pytest.mark.parametrize("x_max", [3.0, 3.1], ids=["one node", "three nodes"])
@@ -1181,28 +1197,44 @@ def test_kernel_stops_on_block_edges_as_the_numpy_loop(
 def test_numpy_levels_keep_the_kernel_contract(kernel, monkeypatch, case):
     # every block goes to the numpy _levels and, on a twin of the run state,
     # to the kernel's siwave_fd_levels: the two return the same stop and
-    # leave the same level, rot, over and buffer bytes, for blocks that end
-    # each way (the runs without rows are mirrored; with store_every 1 the
-    # threshold crossing is a store level)
+    # leave the same level, rot, buffer bytes and stored row bytes, for
+    # blocks that end each way, with and without rows, mirrored and on the
+    # full window; with store_every 1 every stop level is a store level
     components, grid = KERNEL_CASES[case]
     levels, kernel_levels, seen = fd._levels, fd._kernel().levels, set()
 
-    def both(run, lo, hi, first, last, next_store):
-        twin = fd._state(components, grid, run.threshold, [a.copy() for a in run.arrays], run.mirror)
-        twin.rot, twin.level, twin.over = run.rot, run.level, run.over
-        want = kernel_levels(twin, lo, hi, first, last, next_store)
-        stop = levels(run, lo, hi, first, last, next_store)
-        assert (stop, run.level, run.rot, run.over) == (want, twin.level, twin.rot, twin.over)
-        assert [a.tobytes() for a in run.arrays] == [a.tobytes() for a in twin.arrays]
-        seen.add((stop, stop == fd._STORE and bool(run.over)))
+    def copies(arrays):
+        return arrays and [a.copy() for a in arrays]
+
+    def both(run, lo, hi, first, last):
+        twin = fd._state(
+            components, grid, run.threshold, copies(run.arrays), run.mirror, copies(run.rows),
+            run.store_every,
+        )
+        twin.rot, twin.level = run.rot, run.level
+        want = kernel_levels(twin, lo, hi, first, last)
+        stop = levels(run, lo, hi, first, last)
+        assert (stop, run.level, run.rot) == (want, twin.level, twin.rot)
+        for mine, theirs in ((run.arrays, twin.arrays), (run.rows or (), twin.rows or ())):
+            assert [a.tobytes() for a in mine] == [a.tobytes() for a in theirs]
+        seen.add((stop, run.store_every, run.mirror >= 0))
         return stop
 
     _numpy_levels(monkeypatch)
     monkeypatch.setattr(fd, "_levels", both)
-    for store_every, threshold in ((None, 1e8), (7, 1e8), (1, 1e8), (None, math.inf)):
-        assert _run(components, grid, threshold, store_every)[0]
-    assert seen == {(fd._END, False), (fd._STORE, False), (fd._STORE, True),
-                    (fd._THRESHOLD, False), (fd._NONFINITE, False)}
+    runs = [(store_every, threshold) for store_every in (None, 7, 1) for threshold in (1e8, math.inf)]
+    for mirror in (True, False):
+        with monkeypatch.context() as patch:
+            if not mirror:
+                patch.setattr(fd, "_even", lambda arrays: False)
+            for store_every, threshold in runs:
+                assert _run(components, grid, threshold, store_every)[0]
+    assert seen == {
+        (stop, store_every or 0, mirror)
+        for store_every, threshold in runs
+        for stop in (fd._END, fd._THRESHOLD if threshold < math.inf else fd._NONFINITE)
+        for mirror in (True, False)
+    }
 
 
 _TILT = smooth_bump(1.0, 8.0)
@@ -1245,6 +1277,84 @@ def test_forked_blocks_stop_as_the_numpy_loop(kernel, monkeypatch, where, thresh
     assert peak[node] > threshold
     assert {"lower": node < centre, "upper": node > centre, "mid": node == centre,
             "both": node < centre and peak[2 * centre - node] == peak[node]}[where]
+
+
+#: stored runs of even data: the single equation and the systems of
+#: unequal and of shared coefficients (the first system blows up at the
+#: last level of the third block, the others are censored); from the second
+#: block on, the mirrored windows hold more than twice a block's levels, so
+#: those blocks split
+STORED_GRID = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=5.0, t_max=4.0)
+STORED_RUNS = {
+    "single": [_power_component(P2, bump_profile(R=1.0, eps=0.5, amplitude=8.0), 0, 1.5)],
+    "cross-system": KERNEL_CASES[5][0],
+    "shared-system": [
+        _power_component(SWEEP_SYSTEM.comp1, bump_profile(R=1.0, eps=0.25, amplitude=8.0), 1, 1.5),
+        _power_component(SWEEP_SYSTEM.comp2, bump_profile(R=1.0, eps=0.25, amplitude=8.0), 0, 2.0),
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("store_every", [1, 2, 7, 33])
+@pytest.mark.parametrize("case", list(STORED_RUNS))
+def test_stored_rows_are_the_full_windows_on_every_block_stepper(kernel, monkeypatch, case, store_every):
+    # every stepper writes the rows of the nodes it steps and their mirror
+    # images: each half of a split block its own half (at store_every 33 a
+    # store level lies inside a split block), with arrays reserved whole or
+    # grown from three rows; every path stores the full window's rows
+    components, grid = STORED_RUNS[case], STORED_GRID
+    centre = len(grid.xs()) // 2
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        patch.setattr(fd, "_even", lambda arrays: False)
+        blow_up, t_est, rows = _run(components, grid, 1e8, store_every)
+    for path in _block_paths():
+        for reserve in (fd._ROW_RESERVE, 3 * 16 * len(grid.xs())):
+            with monkeypatch.context() as patch:
+                calls, splits = _blocks(patch, path)
+                patch.setattr(fd, "_ROW_RESERVE", reserve)
+                outcome = _run(components, grid, 1e8, store_every)
+            assert outcome[:2] == (blow_up, t_est)
+            assert [a.tobytes() for a in outcome[2]] == [a.tobytes() for a in rows]
+            assert {lo for _, lo, *_ in calls} == {centre}
+            assert bool(splits) == (path == "split")
+            if store_every == 33 and splits:
+                assert any(first < 66 <= last for *_, first, last in splits)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("threshold", [1e8, math.inf], ids=["threshold", "non-finite"])
+def test_rows_kept_at_a_stop_next_to_a_store_level(kernel, monkeypatch, threshold):
+    # a threshold crossing in the upper half of a split block at a store
+    # level keeps that level's row; a non-finite level right after a store
+    # level keeps the rows up to the store level; halves that step on past
+    # the stop leave no row past it, on any block stepper
+    grid = GridSpec(dx=1.0 / 25, cfl=1.0, x_max=12.0, t_max=10.0)
+    components = [_power_component(P2, PLACED["upper"], 0, 1.5)]
+    with monkeypatch.context() as patch:
+        _numpy_levels(patch)
+        t_est = _run(components, grid, threshold)[1]
+    stop = round(t_est / grid.dt) - (threshold == math.inf)  # T_est is t_k + dt there
+    kept = stop if threshold < math.inf else stop - 1  # the last level kept
+    # its largest divisor below it (1 if it is prime)
+    store_every = next(d for d in range(kept // 2, 0, -1) if kept % d == 0)
+    outcomes = []
+    for path in _block_paths():
+        with monkeypatch.context() as patch:
+            _, splits = _blocks(patch, path)
+            outcomes.append(_run(components, grid, threshold, store_every))
+        if path == "split":
+            assert any(first <= stop <= last for *_, first, last in splits)
+    blow_up, t_end, (times, values, dvalues) = outcomes[0]
+    assert blow_up and t_end == t_est
+    assert all(o[:2] == outcomes[0][:2] for o in outcomes)
+    assert all([a.tobytes() for a in o[2]] == [a.tobytes() for a in outcomes[0][2]] for o in outcomes)
+    assert list(times) == [k * grid.dt for k in range(0, kept + 1, store_every)]
+    peak = np.abs(dvalues[-1])
+    assert np.isfinite(values[-1]).all()
+    if threshold < math.inf:
+        assert peak.max() > threshold and int(np.argmax(peak)) > len(grid.xs()) // 2
 
 
 def test_one_cpu_process_splits_no_block(kernel, monkeypatch):

@@ -1,10 +1,13 @@
 """Package layout: traced modules import, every export is a real public name,
-every cost tool starts, imports only the standard library and numpy, and
-every checked-in report carries the harness header."""
+every cost tool starts, imports only the standard library and numpy, every
+checked-in report carries the harness header, and the compiled kernel's
+structs match their ctypes mirrors."""
 
 import ast
+import ctypes
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -78,3 +81,44 @@ def test_bench_report_has_the_harness_header(report):
     assert {"metric", "method", "host", "revisions"} <= data.keys()
     assert "checkout" in data["revisions"]
     assert "second_cpu_share" not in data
+
+
+#: One declarator of a C member declaration: its pointer stars, its name and
+#: its array length.
+DECLARATOR = r"(\**)\s*(\w+)\s*(?:\[(\d+)\])?"
+
+
+def _c_struct_fields(source: str, name: str) -> list[tuple[str, str]]:
+    """(field, kind) of ``struct name`` in C source, in order; kind is
+    "pointer", "long" or "double", with "[n]" after it for an array."""
+    body = re.search(rf"struct {name} \{{(.*?)\}};", source, re.S).group(1)
+    fields = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        declarators = rf"{DECLARATOR}(?:\s*,\s*{DECLARATOR})*"
+        base, names = re.fullmatch(rf"\s*([\w\s]*?)\s*({declarators})\s*", declaration).group(1, 2)
+        for stars, field, length in re.findall(DECLARATOR, names):
+            kind = "pointer" if stars else base.split()[-1]
+            fields.append((field, kind + (f"[{length}]" if length else "")))
+    return fields
+
+
+def _ctypes_fields(structure) -> list[tuple[str, str]]:
+    kinds = {ctypes.c_long: "long", ctypes.c_double: "double"}
+
+    def kind(t):
+        if issubclass(t, ctypes.Array):
+            return f"{kind(t._type_)}[{t._length_}]"
+        return kinds.get(t, "pointer")
+
+    return [(name, kind(t)) for name, t in structure._fields_]
+
+
+@pytest.mark.parametrize("struct, mirror", [("fd_run", "_KernelRun"), ("fd_comp", "_KernelComp")])
+def test_kernel_structs_match_their_ctypes_mirrors(struct, mirror):
+    # the kernel reads the run state through these layouts; a field added,
+    # dropped or moved on one side only would show as wrong values, not as
+    # an error
+    from siwave import fd
+
+    source = (ROOT / "src" / "siwave" / "_fdlevel.c").read_text(encoding="ascii")
+    assert _c_struct_fields(source, struct) == _ctypes_fields(getattr(fd, mirror))

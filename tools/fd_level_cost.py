@@ -19,6 +19,13 @@ alternates from round to round; a figure is the median over the rounds of
 that difference, which a slow spell of a shared host moves less than a
 difference of two best times.
 
+One more case is a stored run: the field of the criterion-10 chain in the
+kernel_routes benchmark, (mu, nu2) = (2, 0), p = 1.5, bump data with
+eps = 0.5 and amplitude 8, dx = 1/200, every second level stored, to
+t_max = 0.9 x 4.78 (0.9 of its lifespan).  Its figure is the median time of
+one solve_semilinear_field run, set-up included, over its stored levels;
+the two checkouts' fields are compared as the answers.
+
 Each case has three figures per checkout, one per path, named after it:
 
   kernel_two_threads  the compiled level kernel (fd._kernel) with every
@@ -55,6 +62,7 @@ CASES = tuple((m, coefficients, window) for m, coefficients in ((1, "shared"), (
               for window in WINDOWS)
 REPEAT = 31  # rounds per figure
 PATHS = ("kernel_two_threads", "kernel_one_thread", "numpy_loop")
+CHAIN_DX, CHAIN_T_MAX, CHAIN_STORE_EVERY = 1.0 / 200, 0.9 * 4.78, 2
 
 
 def _name(m: int, coefficients: str, window: int, path: str) -> str:
@@ -80,6 +88,13 @@ class _Checkout:
             _name(*case, path): lambda r, case=case, path=path: self.gap(*case, path, r)
             for case in CASES for path in PATHS if paths[path]
         }
+        self.timers |= {
+            f"chain field {path}": lambda r, path=path: self.chain(path) for path in PATHS if paths[path]
+        }
+        self.chain_grid = pkg.GridSpec(
+            dx=CHAIN_DX, cfl=1.0, x_max=1.0 + CHAIN_T_MAX + 0.1, t_max=CHAIN_T_MAX
+        )
+        self.chain_levels = -(-self.chain_grid.n_steps() // CHAIN_STORE_EVERY)
 
     def run(self, m: int, coefficients: str, R: float, levels: int) -> None:
         """One censored lifespan run to ``levels`` on the nodes of a run to LAST."""
@@ -114,6 +129,26 @@ class _Checkout:
         finally:
             fd._kernel, fd._SPLIT_WORK = saved
 
+    def chain_field(self):
+        """The chain field, stored on the path of the caller's block."""
+        data = self.pkg.bump_profile(R=1.0, eps=0.5, amplitude=8.0)
+        field, _ = self.fd.solve_semilinear_field(
+            self.p2, data, 1.5, self.chain_grid, store_every=CHAIN_STORE_EVERY
+        )
+        return field
+
+    def chain(self, path: str) -> float:
+        """The time of one run of the chain field on path ``path``."""
+        with self.path(path):
+            t0 = time.perf_counter()
+            self.chain_field()
+            return time.perf_counter() - t0
+
+    def answers(self) -> dict:
+        """The chain field's times, values and dvalues, to compare bit for bit."""
+        field = self.chain_field()
+        return {f"chain field {name}": getattr(field, name) for name in ("times", "values", "dvalues")}
+
     def gap(self, m: int, coefficients: str, window: int, path: str, r: int) -> float:
         """The time of the run to LAST minus that of the run to FIRST on path
         ``path``, the two back to back, the shorter first in rounds 0, 1, 4,
@@ -134,7 +169,7 @@ class _Checkout:
 
 def _body(cases, samples, moves) -> dict:
     levels = LAST - FIRST
-    return {
+    report = {
         "unit": "us",
         "cases": [
             {"m": m, "coefficients": coefficients, "window_nodes": window} | {
@@ -149,7 +184,23 @@ def _body(cases, samples, moves) -> dict:
             }
             for m, coefficients, window in CASES
         ],
+        "chain_field": {
+            "store_every": CHAIN_STORE_EVERY, "stored_levels": cases["checkout"].chain_levels,
+            "nodes": len(cases["checkout"].chain_grid.xs()),
+        } | {
+            label: {
+                f"{path}_us_per_stored_level": (
+                    round(statistics.median(s[name]) / cases[label].chain_levels * 1e6, 2)
+                    if (name := f"chain field {path}") in s else None
+                )
+                for path in PATHS
+            }
+            for label, s in samples.items()
+        },
     }
+    if moves is not None:
+        report["chain_field_bit_identical"] = all(move == 0.0 for move in moves.values())
+    return report
 
 
 if __name__ == "__main__":
@@ -159,6 +210,7 @@ if __name__ == "__main__":
         f"the two back to back in alternating order, over {LAST - FIRST} levels; cfl = 1, dx = 0.01, "
         "mirrored even data; <path>_us_per_level for the paths kernel_two_threads (every block split "
         "between the caller and a helper thread), kernel_one_thread and numpy_loop; null where a "
-        "path does not run",
+        "path does not run; the chain field's <path>_us_per_stored_level is the time of one stored "
+        f"run (dx = 1/200, store_every {CHAIN_STORE_EVERY}, set-up included) over its stored levels",
         _body,
     ))
